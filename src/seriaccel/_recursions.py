@@ -124,10 +124,12 @@ class _Build:
             self.entries[(0, n)] = row[n]
 
     def run(self, step: Callable[[int, int, Mapping[int, object], Mapping[int, object] | None], object]):
+        # ``cur`` and ``prev`` hold the entries of levels k and k - 1; the row of
+        # level k + 1 fills while it is built.
+        prev, cur = None, {n: self.entries[(0, n)] for n in range(self.width(0) + 1)}
         with self.ops.context():
             for k in range(self.levels):
-                cur = {n: v for (kk, n), v in self.entries.items() if kk == k}
-                prev = {n: v for (kk, n), v in self.entries.items() if kk == k - 1} if k >= 1 else None
+                row = {}
                 for n in range(self.width(k + 1) + 1):
                     key = (k + 1, n)
                     bad = next((d for d in self.deps(k, n) if d not in self.entries), None)
@@ -142,7 +144,8 @@ class _Build:
                     if not self._finite(value):
                         self.failures[key] = "overflow"
                         continue
-                    self.entries[key] = value
+                    self.entries[key] = row[n] = value
+                prev, cur = cur, row
 
     def _finite(self, value) -> bool:
         fld = self.ops.field

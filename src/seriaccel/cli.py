@@ -31,6 +31,7 @@ from .field import (
     scientific_string,
     to_fraction_string,
 )
+from .jets import MissingCoefficientError
 from .prediction import predict_coefficients
 from .remainders import evaluate_error_terms, evaluate_transformation_terms
 from .report import ReportRow, rows_to_csv, rows_to_json
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ModeMismatchError, BreakdownError, SelectionError,
-            DegeneratePadeError, ValueError, OSError) as exc:
+            DegeneratePadeError, MissingCoefficientError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

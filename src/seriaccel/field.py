@@ -27,9 +27,9 @@ It stops overflow cascades without flagging legitimately small values.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
+from contextlib import nullcontext
+from dataclasses import dataclass, field as dataclass_field
+from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from typing import Union
 
@@ -185,17 +185,20 @@ class BigFloatField(Field):
 
     digits: int = 50
     mode = "bigfloat"
+    # Derived from ``digits`` once; kept out of equality, hashing and repr.
+    _context: Context = dataclass_field(init=False, repr=False, compare=False)
+    near_zero: Decimal = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.digits < 50:
             raise ValueError("bigfloat mode is defined for >= 50 significant digits")
+        object.__setattr__(self, "_context", Context(prec=self.digits, rounding=ROUND_HALF_EVEN))
+        # 10 guard digits of slack below the working precision.
+        object.__setattr__(self, "near_zero", Decimal(1).scaleb(10 - self.digits))
 
-    @contextmanager
     def arithmetic(self):
-        with localcontext() as ctx:
-            ctx.prec = self.digits
-            ctx.rounding = ROUND_HALF_EVEN
-            yield ctx
+        """Context manager that enters (and yields) a copy of the field's context."""
+        return localcontext(self._context)
 
     def from_int(self, value: int) -> Decimal:
         return Decimal(value)
@@ -228,18 +231,12 @@ class BigFloatField(Field):
         except (ValueError, InvalidOperation):
             raise ParseError(f"not a bigfloat scalar: {text!r}") from None
 
-    @property
-    def near_zero(self) -> Decimal:
-        # 10 guard digits of slack below the working precision.
-        return Decimal(1).scaleb(10 - self.digits)
-
     def is_zero(self, value, scale=None) -> bool:
         bound = self.near_zero
         if scale is not None:
             mag = abs(scale)
             if mag > 1:
-                with self.arithmetic():
-                    bound = bound * mag
+                bound = self._context.multiply(bound, mag)
         return abs(value) <= bound
 
     def is_finite(self, value) -> bool:

@@ -23,6 +23,7 @@ from .field import BreakdownError, Field, Scalar
 __all__ = [
     "Jet",
     "JetBreakdownError",
+    "MissingCoefficientError",
     "PowerSeries",
     "delta_shift",
     "delta2_shift",
@@ -31,6 +32,10 @@ __all__ = [
 
 class JetBreakdownError(BreakdownError):
     """Reciprocal of a jet whose constant term is (near-)zero."""
+
+
+class MissingCoefficientError(IndexError):
+    """A coefficient past the stored ones of a series without a tail rule."""
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ class PowerSeries:
         if index <= self.known_order:
             return self.coeffs[index]
         if self.tail is None:
-            raise IndexError(
+            raise MissingCoefficientError(
                 f"coefficient {index} is past the stored order {self.known_order} "
                 "and no tail rule is attached"
             )

@@ -7,6 +7,13 @@ remainder recursions start from the scaled truncation errors of the partial
 sums, so they need the series tail -- either a closed-form tail rule or
 enough stored coefficients.  They are model-problem tools by design.
 
+At a numeric point the scaled truncation errors of a whole table come from a
+single tail sum at the deepest index, followed by the backward recurrence
+``base[n] = z * base[n+1] - gamma(n+1)``.  For ``|z| < 1`` each downward step
+multiplies the error carried from above by ``z``, so errors shrink instead of
+growing (the classical backward-recurrence argument; Gautschi, SIAM Review 9,
+1967); bigfloat runs add 10 guard digits for the recurrence itself.
+
 Three views are provided:
 
 * :func:`remainder_jets` -- Taylor expansions of the remainder terms, exact
@@ -229,8 +236,10 @@ def leading_remainders(
 def remainder_value(series: PowerSeries, n: int, z: Scalar) -> Scalar:
     """Scaled truncation error ``(f_n(z) - f(z)) / z**(n+1)`` by tail summation.
 
-    Sums ``-(gamma(n+1) + gamma(n+2) z + ...)`` numerically, so it needs a
-    float mode and ``|z| < 1``.
+    Sums ``-(gamma(n+1) + gamma(n+2) z + ...)`` numerically until the terms
+    fall below the working precision, so it needs a float mode and
+    ``|z| < 1``.  :func:`evaluate_error_terms` calls it once per table, at the
+    deepest index, and reaches the shallower ones by backward recurrence.
     """
     fld = series.field
     if isinstance(fld, RationalField):
@@ -261,6 +270,25 @@ def remainder_value(series: PowerSeries, n: int, z: Scalar) -> Scalar:
                 quiet = 0
             zpow = zpow * z
     raise ValueError("remainder tail summation did not settle within 500000 terms")
+
+
+def _remainder_bases(series: PowerSeries, z: Scalar, m_max: int) -> dict:
+    """``n -> remainder_value(series, n, z)`` for ``n = 0..m_max``, from one tail
+    sum at ``m_max`` and the backward recurrence of the module docstring.
+
+    Bigfloat runs the recurrence with 10 guard digits, then rounds each base
+    back to the working precision.
+    """
+    if m_max < 0:
+        return {}
+    fld = series.field
+    work = BigFloatField(fld.digits + 10) if isinstance(fld, BigFloatField) else fld
+    bases = [remainder_value(series, m_max, z)]
+    with work.arithmetic():
+        for n in range(m_max - 1, -1, -1):
+            bases.append(z * bases[-1] - series.coefficient(n + 1))
+    with fld.arithmetic():
+        return {n: +value for n, value in enumerate(reversed(bases))}
 
 
 def series_value(series: PowerSeries, z: Scalar) -> Scalar:
@@ -322,11 +350,16 @@ def evaluate_error_terms(
     errors; row ``m`` holds ``z**(m+1)`` times the remainder term of the
     approximant the selection rule picks from inputs ``0..m``.  Rows where a
     family cannot form a transform yet are exact zeros.
+
+    The truncation errors cost one tail sum (at ``n = m_max``) plus a
+    guarded backward recurrence down to ``n = 0``, which is stable because
+    it damps inherited errors by ``|z| < 1`` per step.  A series without a
+    tail rule raises :class:`~seriaccel.jets.MissingCoefficientError`.
     """
     fld = series.field
     z = fld.ensure(z)
     out = {}
-    base = {n: remainder_value(series, n, z) for n in range(m_max + 1)}
+    base = _remainder_bases(series, z, m_max)
     for family in _family_list(families):
         step = family_step(family)
         recursion, _ = REMAINDER_RECURSIONS[family]

@@ -53,9 +53,6 @@ class ResolvedInput:
             raise ValueError(f"{self.label} is a plain sequence; this command needs series coefficients")
         return self.series
 
-    def require_sequence_or_series(self):
-        return self
-
 
 def _log_coefficient(field: Field, i: int) -> Scalar:
     return field.from_fraction(Fraction((-1) ** i, i + 1))
@@ -138,7 +135,7 @@ def resolve_series_spec(spec: str, field: Field, count: int) -> ResolvedInput:
         name, params = _parse_builtin_spec(spec[len("builtin:"):], field)
         return builtin_series(name, params, count, field)
     path = spec[len("file:"):] if spec.startswith("file:") else spec
-    loaded_field, series = load_coefficient_file(path, field=field)
+    _, series = load_coefficient_file(path, field=field)
     return ResolvedInput(f"file:{path}", series=series)
 
 

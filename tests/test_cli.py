@@ -96,6 +96,29 @@ def test_accelerate_coefficient_file(capsys, tmp_path):
     assert "m=2 k=2 n=0 2" in out
 
 
+def test_error_terms_on_tail_less_file_exit_one(capsys, tmp_path):
+    path = tmp_path / "c5.txt"
+    path.write_text("1\n1/2\n1/3\n1/4\n1/5\n")
+    code, out, err = run(capsys, "error-terms", "--series", f"file:{path}",
+                         "--z=0.5", "--max-m", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: coefficient 5 is past the stored order 4 and no tail rule is attached\n"
+
+
+def test_transform_terms_past_file_end_exit_one(capsys, tmp_path):
+    path = tmp_path / "c5.txt"
+    path.write_text("1\n1/2\n1/3\n1/4\n1/5\n")
+    code, _, _ = run(capsys, "transform-terms", "--series", f"file:{path}",
+                     "--z=0.5", "--max-m", "4")
+    assert code == 0
+    code, out, err = run(capsys, "transform-terms", "--series", f"file:{path}",
+                         "--z=0.5", "--max-m", "6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: coefficient 5 is past the stored order 4")
+
+
 def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "accelerate", "--series", "builtin:log1p-over-z",
                        "--family", "rho")

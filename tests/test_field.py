@@ -1,4 +1,5 @@
-from decimal import Decimal
+from contextlib import contextmanager
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,63 @@ def test_near_zero_threshold_scales_with_bigfloat_precision():
     assert not BF.is_zero(Decimal("1e-30"))
     wide = BigFloatField(80)
     assert not wide.is_zero(Decimal("1e-45"))
+
+
+# Long mantissas over a wide exponent range, so results must round at 50/64 digits.
+long_decimals = st.builds(
+    lambda mantissa, exponent: Decimal(mantissa).scaleb(exponent),
+    st.integers(-(10**90), 10**90),
+    st.integers(-120, 120),
+)
+
+
+@contextmanager
+def _per_call_context(digits):
+    """The bigfloat context as the field used to build it on every call."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = ROUND_HALF_EVEN
+        yield ctx
+
+
+def _reference_is_zero(digits, value, scale):
+    bound = Decimal(1).scaleb(10 - digits)
+    mag = abs(scale)
+    if mag > 1:
+        with _per_call_context(digits):
+            bound = bound * mag
+    return abs(value) <= bound
+
+
+@pytest.mark.parametrize("digits", [50, 64])
+@given(a=long_decimals, b=long_decimals)
+def test_bigfloat_cached_context_changes_no_digit(digits, a, b):
+    fld = BigFloatField(digits)
+    assert fld.is_zero(b, scale=a) == _reference_is_zero(digits, b, a)
+    assert fld.is_zero(a, scale=b) == _reference_is_zero(digits, a, b)
+    with _per_call_context(digits):
+        plus = +a
+        quotient = None if _reference_is_zero(digits, b, a) else a / b
+    with fld.arithmetic():
+        assert str(+a) == str(plus)
+    if quotient is None:
+        with pytest.raises(BreakdownError):
+            fld.div(a, b)
+    else:
+        assert str(fld.div(a, b)) == str(quotient)
+
+
+@pytest.mark.parametrize("digits", [50, 64])
+def test_bigfloat_context_identity_and_value_semantics(digits):
+    fld = BigFloatField(digits)
+    with fld.arithmetic() as ctx:
+        assert ctx.prec == digits
+        assert ctx.rounding == ROUND_HALF_EVEN
+    assert fld == BigFloatField(digits)
+    assert hash(fld) == hash(BigFloatField(digits))
+    assert fld != BigFloatField(digits + 1)
+    assert len({fld, BigFloatField(digits)}) == 1
+    assert fld.near_zero == Decimal(1).scaleb(10 - digits)
 
 
 def test_bigfloat_requires_at_least_50_digits():

@@ -2,11 +2,14 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seriaccel.field import BigFloatField, RationalField, scientific_string
+from seriaccel import remainders
+from seriaccel.field import BigFloatField, Float64Field, RationalField, scientific_string
 from seriaccel.jets import PowerSeries
 from seriaccel.prediction import PredictionBreakdownError, leading_predictions
 from seriaccel.remainders import (
+    _remainder_bases,
     evaluate_error_terms,
     evaluate_transformation_terms,
     leading_remainders,
@@ -14,9 +17,11 @@ from seriaccel.remainders import (
     remainder_value,
     series_value,
 )
+from seriaccel.series_library import builtin_series
 
 RAT = RationalField()
 BF = BigFloatField(50)
+F64 = Float64Field()
 
 
 def log_series_rational(count=13):
@@ -120,6 +125,51 @@ def test_remainder_value_needs_float_mode_and_small_z():
         remainder_value(log_series_rational(), 0, F(1, 2))
     with pytest.raises(ValueError):
         remainder_value(log_series_bigfloat(), 0, BF.parse("1.05"))
+
+
+def builtin(name, fld):
+    params = (fld.from_int(2),) if name == "zeta" else ()
+    return builtin_series(name, params, 1, fld).series
+
+
+def assert_bases_match_per_n_route(series, z, m_max, rel):
+    bases = _remainder_bases(series, z, m_max)
+    assert sorted(bases) == list(range(m_max + 1))
+    fld = series.field
+    with fld.arithmetic():
+        for n in range(m_max + 1):
+            expected = remainder_value(series, n, z)
+            assert abs(bases[n] - expected) <= rel * abs(expected), (n, bases[n], expected)
+
+
+@pytest.mark.parametrize("fld,rel", [(BF, Decimal("1e-46")), (F64, 1e-13)], ids=["bigfloat", "f64"])
+@pytest.mark.parametrize("name", ["log1p-over-z", "zeta"])
+@pytest.mark.parametrize("z_text,m_max", [("0.95", 47), ("0.8", 47), ("-0.8", 47), ("0.5", 117), ("-0.5", 117)])
+def test_recurrence_bases_match_per_n_tail_sums(fld, rel, name, z_text, m_max):
+    assert_bases_match_per_n_route(builtin(name, fld), fld.parse(z_text), m_max, rel)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(["log1p-over-z", "zeta"]),
+    z=st.fractions(min_value=F(-9, 10), max_value=F(9, 10), max_denominator=1000)
+    .filter(lambda z: abs(z) < F(9, 10)),
+    m_max=st.integers(0, 30),
+)
+def test_recurrence_bases_match_per_n_tail_sums_anywhere_inside(name, z, m_max):
+    assert_bases_match_per_n_route(builtin(name, BF), BF.from_fraction(z), m_max, Decimal("1e-46"))
+
+
+def test_error_terms_make_one_tail_sum_per_table(monkeypatch):
+    calls = []
+
+    def counting(series, n, z):
+        calls.append(n)
+        return remainder_value(series, n, z)
+
+    monkeypatch.setattr(remainders, "remainder_value", counting)
+    evaluate_error_terms(log_series_bigfloat(), BF.parse("0.8"), 40)
+    assert calls == [40]
 
 
 def test_series_value_is_the_logarithm_quotient():
