@@ -5,7 +5,7 @@ algorithm, Brezinski's iterated theta transformation) in rearranged forms
 whose rational approximants split cleanly into a partial sum plus a
 transformation term.  Expanding those terms as truncated power series yields
 predictions for coefficients the transformation never consumed; driving the
-sibling remainder recursions with known series tails yields exact error-term
+same recursions from known series tails instead yields exact error-term
 expansions for model problems.  Everything is generic over exact rational,
 big-decimal and double-precision scalar fields.
 """
@@ -27,18 +27,15 @@ from .field import (
 from .jets import Jet, JetBreakdownError, PowerSeries, delta2_shift, delta_shift
 from .prediction import (
     PREDICTION_FAMILIES,
-    LeadingPredictionTable,
+    LeadingTable,
     PredictionBreakdownError,
-    TransformationTerm,
-    TransformationTermTable,
+    TermJet,
+    TermJetTable,
     leading_predictions,
     predict_coefficients,
     transformation_terms,
 )
 from .remainders import (
-    LeadingRemainderTable,
-    RemainderJet,
-    RemainderJetTable,
     TermCell,
     evaluate_error_terms,
     evaluate_transformation_terms,
@@ -49,8 +46,10 @@ from .remainders import (
 )
 from .series_library import ResolvedInput, builtin_series, load_coefficient_file, resolve_series_spec
 from .transforms import (
+    FAMILIES,
     ConvergenceReport,
     DegeneratePadeError,
+    Family,
     ModelSequence,
     PadeRational,
     ScalarSequence,
@@ -60,11 +59,17 @@ from .transforms import (
     classify_convergence,
     epsilon_cross_table,
     epsilon_table,
+    get_family,
     iterated_theta_table,
     pade_linear_system,
     select_approximant,
     selection_indices,
     theta_table,
 )
+
+# Names from before transformation and remainder terms shared one type each.
+TransformationTerm = RemainderJet = TermJet
+TransformationTermTable = RemainderJetTable = TermJetTable
+LeadingPredictionTable = LeadingRemainderTable = LeadingTable
 
 __version__ = "0.1.0"

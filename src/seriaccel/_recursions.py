@@ -1,21 +1,31 @@
-"""Recursion engines shared by the prediction and remainder-analysis modules.
+"""Triangle builder and the per-family recursion steps.
 
-Each acceleration scheme, rewritten so its update never hides low-order
-Taylor information, gives rise to two sibling recursions:
+Each acceleration scheme is rearranged so that its approximant is a partial
+sum plus a power of the series variable times a term, and the term obeys one
+recursion per family, written here once as a *step* from level ``k`` into
+``(k + 1, n)``.  The step runs two ways:
 
-* a *transformation-term* recursion that starts from zero and injects the
-  series coefficients explicitly, and
-* a *remainder-term* recursion that starts from the scaled truncation
-  errors of the partial sums.
+* for *transformation terms* the caller seeds zeros and injects the series
+  coefficients: ``gamma`` is added to each shifted difference
+  ``z * X(n+1) - X(n)``;
+* for *remainder terms* the caller seeds the scaled truncation errors of the
+  partial sums and injects nothing.  The addition is skipped rather than
+  made with a zero, which would cost one carrier addition per use and could
+  turn a float ``-0`` into ``+0``.
 
-Both run over any carrier that supports ring operations, a checked division
-and multiplication by the series variable.  :class:`JetOps` runs them over
-truncated power series (producing Taylor expansions), :class:`NumericOps`
-over plain scalars at a fixed numeric point (producing table values).
+Only the first epsilon level has two expressions: the term form
+``gamma_hi**2 / (gamma_lo - z*gamma_hi)`` and the remainder form
+``(d1/d0) / (1/d1 - z/d0)`` agree exactly but round differently in the float
+modes, so the step keeps both.  The ``*_leading_*`` functions are the scalar
+recursions for the z-independent parts of the two kinds of term.
 
-Engines return ``(entries, failures)`` where ``entries[(k, n)]`` is a carrier
-element and ``failures[(k, n)]`` is a human-readable reason.  A breakdown in
-one cell never aborts the build; dependents inherit the failure.
+Steps run over any carrier with ring operations, a checked division and
+multiplication by the series variable: :class:`JetOps` over truncated power
+series (Taylor expansions), :class:`NumericOps` over plain scalars at a
+fixed point.  :class:`_Build` runs a step over a triangle -- these
+recursions and the textbook tables of :mod:`seriaccel.transforms` alike --
+and is the one place where failures propagate: a breakdown in one cell never
+aborts the build, and every cell that reads it inherits the failure.
 """
 
 from __future__ import annotations
@@ -42,6 +52,9 @@ class JetOps:
 
     def const(self, value: Scalar) -> Jet:
         return Jet.constant(self.field, value, self.order)
+
+    def finite(self, value: Jet) -> bool:
+        return all(self.field.is_finite(c) for c in value.coeffs)
 
     @staticmethod
     def add(a, b):
@@ -72,6 +85,7 @@ class NumericOps:
         self.z = field.ensure(z)
         self.zero = field.zero
         self.one = field.one
+        self.finite = field.is_finite
 
     def context(self):
         return self.field.arithmetic()
@@ -98,203 +112,192 @@ class NumericOps:
         return self.z * a
 
 
-def _dl(ops, row: Mapping[int, object], n: int):
-    """Shifted difference ``z * X(n+1) - X(n)`` on one recursion row."""
-    return ops.sub(ops.zmul(row[n + 1]), row[n])
-
-
 class _Build:
-    """Bookkeeping for one triangular recursion build.
+    """One triangular build: level 0 is ``seed``, and :meth:`run` fills the
+    cells ``(k + 1, n)`` with ``n <= width(k + 1)``, level by level.
 
-    ``deps(k, n)`` names the table entries the step from level ``k`` into
-    ``(k + 1, n)`` reads; a step whose dependency previously broke inherits
-    the failure instead of running.
+    ``deps(k, n)`` names the cells the step into ``(k + 1, n)`` reads.  A cell
+    whose dependency failed records ``depends on invalid entry (k, n)``
+    without running the step; a step that breaks down or overflows records
+    why.  ``valid`` flags every cell, seeds included.  Keys are
+    ``(scale * level, n)``, so a table that holds only the even columns keeps
+    their literal subscripts.
     """
 
-    def __init__(self, ops, levels: int, width: Width, deps: Callable[[int, int], list]):
+    def __init__(self, ops, levels: int, width: Width, deps: Callable[[int, int], list],
+                 seed, scale: int = 1):
         self.ops = ops
         self.levels = levels
         self.width = width
         self.deps = deps
-        self.entries: dict[tuple[int, int], object] = {}
+        self.scale = scale
+        self.entries: dict[tuple[int, int], object] = {(0, n): seed[n] for n in range(width(0) + 1)}
+        self.valid: dict[tuple[int, int], bool] = dict.fromkeys(self.entries, True)
         self.failures: dict[tuple[int, int], str] = {}
 
-    def seed(self, row: Mapping[int, object]):
-        for n in range(self.width(0) + 1):
-            self.entries[(0, n)] = row[n]
-
     def run(self, step: Callable[[int, int, Mapping[int, object], Mapping[int, object] | None], object]):
-        # ``cur`` and ``prev`` hold the entries of levels k and k - 1; the row of
+        entries, valid, failures = self.entries, self.valid, self.failures
+        deps, finite = self.deps, self.ops.finite
+        # ``cur`` and ``prev`` hold the rows of levels k and k - 1; the row of
         # level k + 1 fills while it is built.
-        prev, cur = None, {n: self.entries[(0, n)] for n in range(self.width(0) + 1)}
+        prev, cur = None, {n: entries[(0, n)] for n in range(self.width(0) + 1)}
         with self.ops.context():
             for k in range(self.levels):
                 row = {}
+                level = self.scale * (k + 1)
                 for n in range(self.width(k + 1) + 1):
-                    key = (k + 1, n)
-                    bad = next((d for d in self.deps(k, n) if d not in self.entries), None)
-                    if bad is not None:
-                        self.failures[key] = f"depends on broken entry {bad}"
-                        continue
-                    try:
-                        value = step(k, n, cur, prev)
-                    except BreakdownError as exc:
-                        self.failures[key] = str(exc)
-                        continue
-                    if not self._finite(value):
-                        self.failures[key] = "overflow"
-                        continue
-                    self.entries[key] = row[n] = value
+                    for dep in deps(k, n):
+                        if dep not in entries:
+                            note = f"depends on invalid entry {dep}"
+                            break
+                    else:
+                        try:
+                            value = step(k, n, cur, prev)
+                        except BreakdownError as exc:
+                            note = str(exc)
+                        else:
+                            note = None if finite(value) else "overflow"
+                    key = (level, n)
+                    if note is None:
+                        entries[key] = row[n] = value
+                        valid[key] = True
+                    else:
+                        failures[key] = note
+                        valid[key] = False
                 prev, cur = cur, row
 
-    def _finite(self, value) -> bool:
-        fld = self.ops.field
-        if isinstance(value, Jet):
-            return all(fld.is_finite(c) for c in value.coeffs)
-        return fld.is_finite(value)
 
-    def result(self):
-        return self.entries, self.failures
+def run_recursion(family, ops, levels: int, top: int, seed, coeff=None) -> _Build:
+    """Run ``family.recursion`` over cells ``(k, n)`` with ``n + step*k <= top``.
 
-
-def _window(k: int, n: int, span: int, prev_at: int | None = None) -> list:
-    deps = [(k, n + i) for i in range(span)]
-    if prev_at is not None and k >= 1:
-        deps.append((k - 1, n + prev_at))
-    return deps
-
-
-# ---------------------------------------------------------------------------
-# transformation-term recursions (start at zero, coefficients injected)
-
-
-def aitken_term_recursion(ops, coeff, levels: int, width: Width):
-    """Delta-squared transformation terms; level step consumes two coefficients."""
-    build = _Build(ops, levels, width, lambda k, n: _window(k, n, 3))
-    build.seed({n: ops.zero for n in range(width(0) + 1)})
-
-    def step(k, n, cur, prev):
-        g_lo = coeff(n + 2 * k + 1)
-        g_hi = coeff(n + 2 * k + 2)
-        d1 = ops.add(ops.const(g_hi), _dl(ops, cur, n + 1))
-        d2 = ops.sub(ops.zmul(d1), ops.add(ops.const(g_lo), _dl(ops, cur, n)))
-        return ops.sub(cur[n + 2], ops.div(ops.mul(d1, d1), d2))
-
-    build.run(step)
-    return build.result()
+    With ``coeff`` (transformation terms, ``seed`` all zeros) the step gets
+    the carrier constants ``coeff(n + step*k + 1 .. n + step*k + step)`` to
+    inject; without it (remainder terms, ``seed`` the scaled truncation
+    errors) it gets ``None`` and injects nothing.
+    """
+    step, recursion = family.step, family.recursion
+    if coeff is None:
+        def cell(k, n, cur, prev):
+            return recursion(ops, None, k, n, cur, prev)
+    else:
+        def cell(k, n, cur, prev):
+            first = n + step * k + 1
+            g = [ops.const(coeff(first + i)) for i in range(step)]
+            return recursion(ops, g, k, n, cur, prev)
+    build = _Build(ops, levels, lambda k: top - step * k, family.deps, seed)
+    build.run(cell)
+    return build
 
 
-def epsilon_term_recursion(ops, coeff, levels: int, width: Width):
-    """Cross-rule transformation terms with the explicit first-level branch."""
-    build = _Build(ops, levels, width, lambda k, n: [] if k == 0 else _window(k, n, 3, prev_at=2))
-    build.seed({n: ops.zero for n in range(width(0) + 1)})
-
-    def step(k, n, cur, prev):
-        g_lo = coeff(n + 2 * k + 1)
-        g_hi = coeff(n + 2 * k + 2)
-        if k == 0:
-            num = ops.mul(ops.const(g_hi), ops.const(g_hi))
-            den = ops.sub(ops.const(g_lo), ops.zmul(ops.const(g_hi)))
-            return ops.div(num, den)
-        w0 = ops.add(ops.const(g_lo), _dl(ops, cur, n))
-        w1 = ops.add(ops.const(g_hi), _dl(ops, cur, n + 1))
-        e = ops.sub(ops.add(ops.const(g_lo), ops.zmul(cur[n + 1])), prev[n + 2])
-        alpha = ops.sub(ops.div(w1, w0), ops.div(w1, e))
-        beta = ops.add(
-            ops.sub(ops.div(ops.one, w1), ops.zmul(ops.div(ops.one, w0))),
-            ops.zmul(ops.div(ops.one, e)),
-        )
-        return ops.add(cur[n + 2], ops.div(alpha, beta))
-
-    build.run(step)
-    return build.result()
-
-
-def theta_term_recursion(ops, coeff, levels: int, width: Width):
-    """Iterated-theta transformation terms; level step consumes three coefficients."""
-    build = _Build(ops, levels, width, lambda k, n: _window(k, n, 4))
-    build.seed({n: ops.zero for n in range(width(0) + 1)})
-
-    def step(k, n, cur, prev):
-        u0 = ops.add(ops.const(coeff(n + 3 * k + 1)), _dl(ops, cur, n))
-        u1 = ops.add(ops.const(coeff(n + 3 * k + 2)), _dl(ops, cur, n + 1))
-        u2 = ops.add(ops.const(coeff(n + 3 * k + 3)), _dl(ops, cur, n + 2))
-        v0 = ops.sub(ops.zmul(u1), u0)
-        v1 = ops.sub(ops.zmul(u2), u1)
-        num = ops.mul(u2, ops.sub(ops.add(ops.mul(u2, v0), ops.mul(u1, u1)), ops.mul(u0, u2)))
-        den = ops.sub(ops.zmul(ops.mul(u2, v0)), ops.mul(u0, v1))
-        return ops.sub(cur[n + 3], ops.div(num, den))
-
-    build.run(step)
-    return build.result()
+def _shifted(ops, g, cur, n: int, count: int) -> list:
+    """``z * X(n+i+1) - X(n+i)`` for ``i < count``, with ``g[i]`` added in front when given."""
+    diffs = [ops.sub(ops.zmul(cur[n + i + 1]), cur[n + i]) for i in range(count)]
+    if g is None:
+        return diffs
+    return [ops.add(gi, d) for gi, d in zip(g, diffs)]
 
 
 # ---------------------------------------------------------------------------
-# remainder-term recursions (start from scaled truncation errors)
+# rearranged recursion steps, shared by transformation and remainder terms,
+# and the cells each step into (k + 1, n) reads
 
 
-def aitken_remainder_recursion(ops, base: Mapping[int, object], levels: int, width: Width):
-    build = _Build(ops, levels, width, lambda k, n: _window(k, n, 3))
-    build.seed(base)
-
-    def step(k, n, cur, prev):
-        d1 = _dl(ops, cur, n + 1)
-        d2 = ops.sub(ops.zmul(d1), _dl(ops, cur, n))
-        return ops.sub(cur[n + 2], ops.div(ops.mul(d1, d1), d2))
-
-    build.run(step)
-    return build.result()
+def aitken_deps(k, n):
+    return [(k, n), (k, n + 1), (k, n + 2)]
 
 
-def epsilon_remainder_recursion(ops, base: Mapping[int, object], levels: int, width: Width):
-    build = _Build(ops, levels, width, lambda k, n: _window(k, n, 3, prev_at=2))
-    build.seed(base)
+def epsilon_deps(k, n):
+    if k == 0:
+        return [(k, n), (k, n + 1), (k, n + 2)]
+    return [(k, n), (k, n + 1), (k, n + 2), (k - 1, n + 2)]
 
-    def step(k, n, cur, prev):
-        d0 = _dl(ops, cur, n)
-        d1 = _dl(ops, cur, n + 1)
-        if k == 0:
-            num = ops.div(d1, d0)
-            den = ops.sub(ops.div(ops.one, d1), ops.zmul(ops.div(ops.one, d0)))
-            return ops.add(cur[n + 2], ops.div(num, den))
-        e = ops.sub(ops.zmul(cur[n + 1]), prev[n + 2])
+
+def theta_deps(k, n):
+    return [(k, n), (k, n + 1), (k, n + 2), (k, n + 3)]
+
+
+def aitken_step(ops, g, k, n, cur, prev):
+    """Delta-squared; a level consumes two coefficients."""
+    lo, hi = _shifted(ops, g, cur, n, 2)
+    den = ops.sub(ops.zmul(hi), lo)
+    return ops.sub(cur[n + 2], ops.div(ops.mul(hi, hi), den))
+
+
+def epsilon_step(ops, g, k, n, cur, prev):
+    """Five-point cross rule; the first term level keeps its closed form."""
+    if k == 0 and g is not None:
+        lo, hi = g
+        return ops.div(ops.mul(hi, hi), ops.sub(lo, ops.zmul(hi)))
+    d0, d1 = _shifted(ops, g, cur, n, 2)
+    if k == 0:
+        num = ops.div(d1, d0)
+        den = ops.sub(ops.div(ops.one, d1), ops.zmul(ops.div(ops.one, d0)))
+    else:
+        e = ops.zmul(cur[n + 1])
+        if g is not None:
+            e = ops.add(g[0], e)
+        e = ops.sub(e, prev[n + 2])
         num = ops.sub(ops.div(d1, d0), ops.div(d1, e))
         den = ops.add(
             ops.sub(ops.div(ops.one, d1), ops.zmul(ops.div(ops.one, d0))),
             ops.zmul(ops.div(ops.one, e)),
         )
-        return ops.add(cur[n + 2], ops.div(num, den))
-
-    build.run(step)
-    return build.result()
+    return ops.add(cur[n + 2], ops.div(num, den))
 
 
-def theta_remainder_recursion(ops, base: Mapping[int, object], levels: int, width: Width):
-    build = _Build(ops, levels, width, lambda k, n: _window(k, n, 4))
-    build.seed(base)
-
-    def step(k, n, cur, prev):
-        a0 = _dl(ops, cur, n)
-        a1 = _dl(ops, cur, n + 1)
-        a2 = _dl(ops, cur, n + 2)
-        b0 = ops.sub(ops.zmul(a1), a0)
-        b1 = ops.sub(ops.zmul(a2), a1)
-        num = ops.mul(a2, ops.sub(ops.add(ops.mul(a2, b0), ops.mul(a1, a1)), ops.mul(a0, a2)))
-        den = ops.sub(ops.zmul(ops.mul(a2, b0)), ops.mul(a0, b1))
-        return ops.sub(cur[n + 3], ops.div(num, den))
-
-    build.run(step)
-    return build.result()
+def theta_step(ops, g, k, n, cur, prev):
+    """Iterated theta; a level consumes three coefficients."""
+    u0, u1, u2 = _shifted(ops, g, cur, n, 3)
+    v0 = ops.sub(ops.zmul(u1), u0)
+    v1 = ops.sub(ops.zmul(u2), u1)
+    num = ops.mul(u2, ops.sub(ops.add(ops.mul(u2, v0), ops.mul(u1, u1)), ops.mul(u0, u2)))
+    den = ops.sub(ops.zmul(ops.mul(u2, v0)), ops.mul(u0, v1))
+    return ops.sub(cur[n + 3], ops.div(num, den))
 
 
-TERM_RECURSIONS = {
-    "aitken": (aitken_term_recursion, 2),
-    "epsilon": (epsilon_term_recursion, 2),
-    "theta-iterated": (theta_term_recursion, 3),
-}
+# ---------------------------------------------------------------------------
+# scalar steps for the leading (z-independent) parts: predictions read the
+# coefficients ``gamma``, remainders start from ``-gamma(n + 1)`` and ignore it
 
-REMAINDER_RECURSIONS = {
-    "aitken": (aitken_remainder_recursion, 2),
-    "epsilon": (epsilon_remainder_recursion, 2),
-    "theta-iterated": (theta_remainder_recursion, 3),
-}
+
+def aitken_leading_prediction(fld, gamma, k, n, cur, prev):
+    hi = gamma(n + 2 * k + 2) - cur[n + 1]
+    lo = gamma(n + 2 * k + 1) - cur[n]
+    return cur[n + 2] + fld.div(hi * hi, lo)
+
+
+def aitken_leading_remainder(fld, gamma, k, n, cur, prev):
+    return cur[n + 2] - fld.div(cur[n + 1] * cur[n + 1], cur[n])
+
+
+def epsilon_leading_prediction(fld, gamma, k, n, cur, prev):
+    if k == 0:
+        g = gamma(n + 2)
+        return fld.div(g * g, gamma(n + 1))
+    hi = gamma(n + 2 * k + 2) - cur[n + 1]
+    sq = hi * hi
+    direct = fld.div(sq, gamma(n + 2 * k + 1) - cur[n])
+    across = fld.div(sq, gamma(n + 2 * k + 1) - prev[n + 2])
+    return cur[n + 2] + direct - across
+
+
+def epsilon_leading_remainder(fld, gamma, k, n, cur, prev):
+    sq = cur[n + 1] * cur[n + 1]
+    value = cur[n + 2] - fld.div(sq, cur[n])
+    if k >= 1:
+        value = value + fld.div(sq, prev[n + 2])
+    return value
+
+
+def theta_leading_prediction(fld, gamma, k, n, cur, prev):
+    u0 = gamma(n + 3 * k + 1) - cur[n]
+    u1 = gamma(n + 3 * k + 2) - cur[n + 1]
+    u2 = gamma(n + 3 * k + 3) - cur[n + 2]
+    num = u2 * (u1 * u1 - fld.from_int(2) * u0 * u2)
+    return cur[n + 3] - fld.div(num, u0 * u1)
+
+
+def theta_leading_remainder(fld, gamma, k, n, cur, prev):
+    two = fld.from_int(2)
+    num = cur[n + 2] * (two * cur[n] * cur[n + 2] - cur[n + 1] * cur[n + 1])
+    return cur[n + 3] - fld.div(num, cur[n] * cur[n + 1])

@@ -37,6 +37,7 @@ from .remainders import evaluate_error_terms, evaluate_transformation_terms
 from .report import ReportRow, rows_to_csv, rows_to_json
 from .series_library import builtin_series, resolve_series_spec
 from .transforms import (
+    FAMILIES,
     DegeneratePadeError,
     SelectionError,
     aitken_table,
@@ -48,9 +49,6 @@ from .transforms import (
     theta_table,
 )
 
-FAMILY_ORDER = ("aitken", "epsilon", "theta-iterated")
-
-
 class _UsageError(Exception):
     pass
 
@@ -58,6 +56,25 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for golden diffs only
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer ``>= low``, so a bad value stops before any output."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
+_NONNEGATIVE = _int_at_least(0)
 
 
 def _env_digits() -> int:
@@ -231,11 +248,11 @@ def _reproduce_table(which) -> int:
     field = field_for_mode("bigfloat", digits=max(50, _env_digits()))
     series = _log_series(field, m_max + 1)
     cells = evaluate(series, field.parse(z_text), m_max)
-    rows = [f"# z = {z_text}, m = 0..{m_max}", "m " + " ".join(FAMILY_ORDER)]
+    rows = [f"# z = {z_text}, m = 0..{m_max}", "m " + " ".join(FAMILIES)]
     diffs = []
     for m in range(m_max + 1):
         rendered = []
-        for family in FAMILY_ORDER:
+        for family in FAMILIES:
             cell = cells[family][m]
             got = scientific_string(cell.value, digits) if cell.valid else "invalid"
             rendered.append(got)
@@ -253,7 +270,7 @@ def _reproduce_expansion7() -> int:
     series = _log_series(field, 13)
     rows = ["# exact error expansions, coefficients of z^7..z^9"]
     diffs = []
-    for family in FAMILY_ORDER:
+    for family in FAMILIES:
         level = golden.EXPANSION7_LEVEL[family]
         jet = remainder_jets(series, family, level, order=4, n_max=0).term(level, 0).term
         got = tuple(to_fraction_string(c) for c in jet.coeffs[:3])
@@ -269,7 +286,7 @@ def _reproduce_predict13() -> int:
     series = _log_series(field, 13)
     rows = ["# predictions for coefficients 13..16 from coefficients 0..12"]
     diffs = []
-    for family in FAMILY_ORDER:
+    for family in FAMILIES:
         predictions = predict_coefficients(series, family, 12, golden.PREDICT13_COUNT)
         got = tuple(decimal_string(v, golden.PREDICT13_DIGITS) for _, v in predictions)
         rows.append(f"{family}: " + " ".join(got))
@@ -306,32 +323,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["classic", "rearranged", "plain"], default=None)
     p.add_argument("--modified", action="store_true", help="theta only: drop the odd-column carry")
     p.add_argument("--z", default=None, help="evaluation point for partial sums")
-    p.add_argument("--terms", type=int, default=13)
-    p.add_argument("--digits", type=int, default=10)
+    p.add_argument("--terms", type=_POSITIVE, default=13)
+    p.add_argument("--digits", type=_POSITIVE, default=10)
     p.set_defaults(func=cmd_accelerate)
 
     p = sub.add_parser("predict", help="predict unseen series coefficients")
     add_common(p, "rational")
     p.add_argument("--family", required=True, choices=["aitken", "epsilon", "theta", "theta-iterated"])
-    p.add_argument("--use", type=int, default=None, help="last coefficient index to use")
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--digits", type=int, default=10)
+    p.add_argument("--use", type=_NONNEGATIVE, default=None, help="last coefficient index to use")
+    p.add_argument("--count", type=_POSITIVE, default=4)
+    p.add_argument("--digits", type=_POSITIVE, default=10)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("error-terms", help="numeric error-term table (needs series tail)")
     add_common(p, "bigfloat")
     p.add_argument("--z", required=True)
-    p.add_argument("--max-m", type=int, required=True)
+    p.add_argument("--max-m", type=_NONNEGATIVE, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--digits", type=_POSITIVE, default=6)
     p.set_defaults(func=cmd_error_terms)
 
     p = sub.add_parser("transform-terms", help="numeric transformation-term table")
     add_common(p, "bigfloat")
     p.add_argument("--z", required=True)
-    p.add_argument("--max-m", type=int, required=True)
+    p.add_argument("--max-m", type=_NONNEGATIVE, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--digits", type=int, default=10)
+    p.add_argument("--digits", type=_POSITIVE, default=10)
     p.set_defaults(func=cmd_transform_terms)
 
     p = sub.add_parser("reproduce", help="run an embedded reference experiment")

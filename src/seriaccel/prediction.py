@@ -14,47 +14,38 @@ Two routes are implemented and cross-check each other:
   the first prediction (the term's constant part), with no jets involved.
 
 The family names are ``"aitken"`` (iterated delta-squared), ``"epsilon"``
-(Wynn's algorithm / Pade approximants) and ``"theta-iterated"``.
+(Wynn's algorithm / Pade approximants) and ``"theta-iterated"`` (alias
+``"theta"``); their records live in :data:`seriaccel.transforms.FAMILIES`.
+The result types here serve the remainder views of
+:mod:`seriaccel.remainders` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from ._recursions import TERM_RECURSIONS, JetOps, _Build, NumericOps, _window
-from .field import BreakdownError, Field, Scalar
+from ._recursions import JetOps, NumericOps, _Build, run_recursion
+from .field import BreakdownError, Scalar
 from .jets import Jet, PowerSeries
-from .transforms import selection_indices
+from .transforms import FAMILIES, Family, get_family, selection_indices
 
 __all__ = [
     "PREDICTION_FAMILIES",
     "PredictionBreakdownError",
-    "TransformationTerm",
-    "TransformationTermTable",
-    "LeadingPredictionTable",
+    "TermJet",
+    "TermJetTable",
+    "LeadingTable",
     "canonical_family",
-    "family_step",
     "transformation_terms",
     "leading_predictions",
     "predict_coefficients",
 ]
 
-PREDICTION_FAMILIES = ("aitken", "epsilon", "theta-iterated")
-
-_ALIASES = {"theta": "theta-iterated", "theta-iterated": "theta-iterated",
-            "aitken": "aitken", "epsilon": "epsilon"}
-_STEPS = {"aitken": 2, "epsilon": 2, "theta-iterated": 3}
+PREDICTION_FAMILIES = tuple(FAMILIES)
 
 
 def canonical_family(name: str) -> str:
-    try:
-        return _ALIASES[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; expected one of {PREDICTION_FAMILIES}") from None
-
-
-def family_step(family: str) -> int:
-    return _STEPS[canonical_family(family)]
+    return get_family(name).name
 
 
 class PredictionBreakdownError(BreakdownError):
@@ -69,11 +60,13 @@ class PredictionBreakdownError(BreakdownError):
 
 
 @dataclass(frozen=True)
-class TransformationTerm:
-    """Expansion of one transformation term and the power it is attached at.
+class TermJet:
+    """Expansion of one transformation or remainder term at position ``(k, n)``.
 
-    The approximant equals ``partial_sum(n + step*k) + z**offset * term``;
-    coefficient ``j`` of ``term`` predicts series coefficient ``offset + j``.
+    A transformation term satisfies ``approximant = partial_sum(n + step*k) +
+    z**offset * term``, so coefficient ``j`` of ``term`` predicts series
+    coefficient ``offset + j``; a remainder term satisfies ``approximant =
+    f + z**offset * term``.
     """
 
     family: str
@@ -84,7 +77,7 @@ class TransformationTerm:
 
 
 @dataclass
-class TransformationTermTable:
+class TermJetTable:
     family: str
     order: int
     terms: dict = dataclass_field(default_factory=dict)
@@ -93,28 +86,45 @@ class TransformationTermTable:
     def has(self, k: int, n: int) -> bool:
         return (k, n) in self.terms
 
-    def term(self, k: int, n: int) -> TransformationTerm:
+    def term(self, k: int, n: int) -> TermJet:
         if (k, n) in self.terms:
             return self.terms[(k, n)]
         if (k, n) in self.failures:
             raise PredictionBreakdownError(self.family, k, n, self.failures[(k, n)])
-        raise KeyError(f"no transformation term at ({k}, {n})")
+        raise KeyError(f"no term at ({k}, {n})")
 
     def __iter__(self):
         return iter(sorted(self.terms.values(), key=lambda t: (t.k, t.n)))
 
 
+def _term_table(family: Family, order: int, build: _Build) -> TermJetTable:
+    terms = {(k, n): TermJet(family.name, k, n, n + family.step * k + 1, jet)
+             for (k, n), jet in build.entries.items()}
+    return TermJetTable(family.name, order, terms, build.failures)
+
+
 @dataclass
-class LeadingPredictionTable:
-    """First predicted coefficient per table position, from scalar recursions."""
+class LeadingTable:
+    """Leading (z-independent) part per table position, from scalar recursions.
+
+    For predictions entry ``(k, n)`` is the first predicted coefficient, of
+    order :meth:`predicted_index`.  For remainders it must be nonzero for the
+    scheme's accuracy-through-order estimate to hold at that position; a zero
+    value is stored but flagged, and deeper entries that would divide by it
+    break down.
+    """
 
     family: str
     entries: dict = dataclass_field(default_factory=dict)
     valid: dict = dataclass_field(default_factory=dict)
+    nonzero: dict = dataclass_field(default_factory=dict)
     notes: dict = dataclass_field(default_factory=dict)
 
     def is_valid(self, k: int, n: int) -> bool:
         return self.valid.get((k, n), False)
+
+    def is_nonzero(self, k: int, n: int) -> bool:
+        return self.nonzero.get((k, n), False)
 
     def entry(self, k: int, n: int) -> Scalar:
         if not self.valid.get((k, n), False):
@@ -124,22 +134,53 @@ class LeadingPredictionTable:
         return self.entries[(k, n)]
 
     def predicted_index(self, k: int, n: int) -> int:
-        return n + family_step(self.family) * k + 1
+        return n + get_family(self.family).step * k + 1
 
     def positions(self):
         return sorted(self.entries)
 
 
-def _resolved_order(series: PowerSeries, last_index: int | None) -> int:
+def _leading_table(series: PowerSeries, family: Family, max_level: int, top: int, seed,
+                   cell) -> LeadingTable:
+    """Run the scalar leading-part step ``cell`` over ``(k, n)``, ``n + step*k <= top``."""
+    fld = series.field
+    gamma = series.coefficient
+    build = _Build(NumericOps(fld, fld.zero), max_level, lambda k: top - family.step * k,
+                   family.deps, seed)
+    build.run(lambda k, n, cur, prev: cell(fld, gamma, k, n, cur, prev))
+    nonzero = {key: not fld.is_zero(value) for key, value in build.entries.items()}
+    return LeadingTable(family.name, build.entries, build.valid, nonzero, build.failures)
+
+
+def _last_index(series: PowerSeries, last_index: int | None) -> int:
+    """``last_index``, by default the last stored coefficient; ``ValueError`` past
+    the stored ones of a series without a tail rule."""
     if last_index is None:
         return series.known_order
-    if last_index < 0:
-        raise ValueError("last_index must be >= 0")
     if last_index > series.known_order and not series.has_tail:
         raise ValueError(
             f"last_index {last_index} exceeds the stored coefficients and no tail rule is attached"
         )
     return last_index
+
+
+def _checked(family: str, max_level: int, last: int, order: int = 0, spare: int = 0) -> Family:
+    """Registry record of ``family`` after checking the arguments of a table.
+
+    Level ``k`` at start ``n >= 0`` reads inputs through ``n + step*k + spare``,
+    so levels ``0..max_level`` need ``last >= step*max_level + spare``.
+    Raises ``ValueError`` on any argument out of range.
+    """
+    fam = get_family(family)
+    if max_level < 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level}")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    need = fam.step * max_level + spare
+    if last < need:
+        raise ValueError(f"{fam.name} level {max_level} needs inputs through {need}, "
+                         f"but the last index is {last}")
+    return fam
 
 
 def transformation_terms(
@@ -148,7 +189,7 @@ def transformation_terms(
     max_level: int,
     order: int,
     last_index: int | None = None,
-) -> TransformationTermTable:
+) -> TermJetTable:
     """Expand the transformation terms of ``family`` as jets of ``order``.
 
     Produces every position ``(k, n)`` with ``k <= max_level`` and
@@ -156,31 +197,11 @@ def transformation_terms(
     position whose recursion hits a (near-)zero denominator is recorded in
     ``failures`` instead of aborting the rest of the table.
     """
-    family = canonical_family(family)
-    step = _STEPS[family]
-    m = _resolved_order(series, last_index)
-    if max_level < 0 or step * max_level > m:
-        raise ValueError(f"{family} level {max_level} needs coefficients through {step * max_level}")
-    recursion, _ = TERM_RECURSIONS[family]
+    m = _last_index(series, last_index)
+    fam = _checked(family, max_level, m, order)
     ops = JetOps(series.field, order)
-    entries, failures = recursion(ops, series.coefficient, max_level, lambda k: m - step * k)
-    table = TransformationTermTable(family, order)
-    for (k, n), jet in entries.items():
-        table.terms[(k, n)] = TransformationTerm(family, k, n, n + step * k + 1, jet)
-    table.failures.update(failures)
-    return table
-
-
-# ---------------------------------------------------------------------------
-# scalar recursions for the first predicted coefficient
-
-
-def _scalar_triangle(field: Field, levels: int, width, deps, seed, step_fn):
-    ops = NumericOps(field, field.zero)
-    build = _Build(ops, levels, width, deps)
-    build.seed(seed)
-    build.run(step_fn)
-    return build.result()
+    build = run_recursion(fam, ops, max_level, m, [ops.zero] * (m + 1), series.coefficient)
+    return _term_table(fam, order, build)
 
 
 def leading_predictions(
@@ -188,62 +209,16 @@ def leading_predictions(
     family: str,
     max_level: int,
     last_index: int | None = None,
-) -> LeadingPredictionTable:
+) -> LeadingTable:
     """First predicted coefficient for every reachable table position.
 
     Pure scalar recursions on the series coefficients; entry ``(k, n)``
     predicts the coefficient of order ``n + step*k + 1``.
     """
-    family = canonical_family(family)
-    step = _STEPS[family]
-    fld = series.field
-    m = _resolved_order(series, last_index)
-    if max_level < 0 or step * max_level > m:
-        raise ValueError(f"{family} level {max_level} needs coefficients through {step * max_level}")
-    gamma = series.coefficient
-    width = lambda k: m - step * k
-    seed = {n: fld.zero for n in range(width(0) + 1)}
-
-    if family == "aitken":
-        def step_fn(k, n, cur, prev):
-            hi = gamma(n + 2 * k + 2) - cur[n + 1]
-            lo = gamma(n + 2 * k + 1) - cur[n]
-            return cur[n + 2] + fld.div(hi * hi, lo)
-
-        deps = lambda k, n: _window(k, n, 3)
-
-    elif family == "epsilon":
-        def step_fn(k, n, cur, prev):
-            if k == 0:
-                g = gamma(n + 2)
-                return fld.div(g * g, gamma(n + 1))
-            hi = gamma(n + 2 * k + 2) - cur[n + 1]
-            sq = hi * hi
-            direct = fld.div(sq, gamma(n + 2 * k + 1) - cur[n])
-            across = fld.div(sq, gamma(n + 2 * k + 1) - prev[n + 2])
-            return cur[n + 2] + direct - across
-
-        deps = lambda k, n: [] if k == 0 else _window(k, n, 3, prev_at=2)
-
-    else:  # theta-iterated
-        def step_fn(k, n, cur, prev):
-            u0 = gamma(n + 3 * k + 1) - cur[n]
-            u1 = gamma(n + 3 * k + 2) - cur[n + 1]
-            u2 = gamma(n + 3 * k + 3) - cur[n + 2]
-            num = u2 * (u1 * u1 - fld.from_int(2) * u0 * u2)
-            return cur[n + 3] - fld.div(num, u0 * u1)
-
-        deps = lambda k, n: _window(k, n, 4)
-
-    entries, failures = _scalar_triangle(fld, max_level, width, deps, seed, step_fn)
-    table = LeadingPredictionTable(family)
-    for key, value in entries.items():
-        table.entries[key] = value
-        table.valid[key] = True
-    for key, reason in failures.items():
-        table.valid[key] = False
-        table.notes[key] = reason
-    return table
+    m = _last_index(series, last_index)
+    fam = _checked(family, max_level, m)
+    seed = [series.field.zero] * (m + 1)
+    return _leading_table(series, fam, max_level, m, seed, fam.leading_prediction)
 
 
 def predict_coefficients(
@@ -262,9 +237,7 @@ def predict_coefficients(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    family = canonical_family(family)
-    step = _STEPS[family]
-    k, n = selection_indices(step, last_index)
+    k, n = selection_indices(get_family(family).step, last_index)
     table = transformation_terms(
         series, family, max_level=k, order=count + 2, last_index=last_index
     )

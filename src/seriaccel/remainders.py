@@ -29,27 +29,23 @@ Three views are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
-from ._recursions import (
-    REMAINDER_RECURSIONS,
-    TERM_RECURSIONS,
-    JetOps,
-    NumericOps,
-    _Build,
-    _window,
-)
+from dataclasses import dataclass
 from fractions import Fraction
 
+from ._recursions import JetOps, NumericOps, run_recursion
 from .field import BigFloatField, RationalField, Scalar
 from .jets import Jet, PowerSeries
-from .prediction import PredictionBreakdownError, canonical_family, family_step
-from .transforms import selection_indices
+from .prediction import (
+    LeadingTable,
+    TermJetTable,
+    _checked,
+    _last_index,
+    _leading_table,
+    _term_table,
+)
+from .transforms import FAMILIES, get_family, selection_indices
 
 __all__ = [
-    "RemainderJet",
-    "RemainderJetTable",
-    "LeadingRemainderTable",
     "TermCell",
     "remainder_jets",
     "leading_remainders",
@@ -58,67 +54,6 @@ __all__ = [
     "evaluate_error_terms",
     "evaluate_transformation_terms",
 ]
-
-
-@dataclass(frozen=True)
-class RemainderJet:
-    """Expansion of one remainder term: approximant = f + z**offset * term."""
-
-    family: str
-    k: int
-    n: int
-    offset: int
-    term: Jet
-
-
-@dataclass
-class RemainderJetTable:
-    family: str
-    order: int
-    terms: dict = dataclass_field(default_factory=dict)
-    failures: dict = dataclass_field(default_factory=dict)
-
-    def term(self, k: int, n: int) -> RemainderJet:
-        if (k, n) in self.terms:
-            return self.terms[(k, n)]
-        if (k, n) in self.failures:
-            raise PredictionBreakdownError(self.family, k, n, self.failures[(k, n)])
-        raise KeyError(f"no remainder term at ({k}, {n})")
-
-    def __iter__(self):
-        return iter(sorted(self.terms.values(), key=lambda t: (t.k, t.n)))
-
-
-@dataclass
-class LeadingRemainderTable:
-    """z-independent parts of the remainder terms, with nonzero flags.
-
-    ``entry(k, n)`` must be nonzero for the scheme's accuracy-through-order
-    order estimate to hold at that position; a zero value is stored but
-    flagged, and deeper entries that would divide by it break down.
-    """
-
-    family: str
-    entries: dict = dataclass_field(default_factory=dict)
-    valid: dict = dataclass_field(default_factory=dict)
-    nonzero: dict = dataclass_field(default_factory=dict)
-    notes: dict = dataclass_field(default_factory=dict)
-
-    def is_valid(self, k: int, n: int) -> bool:
-        return self.valid.get((k, n), False)
-
-    def is_nonzero(self, k: int, n: int) -> bool:
-        return self.nonzero.get((k, n), False)
-
-    def entry(self, k: int, n: int) -> Scalar:
-        if not self.valid.get((k, n), False):
-            raise PredictionBreakdownError(
-                self.family, k, n, self.notes.get((k, n), "entry not computed")
-            )
-        return self.entries[(k, n)]
-
-    def positions(self):
-        return sorted(self.entries)
 
 
 def _base_remainder_row(series: PowerSeries, order: int, top_n: int) -> dict:
@@ -138,26 +73,20 @@ def remainder_jets(
     max_level: int,
     order: int,
     n_max: int | None = None,
-) -> RemainderJetTable:
+) -> TermJetTable:
     """Expand remainder terms as jets for positions up to ``(max_level, n_max)``.
 
-    Needs tail coefficients through ``n_max + step*max_level + order + 1``;
-    raises ``IndexError`` if the series cannot supply them.
+    ``n_max`` defaults to ``step - 1``.  Raises ``ValueError`` on an argument
+    out of range, and ``IndexError`` if the series cannot supply the tail
+    coefficients through ``n_max + step*max_level + order + 1``.
     """
-    family = canonical_family(family)
-    step = family_step(family)
-    if n_max is None:
-        n_max = step - 1
+    step = get_family(family).step
+    n_max = step - 1 if n_max is None else n_max
     top = n_max + step * max_level
+    fam = _checked(family, max_level, top, order)
     base = _base_remainder_row(series, order, top)
-    recursion, _ = REMAINDER_RECURSIONS[family]
-    ops = JetOps(series.field, order)
-    entries, failures = recursion(ops, base, max_level, lambda k: top - step * k)
-    table = RemainderJetTable(family, order)
-    for (k, n), jet in entries.items():
-        table.terms[(k, n)] = RemainderJet(family, k, n, n + step * k + 1, jet)
-    table.failures.update(failures)
-    return table
+    build = run_recursion(fam, JetOps(series.field, order), max_level, top, base)
+    return _term_table(fam, order, build)
 
 
 def leading_remainders(
@@ -165,68 +94,20 @@ def leading_remainders(
     family: str,
     max_level: int,
     last_index: int | None = None,
-) -> LeadingRemainderTable:
+) -> LeadingTable:
     """Scalar recursion for the z-independent remainder parts.
 
     Base entries are the negated coefficients one past each position; the
     recursion per family mirrors its remainder recursion at the series
     origin.  Positions use coefficients through ``last_index`` (default: all
-    stored ones).
+    stored ones), so level ``k`` needs ``last_index >= step*k + 1``.
     """
-    family = canonical_family(family)
-    step = family_step(family)
+    m = _last_index(series, last_index)
+    fam = _checked(family, max_level, m, spare=1)
     fld = series.field
-    if last_index is None:
-        last_index = series.known_order
-    m = last_index
-    if m < 1:
-        raise ValueError("leading remainders need at least coefficients 0 and 1")
-    gamma = series.coefficient
-    width = lambda k: m - step * k - 1
-    if width(max_level) < 0:
-        raise ValueError(f"{family} level {max_level} needs coefficients through {step * max_level + 1}")
     with fld.arithmetic():
-        seed = {n: -gamma(n + 1) for n in range(width(0) + 1)}
-
-    if family == "aitken":
-        def step_fn(k, n, cur, prev):
-            return cur[n + 2] - fld.div(cur[n + 1] * cur[n + 1], cur[n])
-
-        deps = lambda k, n: _window(k, n, 3)
-
-    elif family == "epsilon":
-        def step_fn(k, n, cur, prev):
-            sq = cur[n + 1] * cur[n + 1]
-            value = cur[n + 2] - fld.div(sq, cur[n])
-            if k >= 1:
-                value = value + fld.div(sq, prev[n + 2])
-            return value
-
-        deps = lambda k, n: _window(k, n, 3, prev_at=2)
-
-    else:  # theta-iterated
-        def step_fn(k, n, cur, prev):
-            two = fld.from_int(2)
-            num = cur[n + 2] * (two * cur[n] * cur[n + 2] - cur[n + 1] * cur[n + 1])
-            return cur[n + 3] - fld.div(num, cur[n] * cur[n + 1])
-
-        deps = lambda k, n: _window(k, n, 4)
-
-    ops = NumericOps(fld, fld.zero)
-    build = _Build(ops, max_level, width, deps)
-    build.seed(seed)
-    build.run(step_fn)
-    entries, failures = build.result()
-
-    table = LeadingRemainderTable(family)
-    for key, value in entries.items():
-        table.entries[key] = value
-        table.valid[key] = True
-        table.nonzero[key] = not fld.is_zero(value)
-    for key, reason in failures.items():
-        table.valid[key] = False
-        table.notes[key] = reason
-    return table
+        seed = [-series.coefficient(n + 1) for n in range(m)]
+    return _leading_table(series, fam, max_level, m - 1, seed, fam.leading_remainder)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +213,16 @@ def _selected_cells(family, step, entries, failures, fld, z, m_max):
     return cells
 
 
-def _family_list(families):
-    if families is None:
-        return ["aitken", "epsilon", "theta-iterated"]
-    return [canonical_family(f) for f in families]
+def _evaluate(series, z, m_max, families, seed, coeff=None) -> dict[str, list[TermCell]]:
+    """Selected cells per family (default: all) of the rearranged recursion at ``z``."""
+    fld = series.field
+    ops = NumericOps(fld, z)
+    out = {}
+    for fam in FAMILIES.values() if families is None else map(get_family, families):
+        build = run_recursion(fam, ops, m_max // fam.step, m_max, seed, coeff)
+        out[fam.name] = _selected_cells(fam.name, fam.step, build.entries, build.failures,
+                                        fld, z, m_max)
+    return out
 
 
 def evaluate_error_terms(
@@ -356,18 +243,8 @@ def evaluate_error_terms(
     it damps inherited errors by ``|z| < 1`` per step.  A series without a
     tail rule raises :class:`~seriaccel.jets.MissingCoefficientError`.
     """
-    fld = series.field
-    z = fld.ensure(z)
-    out = {}
-    base = _remainder_bases(series, z, m_max)
-    for family in _family_list(families):
-        step = family_step(family)
-        recursion, _ = REMAINDER_RECURSIONS[family]
-        entries, failures = recursion(
-            NumericOps(fld, z), base, m_max // step, lambda k: m_max - step * k
-        )
-        out[family] = _selected_cells(family, step, entries, failures, fld, z, m_max)
-    return out
+    z = series.field.ensure(z)
+    return _evaluate(series, z, m_max, families, _remainder_bases(series, z, m_max))
 
 
 def evaluate_transformation_terms(
@@ -382,14 +259,6 @@ def evaluate_transformation_terms(
     outside the circle of convergence: for a summable divergent series these
     cells converge to the negatives of the partial sums.
     """
-    fld = series.field
-    z = fld.ensure(z)
-    out = {}
-    for family in _family_list(families):
-        step = family_step(family)
-        recursion, _ = TERM_RECURSIONS[family]
-        entries, failures = recursion(
-            NumericOps(fld, z), series.coefficient, m_max // step, lambda k: m_max - step * k
-        )
-        out[family] = _selected_cells(family, step, entries, failures, fld, z, m_max)
-    return out
+    z = series.field.ensure(z)
+    zeros = [series.field.zero] * (m_max + 1)
+    return _evaluate(series, z, m_max, families, zeros, series.coefficient)

@@ -8,20 +8,26 @@ Implemented here:
   cross-rule forms that skip the odd columns entirely;
 * Brezinski's theta algorithm (with the modified odd-column variant) and the
   iterated theta transformation, again in textbook and rearranged forms;
-* the approximant selection rules, a Pade solver used as an independent
-  oracle, and a convergence-type classifier.
+* the family registry :data:`FAMILIES` (names, aliases, steps, selection
+  rules and recursion steps), a Pade solver used as an independent oracle,
+  and a convergence-type classifier.
 
-Every transformation returns a :class:`TransformTable` with per-entry
-validity flags: a (near-)zero denominator marks the entry invalid instead of
-raising, and invalidity propagates to every entry that would read it.
+Every transformation is a step run by the shared triangle builder of
+:mod:`seriaccel._recursions` and returns a :class:`TransformTable` with
+per-entry validity flags: a (near-)zero denominator marks the entry invalid
+instead of raising, and invalidity propagates to every entry that would read
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import Callable
 
-from .field import BreakdownError, Field, Scalar
+from . import _recursions as rec
+from ._recursions import NumericOps, _Build
+from .field import Field, Scalar
 from .jets import Jet, PowerSeries
 
 __all__ = [
@@ -32,6 +38,9 @@ __all__ = [
     "ConvergenceReport",
     "SelectionError",
     "DegeneratePadeError",
+    "Family",
+    "FAMILIES",
+    "get_family",
     "AITKEN_CLASSIC",
     "AITKEN_REARRANGED",
     "EPSILON",
@@ -166,34 +175,61 @@ class TransformTable:
             return k % 2 == 1
         return False
 
-    def _put(self, key, value, ok: bool, note: str | None = None):
-        self.valid[key] = ok
-        if ok:
-            self.entries[key] = value
-        elif note:
-            self.notes[key] = note
 
-    def _inherit(self, key, deps) -> bool:
-        for dep in deps:
-            if not self.valid.get(dep, False):
-                self._put(key, None, False, f"depends on invalid entry {dep}")
-                return False
-        return True
+@dataclass(frozen=True)
+class Family:
+    """Registry record of one acceleration family.
 
-    def _checked(self, key, compute, field: Field):
-        try:
-            value = compute()
-        except BreakdownError as exc:
-            self._put(key, None, False, str(exc))
-            return
-        if not field.is_finite(value):
-            self._put(key, None, False, "overflow")
-            return
-        self._put(key, value, True)
+    A level consumes ``step`` inputs, so the selection rule takes level
+    ``m // step`` at start ``m % step`` from inputs ``0..m``
+    (:func:`selection_indices`).  ``tables`` maps the names of the family's
+    textbook tables to their key scale: 2 where keys are literal epsilon or
+    theta column subscripts, so that level ``k`` sits at key ``2k``.
+    ``recursion`` is the rearranged step shared by transformation and
+    remainder terms and ``deps`` the cells it reads; the two ``leading_*``
+    steps are the scalar recursions for the z-independent parts.
+    """
+
+    name: str
+    aliases: tuple[str, ...]
+    step: int
+    tables: dict[str, int]
+    deps: Callable[[int, int], list]
+    recursion: Callable
+    leading_prediction: Callable
+    leading_remainder: Callable
 
 
-def _delta(table: TransformTable, k: int, n: int) -> Scalar:
-    return table.entries[(k, n + 1)] - table.entries[(k, n)]
+FAMILIES = {
+    family.name: family
+    for family in (
+        Family("aitken", (), 2, {AITKEN_CLASSIC: 1, AITKEN_REARRANGED: 1},
+               rec.aitken_deps, rec.aitken_step,
+               rec.aitken_leading_prediction, rec.aitken_leading_remainder),
+        Family("epsilon", (), 2, {EPSILON: 2, EPSILON_CROSS: 2},
+               rec.epsilon_deps, rec.epsilon_step,
+               rec.epsilon_leading_prediction, rec.epsilon_leading_remainder),
+        Family("theta-iterated", ("theta",), 3,
+               {THETA: 2, THETA_ITERATED_CLASSIC: 1, THETA_ITERATED_REARRANGED: 1},
+               rec.theta_deps, rec.theta_step,
+               rec.theta_leading_prediction, rec.theta_leading_remainder),
+    )
+}
+
+
+def get_family(name: str) -> Family:
+    """Registry record for a family name or alias; ``ValueError`` if unknown."""
+    for family in FAMILIES.values():
+        if name == family.name or name in family.aliases:
+            return family
+    raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
+
+
+def _table(family: str, seq: ScalarSequence, levels: int, width, deps, step,
+           scale: int = 1) -> TransformTable:
+    build = _Build(NumericOps(seq.field, seq.field.zero), levels, width, deps, seq.entries, scale)
+    build.run(step)
+    return TransformTable(family, len(seq.entries), build.entries, build.valid, build.failures)
 
 
 def aitken_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable:
@@ -202,47 +238,31 @@ def aitken_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable
         raise ValueError("scheme must be 'classic' or 'rearranged'")
     fld = seq.field
     m = seq.last_index
-    family = AITKEN_CLASSIC if scheme == "classic" else AITKEN_REARRANGED
-    table = TransformTable(family, len(seq.entries))
-    for n, s in enumerate(seq.entries):
-        table._put((0, n), s, True)
-    with fld.arithmetic():
-        for k in range(m // 2):
-            for n in range(m - 2 * (k + 1) + 1):
-                key = (k + 1, n)
-                if not table._inherit(key, [(k, n), (k, n + 1), (k, n + 2)]):
-                    continue
-                d0 = _delta(table, k, n)
-                d1 = _delta(table, k, n + 1)
-                dd = d1 - d0
-                if scheme == "classic":
-                    base, num = table.entries[(k, n)], d0 * d0
-                else:
-                    base, num = table.entries[(k, n + 2)], d1 * d1
-                table._checked(key, lambda: base - fld.div(num, dd), fld)
-    return table
+    rearranged = scheme == "rearranged"
+
+    def step(k, n, cur, prev):
+        d0 = cur[n + 1] - cur[n]
+        d1 = cur[n + 2] - cur[n + 1]
+        dd = d1 - d0
+        if rearranged:
+            return cur[n + 2] - fld.div(d1 * d1, dd)
+        return cur[n] - fld.div(d0 * d0, dd)
+
+    family = AITKEN_REARRANGED if rearranged else AITKEN_CLASSIC
+    return _table(family, seq, m // 2, lambda k: m - 2 * k, rec.aitken_deps, step)
 
 
 def epsilon_table(seq: ScalarSequence) -> TransformTable:
     """Full epsilon table; even columns approximate, odd columns are auxiliary."""
     fld = seq.field
     m = seq.last_index
-    table = TransformTable(EPSILON, len(seq.entries))
-    for n, s in enumerate(seq.entries):
-        table._put((0, n), s, True)
-    with fld.arithmetic():
-        for j in range(m):
-            for n in range(m - j):
-                key = (j + 1, n)
-                deps = [(j, n), (j, n + 1)]
-                if j >= 1:
-                    deps.append((j - 1, n + 1))
-                if not table._inherit(key, deps):
-                    continue
-                base = table.entries[(j - 1, n + 1)] if j >= 1 else fld.zero
-                diff = _delta(table, j, n)
-                table._checked(key, lambda: base + fld.div(fld.one, diff), fld)
-    return table
+
+    def step(j, n, cur, prev):
+        base = prev[n + 1] if j >= 1 else fld.zero
+        return base + fld.div(fld.one, cur[n + 1] - cur[n])
+
+    deps = lambda j, n: [(j, n), (j, n + 1), (j - 1, n + 1)] if j else [(j, n), (j, n + 1)]
+    return _table(EPSILON, seq, m, lambda j: m - j, deps, step)
 
 
 def epsilon_cross_table(seq: ScalarSequence, form: str = "plain") -> TransformTable:
@@ -251,43 +271,33 @@ def epsilon_cross_table(seq: ScalarSequence, form: str = "plain") -> TransformTa
     ``plain`` keeps the rule as a direct rearrangement; ``rearranged`` is the
     variant anchored at the entry three positions ahead.  The undefined
     column below the table is handled by a dedicated k = 0 branch instead of
-    a stored infinity.
+    a stored infinity.  Keys are the literal column subscripts ``2k``.
     """
     if form not in ("plain", "rearranged"):
         raise ValueError("form must be 'plain' or 'rearranged'")
     fld = seq.field
     m = seq.last_index
-    table = TransformTable(EPSILON_CROSS, len(seq.entries))
-    for n, s in enumerate(seq.entries):
-        table._put((0, n), s, True)
     one = fld.one
-    with fld.arithmetic():
-        for k in range(m // 2):
-            col = 2 * k
-            for n in range(m - (col + 2) + 1):
-                key = (col + 2, n)
-                deps = [(col, n), (col, n + 1), (col, n + 2)]
-                if k >= 1:
-                    deps.append((col - 2, n + 2))
-                if not table._inherit(key, deps):
-                    continue
 
-                def compute():
-                    d0 = _delta(table, col, n)
-                    d1 = _delta(table, col, n + 1)
-                    denom = fld.div(one, d1) - fld.div(one, d0)
-                    if k >= 1:
-                        gap = table.entries[(col, n + 1)] - table.entries[(col - 2, n + 2)]
-                        denom = denom + fld.div(one, gap)
-                    if form == "plain":
-                        return table.entries[(col, n + 1)] + fld.div(one, denom)
-                    numer = fld.div(d1, d0)
-                    if k >= 1:
-                        numer = numer - fld.div(d1, gap)
-                    return table.entries[(col, n + 2)] + fld.div(numer, denom)
+    def step(k, n, cur, prev):
+        d0 = cur[n + 1] - cur[n]
+        d1 = cur[n + 2] - cur[n + 1]
+        denom = fld.div(one, d1) - fld.div(one, d0)
+        if k >= 1:
+            gap = cur[n + 1] - prev[n + 2]
+            denom = denom + fld.div(one, gap)
+        if form == "plain":
+            return cur[n + 1] + fld.div(one, denom)
+        numer = fld.div(d1, d0)
+        if k >= 1:
+            numer = numer - fld.div(d1, gap)
+        return cur[n + 2] + fld.div(numer, denom)
 
-                table._checked(key, compute, fld)
-    return table
+    def deps(k, n):
+        col = 2 * k
+        return [(col, n), (col, n + 1), (col, n + 2)] + ([(col - 2, n + 2)] if k >= 1 else [])
+
+    return _table(EPSILON_CROSS, seq, m // 2, lambda k: m - 2 * k, deps, step, scale=2)
 
 
 def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
@@ -295,49 +305,27 @@ def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
 
     With ``modified=True`` the odd-column update drops its carry-over term,
     which makes the even columns reproduce the iterated theta transformation.
+    Column ``j`` has ``m + 1 - 3j // 2`` entries.
     """
     fld = seq.field
     m = seq.last_index
-    table = TransformTable(THETA, len(seq.entries))
-    for n, s in enumerate(seq.entries):
-        table._put((0, n), s, True)
-    with fld.arithmetic():
-        for k in range(m // 3 + 1):
-            # odd column 2k+1
-            for n in range(m - 3 * k - 1 + 1):
-                key = (2 * k + 1, n)
-                deps = [(2 * k, n), (2 * k, n + 1)]
-                if k >= 1 and not modified:
-                    deps.append((2 * k - 1, n + 1))
-                if not table._inherit(key, deps):
-                    continue
-                diff = _delta(table, 2 * k, n)
-                if modified or k == 0:
-                    base = fld.zero
-                else:
-                    base = table.entries[(2 * k - 1, n + 1)]
-                table._checked(key, lambda: base + fld.div(fld.one, diff), fld)
-            # even column 2k+2
-            for n in range(m - 3 * (k + 1) + 1):
-                key = (2 * k + 2, n)
-                deps = [
-                    (2 * k, n + 1),
-                    (2 * k, n + 2),
-                    (2 * k + 1, n),
-                    (2 * k + 1, n + 1),
-                    (2 * k + 1, n + 2),
-                ]
-                if not table._inherit(key, deps):
-                    continue
 
-                def compute():
-                    d_even = _delta(table, 2 * k, n + 1)
-                    d_odd = _delta(table, 2 * k + 1, n + 1)
-                    dd_odd = _delta(table, 2 * k + 1, n + 1) - _delta(table, 2 * k + 1, n)
-                    return table.entries[(2 * k, n + 1)] + fld.div(d_even * d_odd, dd_odd)
+    def step(j, n, cur, prev):
+        if j % 2 == 0:  # odd column j + 1
+            base = fld.zero if modified or j == 0 else prev[n + 1]
+            return base + fld.div(fld.one, cur[n + 1] - cur[n])
+        d_even = prev[n + 2] - prev[n + 1]
+        d_odd = cur[n + 2] - cur[n + 1]
+        dd_odd = d_odd - (cur[n + 1] - cur[n])
+        return prev[n + 1] + fld.div(d_even * d_odd, dd_odd)
 
-                table._checked(key, compute, fld)
-    return table
+    def deps(j, n):
+        if j % 2 == 0:
+            carry = [(j - 1, n + 1)] if j and not modified else []
+            return [(j, n), (j, n + 1)] + carry
+        return [(j - 1, n + 1), (j - 1, n + 2), (j, n), (j, n + 1), (j, n + 2)]
+
+    return _table(THETA, seq, 2 * (m // 3) + 1, lambda j: m - 3 * j // 2, deps, step)
 
 
 def iterated_theta_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable:
@@ -346,50 +334,27 @@ def iterated_theta_table(seq: ScalarSequence, scheme: str = "classic") -> Transf
         raise ValueError("scheme must be 'classic' or 'rearranged'")
     fld = seq.field
     m = seq.last_index
-    family = THETA_ITERATED_CLASSIC if scheme == "classic" else THETA_ITERATED_REARRANGED
-    table = TransformTable(family, len(seq.entries))
-    for n, s in enumerate(seq.entries):
-        table._put((0, n), s, True)
-    with fld.arithmetic():
-        for k in range(m // 3):
-            for n in range(m - 3 * (k + 1) + 1):
-                key = (k + 1, n)
-                if not table._inherit(key, [(k, n + i) for i in range(4)]):
-                    continue
+    rearranged = scheme == "rearranged"
 
-                def compute():
-                    d0 = _delta(table, k, n)
-                    d1 = _delta(table, k, n + 1)
-                    d2 = _delta(table, k, n + 2)
-                    dd0 = d1 - d0
-                    dd1 = d2 - d1
-                    if scheme == "classic":
-                        num = d0 * d1 * dd1
-                        den = d2 * dd0 - d0 * dd1
-                        return table.entries[(k, n + 1)] - fld.div(num, den)
-                    num = d2 * (d2 * dd0 + d1 * d1 - d0 * d2)
-                    den = d2 * dd0 - d0 * dd1
-                    return table.entries[(k, n + 3)] - fld.div(num, den)
+    def step(k, n, cur, prev):
+        d0 = cur[n + 1] - cur[n]
+        d1 = cur[n + 2] - cur[n + 1]
+        d2 = cur[n + 3] - cur[n + 2]
+        dd0 = d1 - d0
+        dd1 = d2 - d1
+        den = d2 * dd0 - d0 * dd1
+        if rearranged:
+            return cur[n + 3] - fld.div(d2 * (d2 * dd0 + d1 * d1 - d0 * d2), den)
+        return cur[n + 1] - fld.div(d0 * d1 * dd1, den)
 
-                table._checked(key, compute, fld)
-    return table
+    family = THETA_ITERATED_REARRANGED if rearranged else THETA_ITERATED_CLASSIC
+    return _table(family, seq, m // 3, lambda k: m - 3 * k, rec.theta_deps, step)
 
 
 def selection_indices(step: int, m: int) -> tuple[int, int]:
     """Deepest (level, start) reachable from inputs ``s0 ... sm``."""
     k = m // step
     return k, m - step * k
-
-
-_SELECTION = {
-    AITKEN_CLASSIC: (2, 1),
-    AITKEN_REARRANGED: (2, 1),
-    EPSILON: (2, 2),
-    EPSILON_CROSS: (2, 2),
-    THETA: (3, 2),
-    THETA_ITERATED_CLASSIC: (3, 1),
-    THETA_ITERATED_REARRANGED: (3, 1),
-}
 
 
 def select_approximant(table: TransformTable, m: int | None = None) -> tuple[int, int, Scalar]:
@@ -403,12 +368,13 @@ def select_approximant(table: TransformTable, m: int | None = None) -> tuple[int
         m = table.last_index
     if m < 0 or m > table.last_index:
         raise SelectionError(f"selection index {m} outside table built from 0..{table.last_index}")
-    try:
-        step, key_scale = _SELECTION[table.family]
-    except KeyError:
-        raise SelectionError(f"no selection rule for family {table.family!r}") from None
-    level, n = selection_indices(step, m)
-    k = key_scale * level
+    for family in FAMILIES.values():
+        if table.family in family.tables:
+            break
+    else:
+        raise SelectionError(f"no selection rule for family {table.family!r}")
+    level, n = selection_indices(family.step, m)
+    k = family.tables[table.family] * level
     value = table.entry(k, n)  # raises SelectionError when invalid
     return k, n, value
 

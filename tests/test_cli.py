@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from seriaccel.cli import main
 from seriaccel.report import rows_from_csv, rows_from_json
 
@@ -124,6 +126,37 @@ def test_usage_errors_exit_one(capsys):
                        "--family", "rho")
     assert code == 1
     assert "invalid choice" in err
+
+
+LOG_PREDICT = ("predict", "--series", "builtin:log1p-over-z", "--family", "aitken")
+LOG_ACCELERATE = ("accelerate", "--series", "builtin:log1p-over-z", "--family", "epsilon", "--z=1/2")
+LOG_ERROR_TERMS = ("error-terms", "--series", "builtin:log1p-over-z", "--z=0.5")
+LOG_TRANSFORM_TERMS = ("transform-terms", "--series", "builtin:log1p-over-z", "--z=5")
+
+
+@pytest.mark.parametrize("argv, flag, low", [
+    pytest.param(LOG_PREDICT + ("--digits", "0"), "--digits", 1, id="predict-digits"),
+    pytest.param(LOG_PREDICT + ("--count", "0"), "--count", 1, id="predict-count"),
+    pytest.param(LOG_PREDICT + ("--use", "-1"), "--use", 0, id="predict-use"),
+    pytest.param(LOG_ACCELERATE + ("--terms", "0"), "--terms", 1, id="accelerate-terms"),
+    pytest.param(LOG_ACCELERATE + ("--digits", "-3"), "--digits", 1, id="accelerate-digits"),
+    pytest.param(LOG_ERROR_TERMS + ("--max-m", "-1"), "--max-m", 0, id="error-terms-max-m"),
+    pytest.param(LOG_ERROR_TERMS + ("--max-m", "4", "--digits", "0"), "--digits", 1,
+                 id="error-terms-digits"),
+    pytest.param(LOG_TRANSFORM_TERMS + ("--max-m", "-1"), "--max-m", 0,
+                 id="transform-terms-max-m"),
+])
+def test_out_of_range_integer_flags_exit_one_before_any_output(capsys, argv, flag, low):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}: must be >= {low}" in err
+
+
+def test_non_integer_flag_value_is_a_usage_error(capsys):
+    code, out, err = run(capsys, *LOG_PREDICT, "--count", "two")
+    assert (code, out) == (1, "")
+    assert "argument --count: invalid int value: 'two'" in err
 
 
 def test_error_terms_reject_rational_mode(capsys):

@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 from seriaccel import remainders
 from seriaccel.field import BigFloatField, Float64Field, RationalField, scientific_string
 from seriaccel.jets import PowerSeries
-from seriaccel.prediction import PredictionBreakdownError, leading_predictions
+from seriaccel.prediction import (
+    PredictionBreakdownError,
+    leading_predictions,
+    transformation_terms,
+)
 from seriaccel.remainders import (
     _remainder_bases,
     evaluate_error_terms,
@@ -237,6 +241,50 @@ def test_remainder_jets_need_tail_coefficients():
     series = PowerSeries(RAT, tuple(F(1, m + 1) for m in range(5)))
     with pytest.raises(IndexError):
         remainder_jets(series, "aitken", 1, order=6, n_max=0)
+
+
+def tail_less_nine():
+    return PowerSeries(RAT, tuple(F(1, m + 1) for m in range(9)))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: leading_remainders(log_series_rational(), "aitken", -1),
+                 id="leading_remainders-max_level"),
+    pytest.param(lambda: remainder_jets(log_series_rational(), "aitken", -1, order=2),
+                 id="remainder_jets-max_level"),
+    pytest.param(lambda: remainder_jets(log_series_rational(), "epsilon", 1, order=2, n_max=-1),
+                 id="remainder_jets-n_max"),
+    pytest.param(lambda: remainder_jets(log_series_rational(), "aitken", 1, order=-1),
+                 id="remainder_jets-order"),
+    pytest.param(lambda: transformation_terms(log_series_rational(), "aitken", 1, order=-1),
+                 id="transformation_terms-order"),
+    pytest.param(lambda: transformation_terms(log_series_rational(), "theta", 5, order=2),
+                 id="transformation_terms-max_level"),
+    pytest.param(lambda: leading_predictions(log_series_rational(), "aitken", 1, last_index=-1),
+                 id="leading_predictions-last_index"),
+    pytest.param(lambda: leading_remainders(tail_less_nine(), "aitken", 1, last_index=20),
+                 id="leading_remainders-past-stored"),
+    pytest.param(lambda: leading_predictions(tail_less_nine(), "aitken", 1, last_index=20),
+                 id="leading_predictions-past-stored"),
+])
+def test_table_entry_points_reject_out_of_range_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("fld", [RAT, BF, F64], ids=["rational", "bigfloat", "f64"])
+def test_epsilon_first_level_keeps_separate_term_and_remainder_forms(fld):
+    # gamma_2 = 0: the term form gamma_hi**2 / (gamma_lo - z*gamma_hi) is a
+    # valid zero at (1, 0), while the remainder form (d1/d0) / (1/d1 - z/d0)
+    # inverts d1, whose constant part is gamma_2, and breaks down there.
+    coeff = lambda i: fld.from_fraction(F(0) if i == 2 else F(1, i + 1))
+    series = PowerSeries(fld, tuple(coeff(i) for i in range(10)), tail=coeff)
+    epsilon = transformation_terms(series, "epsilon", 1, order=3)
+    aitken = transformation_terms(series, "aitken", 1, order=3)
+    assert epsilon.has(1, 0)
+    assert epsilon.term(1, 0).term == aitken.term(1, 0).term
+    assert set(remainder_jets(series, "epsilon", 1, order=3, n_max=1).failures) == {(1, 0), (1, 1)}
+    assert set(remainder_jets(series, "aitken", 1, order=3, n_max=1).failures) == {(1, 1)}
 
 
 def test_corrected_cells_cross_checked_by_exact_rational_route():
