@@ -176,14 +176,11 @@ def run_recursion(family, ops, levels: int, top: int, seed, coeff=None) -> _Buil
     errors) it gets ``None`` and injects nothing.
     """
     step, recursion = family.step, family.recursion
-    if coeff is None:
-        def cell(k, n, cur, prev):
-            return recursion(ops, None, k, n, cur, prev)
-    else:
-        def cell(k, n, cur, prev):
-            first = n + step * k + 1
-            g = [ops.const(coeff(first + i)) for i in range(step)]
-            return recursion(ops, g, k, n, cur, prev)
+
+    def cell(k, n, cur, prev):
+        g = None if coeff is None else [ops.const(coeff(n + step * k + i)) for i in range(1, step + 1)]
+        return recursion(ops, g, k, n, cur, prev)
+
     build = _Build(ops, levels, lambda k: top - step * k, family.deps, seed)
     build.run(cell)
     return build
