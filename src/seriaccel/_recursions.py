@@ -15,8 +15,10 @@ recursion per family, written here once as a *step* from level ``k`` into
 
 Only the first epsilon level has two expressions: the term form
 ``gamma_hi**2 / (gamma_lo - z*gamma_hi)`` and the remainder form
-``(d1/d0) / (1/d1 - z/d0)`` agree exactly but round differently in the float
-modes, so the step keeps both.  The ``*_leading_*`` functions are the scalar
+``(d1/d0) / (1/d1 - z/d0)`` agree in exact arithmetic where both are
+defined, but they round differently in the float modes and only the
+remainder form breaks down when ``d1`` has a zero constant part, so the step
+keeps both.  The ``*_leading_*`` functions are the scalar
 recursions for the z-independent parts of the two kinds of term.
 
 Steps run over any carrier with ring operations, a checked division and
