@@ -3,11 +3,13 @@
 Each acceleration scheme is rearranged so that its approximant is a partial
 sum plus a power of the series variable times a term, and the term obeys one
 recursion per family, written here once as a *step* from level ``k`` into
-``(k + 1, n)``.  The step runs two ways:
+``(k + 1, n)``.  The step is the textbook rearranged scheme with each forward
+difference replaced by the shifted difference ``z * X(n+1) - X(n)``, so at
+z = 1 it *is* that scheme, and the rearranged tables of
+:mod:`seriaccel.transforms` run it there.  For power series it runs two ways:
 
 * for *transformation terms* the caller seeds zeros and injects the series
-  coefficients: ``gamma`` is added to each shifted difference
-  ``z * X(n+1) - X(n)``;
+  coefficients: ``gamma`` is added to each shifted difference;
 * for *remainder terms* the caller seeds the scaled truncation errors of the
   partial sums and injects nothing.  The addition is skipped rather than
   made with a zero, which would cost one carrier addition per use and could
@@ -18,16 +20,19 @@ Only the first epsilon level has two expressions: the term form
 ``(d1/d0) / (1/d1 - z/d0)`` agree in exact arithmetic where both are
 defined, but they round differently in the float modes and only the
 remainder form breaks down when ``d1`` has a zero constant part, so the step
-keeps both.  The ``*_leading_*`` functions are the scalar
+keeps both.  The Aitken form ``X(n+2) - d1**2 / (z*d1 - d0)`` cannot replace
+the remainder form: at z = 1 that must break down wherever the textbook
+``eps_1 = 1/Delta`` does.  The ``*_leading_*`` functions are the scalar
 recursions for the z-independent parts of the two kinds of term.
 
-Steps run over any carrier with ring operations, a checked division and
+Steps run over any carrier with ring operators, a checked division and
 multiplication by the series variable: :class:`JetOps` over truncated power
 series (Taylor expansions), :class:`NumericOps` over plain scalars at a
-fixed point.  :class:`_Build` runs a step over a triangle -- these
-recursions and the textbook tables of :mod:`seriaccel.transforms` alike --
-and is the one place where failures propagate: a breakdown in one cell never
-aborts the build, and every cell that reads it inherits the failure.
+fixed point, :class:`UnitOps` at z = 1.  :class:`_Build` runs a step over a
+triangle -- these recursions and the textbook tables of
+:mod:`seriaccel.transforms` alike -- and is the one place where failures
+propagate: a breakdown in one cell never aborts the build, and every cell
+that reads it inherits the failure.
 """
 
 from __future__ import annotations
@@ -48,27 +53,13 @@ class JetOps:
         self.order = order
         self.zero = Jet.constant(field, field.zero, order)
         self.one = Jet.constant(field, field.one, order)
-
-    def context(self):
-        return self.field.arithmetic()
+        self.context = field.arithmetic
 
     def const(self, value: Scalar) -> Jet:
         return Jet.constant(self.field, value, self.order)
 
     def finite(self, value: Jet) -> bool:
         return all(self.field.is_finite(c) for c in value.coeffs)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
 
     @staticmethod
     def div(a, b):
@@ -83,45 +74,38 @@ class NumericOps:
     """Carrier: scalars at a fixed numeric value of the series variable."""
 
     def __init__(self, field: Field, z: Scalar):
-        self.field = field
         self.z = field.ensure(z)
-        self.zero = field.zero
         self.one = field.one
+        self.const = field.ensure
         self.finite = field.is_finite
-
-    def context(self):
-        return self.field.arithmetic()
-
-    def const(self, value: Scalar) -> Scalar:
-        return self.field.ensure(value)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    def div(self, a, b):
-        return self.field.div(a, b)
+        self.context = field.arithmetic
+        self.div = field.div
 
     def zmul(self, a):
         return self.z * a
+
+
+class UnitOps(NumericOps):
+    """Carrier: scalars at z = 1.  The product with z is skipped: in bigfloat
+    mode it would round an input wider than the working precision."""
+
+    def __init__(self, field: Field):
+        super().__init__(field, field.one)
+
+    @staticmethod
+    def zmul(a):
+        return a
 
 
 class _Build:
     """One triangular build: level 0 is ``seed``, and :meth:`run` fills the
     cells ``(k + 1, n)`` with ``n <= width(k + 1)``, level by level.
 
-    ``deps(k, n)`` names the cells the step into ``(k + 1, n)`` reads.  A cell
-    whose dependency failed records ``depends on invalid entry (k, n)``
-    without running the step; a step that breaks down or overflows records
-    why.  ``valid`` flags every cell, seeds included.  Keys are
+    ``deps(k, n)`` names, as ``(level, n)``, the cells the step into
+    ``(k + 1, n)`` reads.  A cell whose dependency failed records ``depends
+    on invalid entry (k, n)`` without running the step; a step that breaks
+    down or overflows records why.  ``valid`` flags every cell, seeds
+    included.  Keys, and the dependencies named in notes, are
     ``(scale * level, n)``, so a table that holds only the even columns keeps
     their literal subscripts.
     """
@@ -131,6 +115,8 @@ class _Build:
         self.ops = ops
         self.levels = levels
         self.width = width
+        if scale != 1:
+            deps = lambda k, n, level_deps=deps: [(scale * j, i) for j, i in level_deps(k, n)]
         self.deps = deps
         self.scale = scale
         self.entries: dict[tuple[int, int], object] = {(0, n): seed[n] for n in range(width(0) + 1)}
@@ -169,13 +155,15 @@ class _Build:
                 prev, cur = cur, row
 
 
-def run_recursion(family, ops, levels: int, top: int, seed, coeff=None) -> _Build:
+def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, scale: int = 1) -> _Build:
     """Run ``family.recursion`` over cells ``(k, n)`` with ``n + step*k <= top``.
 
     With ``coeff`` (transformation terms, ``seed`` all zeros) the step gets
     the carrier constants ``coeff(n + step*k + 1 .. n + step*k + step)`` to
     inject; without it (remainder terms, ``seed`` the scaled truncation
-    errors) it gets ``None`` and injects nothing.
+    errors, or a rearranged textbook table, ``seed`` the sequence at z = 1)
+    it gets ``None`` and injects nothing.  ``scale`` is the key scale of
+    :class:`_Build`.
     """
     step, recursion = family.step, family.recursion
 
@@ -183,17 +171,17 @@ def run_recursion(family, ops, levels: int, top: int, seed, coeff=None) -> _Buil
         g = None if coeff is None else [ops.const(coeff(n + step * k + i)) for i in range(1, step + 1)]
         return recursion(ops, g, k, n, cur, prev)
 
-    build = _Build(ops, levels, lambda k: top - step * k, family.deps, seed)
+    build = _Build(ops, levels, lambda k: top - step * k, family.deps, seed, scale)
     build.run(cell)
     return build
 
 
 def _shifted(ops, g, cur, n: int, count: int) -> list:
     """``z * X(n+i+1) - X(n+i)`` for ``i < count``, with ``g[i]`` added in front when given."""
-    diffs = [ops.sub(ops.zmul(cur[n + i + 1]), cur[n + i]) for i in range(count)]
+    diffs = [ops.zmul(cur[n + i + 1]) - cur[n + i] for i in range(count)]
     if g is None:
         return diffs
-    return [ops.add(gi, d) for gi, d in zip(g, diffs)]
+    return [gi + d for gi, d in zip(g, diffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,40 +206,38 @@ def theta_deps(k, n):
 def aitken_step(ops, g, k, n, cur, prev):
     """Delta-squared; a level consumes two coefficients."""
     lo, hi = _shifted(ops, g, cur, n, 2)
-    den = ops.sub(ops.zmul(hi), lo)
-    return ops.sub(cur[n + 2], ops.div(ops.mul(hi, hi), den))
+    den = ops.zmul(hi) - lo
+    return cur[n + 2] - ops.div(hi * hi, den)
 
 
 def epsilon_step(ops, g, k, n, cur, prev):
     """Five-point cross rule; the first term level keeps its closed form."""
     if k == 0 and g is not None:
         lo, hi = g
-        return ops.div(ops.mul(hi, hi), ops.sub(lo, ops.zmul(hi)))
+        return ops.div(hi * hi, lo - ops.zmul(hi))
     d0, d1 = _shifted(ops, g, cur, n, 2)
     if k == 0:
         num = ops.div(d1, d0)
-        den = ops.sub(ops.div(ops.one, d1), ops.zmul(ops.div(ops.one, d0)))
+        den = ops.div(ops.one, d1) - ops.zmul(ops.div(ops.one, d0))
     else:
         e = ops.zmul(cur[n + 1])
         if g is not None:
-            e = ops.add(g[0], e)
-        e = ops.sub(e, prev[n + 2])
-        num = ops.sub(ops.div(d1, d0), ops.div(d1, e))
-        den = ops.add(
-            ops.sub(ops.div(ops.one, d1), ops.zmul(ops.div(ops.one, d0))),
-            ops.zmul(ops.div(ops.one, e)),
-        )
-    return ops.add(cur[n + 2], ops.div(num, den))
+            e = g[0] + e
+        e = e - prev[n + 2]
+        num = ops.div(d1, d0) - ops.div(d1, e)
+        den = (ops.div(ops.one, d1) - ops.zmul(ops.div(ops.one, d0))
+               + ops.zmul(ops.div(ops.one, e)))
+    return cur[n + 2] + ops.div(num, den)
 
 
 def theta_step(ops, g, k, n, cur, prev):
     """Iterated theta; a level consumes three coefficients."""
     u0, u1, u2 = _shifted(ops, g, cur, n, 3)
-    v0 = ops.sub(ops.zmul(u1), u0)
-    v1 = ops.sub(ops.zmul(u2), u1)
-    num = ops.mul(u2, ops.sub(ops.add(ops.mul(u2, v0), ops.mul(u1, u1)), ops.mul(u0, u2)))
-    den = ops.sub(ops.zmul(ops.mul(u2, v0)), ops.mul(u0, v1))
-    return ops.sub(cur[n + 3], ops.div(num, den))
+    v0 = ops.zmul(u1) - u0
+    v1 = ops.zmul(u2) - u1
+    num = u2 * (u2 * v0 + u1 * u1 - u0 * u2)
+    den = ops.zmul(u2 * v0) - u0 * v1
+    return cur[n + 3] - ops.div(num, den)
 
 
 # ---------------------------------------------------------------------------

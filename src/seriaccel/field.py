@@ -171,7 +171,7 @@ class RationalField(Field):
             # Decimal literals become exact powers-of-ten rationals.
             return Fraction(Decimal(text))
         except ZeroDivisionError:
-            raise
+            raise ZeroDivisionError(f"zero denominator in {text!r}") from None
         except (ValueError, InvalidOperation):
             raise ParseError(f"not a rational scalar: {text!r}") from None
 
@@ -227,7 +227,7 @@ class BigFloatField(Field):
             with self.arithmetic():
                 return +Decimal(text)
         except ZeroDivisionError:
-            raise
+            raise ZeroDivisionError(f"zero denominator in {text!r}") from None
         except (ValueError, InvalidOperation):
             raise ParseError(f"not a bigfloat scalar: {text!r}") from None
 
@@ -273,7 +273,7 @@ class Float64Field(Field):
                 return num / den
             return float(text)
         except ZeroDivisionError:
-            raise
+            raise ZeroDivisionError(f"zero denominator in {text!r}") from None
         except ValueError:
             raise ParseError(f"not an f64 scalar: {text!r}") from None
 

@@ -9,8 +9,10 @@ order fixed.
 
 This is the engine that expands the rational transformation and remainder
 terms of the acceleration schemes into Taylor coefficients: all of their
-recursions reduce to jet addition, multiplication, reciprocal, and the
-shifted difference operators :func:`delta_shift` / :func:`delta2_shift`.
+recursions reduce to jet addition, multiplication, reciprocal and the shift
+by the series variable.  :func:`delta_shift` / :func:`delta2_shift` are the
+shifted difference operators as standalone functions; the recursions do not
+call them.
 """
 
 from __future__ import annotations

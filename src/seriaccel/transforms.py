@@ -12,6 +12,10 @@ Implemented here:
   rules and recursion steps), a Pade solver used as an independent oracle,
   and a convergence-type classifier.
 
+The rearranged forms are the family steps of :mod:`seriaccel._recursions`
+at z = 1, where the shifted difference ``z * X(n+1) - X(n)`` is the forward
+difference; the classic and plain forms stay as independent references.
+
 Every transformation is a step run by the shared triangle builder of
 :mod:`seriaccel._recursions` and returns a :class:`TransformTable` with
 per-entry validity flags: a (near-)zero denominator marks the entry invalid
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import _recursions as rec
-from ._recursions import NumericOps, _Build
+from ._recursions import NumericOps, UnitOps, _Build, run_recursion
 from .field import Field, Scalar
 from .jets import Jet, PowerSeries
 
@@ -185,9 +189,10 @@ class Family:
     (:func:`selection_indices`).  ``tables`` maps the names of the family's
     textbook tables to their key scale: 2 where keys are literal epsilon or
     theta column subscripts, so that level ``k`` sits at key ``2k``.
-    ``recursion`` is the rearranged step shared by transformation and
-    remainder terms and ``deps`` the cells it reads; the two ``leading_*``
-    steps are the scalar recursions for the z-independent parts.
+    ``recursion`` is the rearranged step shared by transformation terms,
+    remainder terms and, at z = 1, the rearranged table, and ``deps`` the
+    cells it reads; the two ``leading_*`` steps are the scalar recursions for
+    the z-independent parts.
     """
 
     name: str
@@ -232,24 +237,31 @@ def _table(family: str, seq: ScalarSequence, levels: int, width, deps, step,
     return TransformTable(family, len(seq.entries), build.entries, build.valid, build.failures)
 
 
+def _rearranged(table: str, family: str, seq: ScalarSequence) -> TransformTable:
+    """The family's rearranged recursion at z = 1, which is the textbook rearranged scheme."""
+    fam = FAMILIES[family]
+    m = seq.last_index
+    build = run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries,
+                          scale=fam.tables[table])
+    return TransformTable(table, len(seq.entries), build.entries, build.valid, build.failures)
+
+
 def aitken_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable:
     """Iterated delta-squared table; classic and rearranged updates agree."""
     if scheme not in ("classic", "rearranged"):
         raise ValueError("scheme must be 'classic' or 'rearranged'")
+    if scheme == "rearranged":
+        return _rearranged(AITKEN_REARRANGED, "aitken", seq)
     fld = seq.field
     m = seq.last_index
-    rearranged = scheme == "rearranged"
 
     def step(k, n, cur, prev):
         d0 = cur[n + 1] - cur[n]
         d1 = cur[n + 2] - cur[n + 1]
         dd = d1 - d0
-        if rearranged:
-            return cur[n + 2] - fld.div(d1 * d1, dd)
         return cur[n] - fld.div(d0 * d0, dd)
 
-    family = AITKEN_REARRANGED if rearranged else AITKEN_CLASSIC
-    return _table(family, seq, m // 2, lambda k: m - 2 * k, rec.aitken_deps, step)
+    return _table(AITKEN_CLASSIC, seq, m // 2, lambda k: m - 2 * k, rec.aitken_deps, step)
 
 
 def epsilon_table(seq: ScalarSequence) -> TransformTable:
@@ -268,13 +280,16 @@ def epsilon_table(seq: ScalarSequence) -> TransformTable:
 def epsilon_cross_table(seq: ScalarSequence, form: str = "plain") -> TransformTable:
     """Even epsilon columns via the five-point cross rule (no odd columns).
 
-    ``plain`` keeps the rule as a direct rearrangement; ``rearranged`` is the
-    variant anchored at the entry three positions ahead.  The undefined
-    column below the table is handled by a dedicated k = 0 branch instead of
-    a stored infinity.  Keys are the literal column subscripts ``2k``.
+    ``plain`` keeps the rule as a direct rearrangement anchored at entry
+    ``(2k, n + 1)``; ``rearranged`` is the variant anchored at ``(2k, n + 2)``.
+    The undefined column below the table is handled by a dedicated k = 0
+    branch instead of a stored infinity.  Keys are the literal column
+    subscripts ``2k``.
     """
     if form not in ("plain", "rearranged"):
         raise ValueError("form must be 'plain' or 'rearranged'")
+    if form == "rearranged":
+        return _rearranged(EPSILON_CROSS, "epsilon", seq)
     fld = seq.field
     m = seq.last_index
     one = fld.one
@@ -286,18 +301,9 @@ def epsilon_cross_table(seq: ScalarSequence, form: str = "plain") -> TransformTa
         if k >= 1:
             gap = cur[n + 1] - prev[n + 2]
             denom = denom + fld.div(one, gap)
-        if form == "plain":
-            return cur[n + 1] + fld.div(one, denom)
-        numer = fld.div(d1, d0)
-        if k >= 1:
-            numer = numer - fld.div(d1, gap)
-        return cur[n + 2] + fld.div(numer, denom)
+        return cur[n + 1] + fld.div(one, denom)
 
-    def deps(k, n):
-        col = 2 * k
-        return [(col, n), (col, n + 1), (col, n + 2)] + ([(col - 2, n + 2)] if k >= 1 else [])
-
-    return _table(EPSILON_CROSS, seq, m // 2, lambda k: m - 2 * k, deps, step, scale=2)
+    return _table(EPSILON_CROSS, seq, m // 2, lambda k: m - 2 * k, rec.epsilon_deps, step, scale=2)
 
 
 def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
@@ -332,9 +338,10 @@ def iterated_theta_table(seq: ScalarSequence, scheme: str = "classic") -> Transf
     """Iterated theta transformation; classic and rearranged updates agree."""
     if scheme not in ("classic", "rearranged"):
         raise ValueError("scheme must be 'classic' or 'rearranged'")
+    if scheme == "rearranged":
+        return _rearranged(THETA_ITERATED_REARRANGED, "theta-iterated", seq)
     fld = seq.field
     m = seq.last_index
-    rearranged = scheme == "rearranged"
 
     def step(k, n, cur, prev):
         d0 = cur[n + 1] - cur[n]
@@ -343,12 +350,9 @@ def iterated_theta_table(seq: ScalarSequence, scheme: str = "classic") -> Transf
         dd0 = d1 - d0
         dd1 = d2 - d1
         den = d2 * dd0 - d0 * dd1
-        if rearranged:
-            return cur[n + 3] - fld.div(d2 * (d2 * dd0 + d1 * d1 - d0 * d2), den)
         return cur[n + 1] - fld.div(d0 * d1 * dd1, den)
 
-    family = THETA_ITERATED_REARRANGED if rearranged else THETA_ITERATED_CLASSIC
-    return _table(family, seq, m // 3, lambda k: m - 3 * k, rec.theta_deps, step)
+    return _table(THETA_ITERATED_CLASSIC, seq, m // 3, lambda k: m - 3 * k, rec.theta_deps, step)
 
 
 def selection_indices(step: int, m: int) -> tuple[int, int]:

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from seriaccel.cli import main
+from seriaccel.cli import build_parser, main
+from seriaccel.transforms import FAMILIES
 from seriaccel.report import rows_from_csv, rows_from_json
 
 
@@ -119,6 +121,39 @@ def test_transform_terms_past_file_end_exit_one(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: coefficient 5 is past the stored order 4")
+
+
+@pytest.mark.parametrize("mode", ["rational", "bigfloat", "f64"])
+def test_zero_denominator_literal_exits_one_before_any_output(capsys, tmp_path, mode):
+    path = tmp_path / "c3.txt"
+    path.write_text("1\n1/0\n1/3\n")
+    for argv in (
+        ("accelerate", "--series", "builtin:log1p-over-z", "--family", "aitken", "--z", "1/0"),
+        ("accelerate", "--series", "builtin:zeta(1/0)", "--family", "aitken", "--z", "1/2"),
+        ("predict", "--series", f"file:{path}", "--family", "aitken"),
+    ):
+        code, out, err = run(capsys, *argv, "--mode", mode)
+        assert (code, out, err) == (1, "", "error: zero denominator in '1/0'\n"), argv
+
+
+def test_predict_use_past_a_tail_less_file_names_the_flag(capsys, tmp_path):
+    path = tmp_path / "c5.txt"
+    path.write_text("1\n1/2\n1/3\n1/4\n1/5\n")
+    code, _, _ = run(capsys, "predict", "--series", f"file:{path}", "--family", "aitken",
+                     "--use", "4")
+    assert code == 0
+    code, out, err = run(capsys, "predict", "--series", f"file:{path}", "--family", "aitken",
+                         "--use", "8")
+    assert (code, out) == (1, "")
+    assert err == ("error: --use 8 is past the stored coefficients 0..4 "
+                   "and the series has no tail rule\n")
+
+
+def test_predict_family_choices_come_from_the_registry():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in commands.choices["predict"]._actions if a.dest == "family")
+    names = {name for fam in FAMILIES.values() for name in (fam.name, *fam.aliases)}
+    assert family.choices == sorted(names) == ["aitken", "epsilon", "theta", "theta-iterated"]
 
 
 def test_usage_errors_exit_one(capsys):
