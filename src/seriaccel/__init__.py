@@ -24,9 +24,8 @@ from .field import (
     scientific_string,
     to_fraction_string,
 )
-from .jets import Jet, JetBreakdownError, PowerSeries, delta2_shift, delta_shift
+from .jets import Jet, JetBreakdownError, PowerSeries
 from .prediction import (
-    PREDICTION_FAMILIES,
     LeadingTable,
     PredictionBreakdownError,
     TermJet,
@@ -66,10 +65,5 @@ from .transforms import (
     selection_indices,
     theta_table,
 )
-
-# Names from before transformation and remainder terms shared one type each.
-TransformationTerm = RemainderJet = TermJet
-TransformationTermTable = RemainderJetTable = TermJetTable
-LeadingPredictionTable = LeadingRemainderTable = LeadingTable
 
 __version__ = "0.1.0"

@@ -33,12 +33,13 @@ from .field import (
 )
 from .jets import MissingCoefficientError
 from .prediction import predict_coefficients
-from .remainders import evaluate_error_terms, evaluate_transformation_terms
+from .remainders import evaluate_error_terms, evaluate_transformation_terms, remainder_jets
 from .report import ReportRow, rows_to_csv, rows_to_json
 from .series_library import builtin_series, resolve_series_spec
 from .transforms import (
     FAMILIES,
     DegeneratePadeError,
+    ScalarSequence,
     SelectionError,
     aitken_table,
     classify_convergence,
@@ -119,12 +120,14 @@ def _sequence_from_input(resolved, args, field):
     if z is None:
         raise _UsageError("this input is a power series: pass --z to form partial sums")
     entries = tuple(series.partial_sum(n, z) for n in range(args.terms))
-    from .transforms import ScalarSequence
-
     return ScalarSequence(field, entries)
 
 
 def cmd_accelerate(args) -> int:
+    if args.scheme is not None and args.family in ("epsilon", "theta"):
+        raise _UsageError(f"--family {args.family} has no --scheme")
+    if args.modified and args.family != "theta":
+        raise _UsageError("--modified applies to --family theta only")
     field = _field(args.mode)
     resolved = resolve_series_spec(args.series, field, count=args.terms)
     seq = _sequence_from_input(resolved, args, field)
@@ -167,11 +170,7 @@ def cmd_predict(args) -> int:
     print(f"# {resolved.label} family={args.family} using coefficients 0..{use}")
     print("index prediction decimal")
     for index, value in predictions:
-        if isinstance(field, RationalField):
-            print(f"{index} {to_fraction_string(value)} {decimal_string(value, args.digits)}")
-        else:
-            print(f"{index} {scientific_string(value, args.digits)} "
-                  f"{decimal_string(value, args.digits)}")
+        print(f"{index} {_render(field, value, args.digits)} {decimal_string(value, args.digits)}")
     return 0
 
 
@@ -197,22 +196,12 @@ def _emit_rows(rows, fmt: str) -> None:
         print(rows_to_csv(rows), end="")
 
 
-def cmd_error_terms(args) -> int:
+def cmd_terms(args) -> int:
+    """``error-terms`` and ``transform-terms``: ``args.evaluate`` is the table kind."""
     field = _field(args.mode)
     resolved = resolve_series_spec(args.series, field, count=args.max_m + 1)
     series = resolved.require_series()
-    z = field.parse(args.z)
-    cells = evaluate_error_terms(series, z, args.max_m)
-    _emit_rows(_cells_to_rows(cells, field, args.digits), args.format)
-    return 0
-
-
-def cmd_transform_terms(args) -> int:
-    field = _field(args.mode)
-    resolved = resolve_series_spec(args.series, field, count=args.max_m + 1)
-    series = resolved.require_series()
-    z = field.parse(args.z)
-    cells = evaluate_transformation_terms(series, z, args.max_m)
+    cells = args.evaluate(series, field.parse(args.z), args.max_m)
     _emit_rows(_cells_to_rows(cells, field, args.digits), args.format)
     return 0
 
@@ -267,8 +256,6 @@ def _reproduce_table(which) -> int:
 
 
 def _reproduce_expansion7() -> int:
-    from .remainders import remainder_jets
-
     field = RationalField()
     series = _log_series(field, 13)
     rows = ["# exact error expansions, coefficients of z^7..z^9"]
@@ -339,21 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=_POSITIVE, default=10)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("error-terms", help="numeric error-term table (needs series tail)")
-    add_common(p, "bigfloat")
-    p.add_argument("--z", required=True)
-    p.add_argument("--max-m", type=_NONNEGATIVE, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--digits", type=_POSITIVE, default=6)
-    p.set_defaults(func=cmd_error_terms)
-
-    p = sub.add_parser("transform-terms", help="numeric transformation-term table")
-    add_common(p, "bigfloat")
-    p.add_argument("--z", required=True)
-    p.add_argument("--max-m", type=_NONNEGATIVE, required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--digits", type=_POSITIVE, default=10)
-    p.set_defaults(func=cmd_transform_terms)
+    for name, help_text, evaluate, digits in (
+        ("error-terms", "numeric error-term table (needs series tail)", evaluate_error_terms, 6),
+        ("transform-terms", "numeric transformation-term table", evaluate_transformation_terms, 10),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p, "bigfloat")
+        p.add_argument("--z", required=True)
+        p.add_argument("--max-m", type=_NONNEGATIVE, required=True)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--digits", type=_POSITIVE, default=digits)
+        p.set_defaults(func=cmd_terms, evaluate=evaluate)
 
     p = sub.add_parser("reproduce", help="run an embedded reference experiment")
     p.add_argument("--experiment", required=True,
@@ -368,10 +351,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ModeMismatchError, BreakdownError, SelectionError,
+    except (_UsageError, ParseError, ModeMismatchError, BreakdownError, SelectionError,
             DegeneratePadeError, MissingCoefficientError, ValueError, OSError,
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
-from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
@@ -84,9 +84,17 @@ def _split_fraction_text(text: str) -> tuple[str, str] | None:
 
 
 class Field:
-    """Shared behaviour of the three field modes."""
+    """Shared behaviour of the three field modes.
+
+    A mode states its value type ``kind``, its ``noun`` for messages, how an
+    exact :class:`~fractions.Fraction` and an exact finite
+    :class:`~decimal.Decimal` enter it, its context, its zero test and its
+    finiteness test; every entry path below is written once on top of those.
+    """
 
     mode: str = "?"
+    kind: type = object
+    noun: str = "a scalar"
 
     # -- values -----------------------------------------------------------
 
@@ -99,21 +107,49 @@ class Field:
         return self.from_int(1)
 
     def from_int(self, value: int) -> Scalar:
-        raise NotImplementedError
+        return self.kind(value)
 
     def from_fraction(self, value: Fraction) -> Scalar:
         raise NotImplementedError
 
+    def _from_decimal(self, value: Decimal) -> Scalar:
+        """The exact finite decimal ``value`` in this field; an ``ArithmeticError``
+        or a non-finite result when the field cannot hold it."""
+        raise NotImplementedError
+
     def ensure(self, value: Scalar) -> Scalar:
         """Return ``value`` if it belongs to this field, else raise."""
-        raise NotImplementedError
+        if isinstance(value, self.kind):
+            return value
+        if isinstance(value, int) and not isinstance(value, bool):
+            return self.from_int(value)
+        raise ModeMismatchError(f"expected {self.noun}, got {type(value).__name__}")
 
     def ensure_all(self, values) -> tuple:
         return tuple(self.ensure(v) for v in values)
 
     def parse(self, text: str) -> Scalar:
-        """Parse an integer, a ``p/q`` fraction, or a decimal literal."""
-        raise NotImplementedError
+        """Parse an integer, a ``p/q`` fraction, or a decimal literal.
+
+        Literals that are not finite numbers (``inf``, ``nan``, or a value
+        past what the mode can hold) raise :class:`ParseError`; a zero
+        denominator raises :class:`ZeroDivisionError`.
+        """
+        text = text.strip()
+        parts = _split_fraction_text(text)
+        try:
+            if parts is not None:
+                value = self.from_fraction(Fraction(int(parts[0]), int(parts[1])))
+            else:
+                exact = Decimal(text)
+                value = self._from_decimal(exact) if exact.is_finite() else None
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"zero denominator in {text!r}") from None
+        except (ValueError, ArithmeticError):
+            value = None
+        if value is None or not self.is_finite(value):
+            raise ParseError(f"not {self.noun}: {text!r}")
+        return value
 
     # -- arithmetic helpers -------------------------------------------------
 
@@ -143,37 +179,27 @@ class Field:
         return f"{type(self).__name__}()"
 
 
+#: Largest decimal exponent a rational literal may carry: the digit limit
+#: that ``int()`` puts on the numerator and denominator of a ``p/q`` literal.
+_EXPONENT_LIMIT = 4300
+
+
 @dataclass(frozen=True, repr=False)
 class RationalField(Field):
     """Exact rationals; all field axioms hold exactly."""
 
     mode = "rational"
-
-    def from_int(self, value: int) -> Fraction:
-        return Fraction(value)
+    kind = Fraction
+    noun = "a rational scalar"
 
     def from_fraction(self, value: Fraction) -> Fraction:
         return Fraction(value)
 
-    def ensure(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
-        raise ModeMismatchError(f"expected a rational scalar, got {type(value).__name__}")
-
-    def parse(self, text: str) -> Fraction:
-        text = text.strip()
-        parts = _split_fraction_text(text)
-        try:
-            if parts is not None:
-                return Fraction(int(parts[0]), int(parts[1]))
-            # Decimal literals become exact powers-of-ten rationals.
-            return Fraction(Decimal(text))
-        except ZeroDivisionError:
-            raise ZeroDivisionError(f"zero denominator in {text!r}") from None
-        except (ValueError, InvalidOperation):
-            raise ParseError(f"not a rational scalar: {text!r}") from None
+    def _from_decimal(self, value: Decimal) -> Fraction:
+        # Decimal literals become exact powers-of-ten rationals, of bounded size.
+        if abs(value.as_tuple().exponent) > _EXPONENT_LIMIT:
+            raise OverflowError(f"decimal exponent past {_EXPONENT_LIMIT}")
+        return Fraction(value)
 
     def is_zero(self, value, scale=None) -> bool:
         return value == 0
@@ -185,6 +211,8 @@ class BigFloatField(Field):
 
     digits: int = 50
     mode = "bigfloat"
+    kind = Decimal
+    noun = "a bigfloat scalar"
     # Derived from ``digits`` once; kept out of equality, hashing and repr.
     _context: Context = dataclass_field(init=False, repr=False, compare=False)
     near_zero: Decimal = dataclass_field(init=False, repr=False, compare=False)
@@ -200,36 +228,13 @@ class BigFloatField(Field):
         """Context manager that enters (and yields) a copy of the field's context."""
         return localcontext(self._context)
 
-    def from_int(self, value: int) -> Decimal:
-        return Decimal(value)
-
     def from_fraction(self, value: Fraction) -> Decimal:
         with self.arithmetic():
             return Decimal(value.numerator) / Decimal(value.denominator)
 
-    def ensure(self, value):
-        if isinstance(value, Decimal):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Decimal(value)
-        raise ModeMismatchError(f"expected a bigfloat scalar, got {type(value).__name__}")
-
-    def parse(self, text: str) -> Decimal:
-        text = text.strip()
-        parts = _split_fraction_text(text)
-        try:
-            if parts is not None:
-                num, den = int(parts[0]), int(parts[1])
-                if den == 0:
-                    raise ZeroDivisionError("denominator is zero")
-                with self.arithmetic():
-                    return Decimal(num) / Decimal(den)
-            with self.arithmetic():
-                return +Decimal(text)
-        except ZeroDivisionError:
-            raise ZeroDivisionError(f"zero denominator in {text!r}") from None
-        except (ValueError, InvalidOperation):
-            raise ParseError(f"not a bigfloat scalar: {text!r}") from None
+    def _from_decimal(self, value: Decimal) -> Decimal:
+        with self.arithmetic():  # raises decimal.Overflow past the context's exponent range
+            return +value
 
     def is_zero(self, value, scale=None) -> bool:
         bound = self.near_zero
@@ -248,34 +253,14 @@ class Float64Field(Field):
     """Native double precision."""
 
     mode = "f64"
-
-    def from_int(self, value: int) -> float:
-        return float(value)
+    kind = float
+    noun = "an f64 scalar"
 
     def from_fraction(self, value: Fraction) -> float:
         return value.numerator / value.denominator
 
-    def ensure(self, value):
-        if isinstance(value, float):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return float(value)
-        raise ModeMismatchError(f"expected an f64 scalar, got {type(value).__name__}")
-
-    def parse(self, text: str) -> float:
-        text = text.strip()
-        parts = _split_fraction_text(text)
-        try:
-            if parts is not None:
-                num, den = int(parts[0]), int(parts[1])
-                if den == 0:
-                    raise ZeroDivisionError("denominator is zero")
-                return num / den
-            return float(text)
-        except ZeroDivisionError:
-            raise ZeroDivisionError(f"zero denominator in {text!r}") from None
-        except ValueError:
-            raise ParseError(f"not an f64 scalar: {text!r}") from None
+    def _from_decimal(self, value: Decimal) -> float:
+        return float(value)
 
     def is_zero(self, value, scale=None) -> bool:
         bound = NEAR_ZERO

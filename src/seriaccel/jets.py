@@ -10,25 +10,21 @@ order fixed.
 This is the engine that expands the rational transformation and remainder
 terms of the acceleration schemes into Taylor coefficients: all of their
 recursions reduce to jet addition, multiplication, reciprocal and the shift
-by the series variable.  :func:`delta_shift` / :func:`delta2_shift` are the
-shifted difference operators as standalone functions; the recursions do not
-call them.
+by the series variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
-from .field import BreakdownError, Field, Scalar
+from .field import BreakdownError, Field, ModeMismatchError, Scalar
 
 __all__ = [
     "Jet",
     "JetBreakdownError",
     "MissingCoefficientError",
     "PowerSeries",
-    "delta_shift",
-    "delta2_shift",
 ]
 
 
@@ -96,10 +92,6 @@ class Jet:
         with self.field.arithmetic():
             return Jet(self.field, tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
 
-    def __neg__(self) -> "Jet":
-        with self.field.arithmetic():
-            return Jet(self.field, tuple(-c for c in self.coeffs))
-
     def scale(self, factor: Scalar) -> "Jet":
         factor = self.field.ensure(factor)
         with self.field.arithmetic():
@@ -153,32 +145,9 @@ class Jet:
         zeros = (self.field.zero,) * min(places, self.order + 1)
         return Jet(self.field, zeros + self.coeffs[: self.order + 1 - places])
 
-    def evaluate(self, z: Scalar) -> Scalar:
-        z = self.field.ensure(z)
-        with self.field.arithmetic():
-            acc = self.field.zero
-            for c in reversed(self.coeffs):
-                acc = acc * z + c
-            return acc
 
 def _mode_error(a: Jet, b: Jet):
-    from .field import ModeMismatchError
-
     raise ModeMismatchError(f"jets from different fields: {a.field!r} vs {b.field!r}")
-
-
-def delta_shift(jets: Sequence[Jet] | Mapping[int, Jet], n: int) -> Jet:
-    """Shifted forward difference ``z * X(n+1) - X(n)`` of a jet family."""
-    try:
-        here, there = jets[n], jets[n + 1]
-    except (IndexError, KeyError):
-        raise IndexError(f"delta needs family entries {n} and {n + 1}") from None
-    return there.shift() - here
-
-
-def delta2_shift(jets: Sequence[Jet] | Mapping[int, Jet], n: int) -> Jet:
-    """Second shifted difference: ``z**2 X(n+2) - 2 z X(n+1) + X(n)``."""
-    return delta_shift(jets, n + 1).shift() - delta_shift(jets, n)
 
 
 @dataclass(frozen=True)
@@ -232,10 +201,3 @@ class PowerSeries:
             for i in range(n, -1, -1):
                 acc = acc * z + self.coefficient(i)
             return acc
-
-    def first_zero_coefficient(self, last_index: int) -> int | None:
-        """Index of the first (exactly) zero coefficient through ``last_index``."""
-        for i in range(last_index + 1):
-            if self.coefficient(i) == self.field.zero:
-                return i
-        return None

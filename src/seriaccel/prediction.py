@@ -27,26 +27,17 @@ from dataclasses import dataclass, field as dataclass_field
 from ._recursions import JetOps, NumericOps, _Build, run_recursion
 from .field import BreakdownError, Scalar
 from .jets import Jet, PowerSeries
-from .transforms import FAMILIES, Family, get_family, selection_indices
+from .transforms import Family, get_family, selection_indices
 
 __all__ = [
-    "PREDICTION_FAMILIES",
     "PredictionBreakdownError",
     "TermJet",
     "TermJetTable",
     "LeadingTable",
-    "canonical_family",
     "transformation_terms",
     "leading_predictions",
     "predict_coefficients",
 ]
-
-PREDICTION_FAMILIES = tuple(FAMILIES)
-
-
-def canonical_family(name: str) -> str:
-    return get_family(name).name
-
 
 class PredictionBreakdownError(BreakdownError):
     """A prediction denominator broke down at a specific table position."""

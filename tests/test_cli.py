@@ -136,6 +136,42 @@ def test_zero_denominator_literal_exits_one_before_any_output(capsys, tmp_path, 
         assert (code, out, err) == (1, "", "error: zero denominator in '1/0'\n"), argv
 
 
+NOUNS = {"rational": "a rational scalar", "bigfloat": "a bigfloat scalar", "f64": "an f64 scalar"}
+
+
+@pytest.mark.parametrize("mode", ["rational", "bigfloat", "f64"])
+@pytest.mark.parametrize("literal", ["inf", "-Infinity", "nan", "1e999999999"])
+def test_literal_that_is_not_a_finite_number_exits_one_before_any_output(capsys, tmp_path,
+                                                                         mode, literal):
+    path = tmp_path / "c3.txt"
+    path.write_text(f"1\n{literal}\n1/3\n")
+    for argv in (
+        ("accelerate", "--series", "builtin:log1p-over-z", "--family", "aitken", f"--z={literal}"),
+        ("accelerate", "--series", f"builtin:zeta({literal})", "--family", "aitken", "--z", "1/2"),
+        ("predict", "--series", f"file:{path}", "--family", "aitken"),
+    ):
+        code, out, err = run(capsys, *argv, "--mode", mode)
+        assert (code, out, err) == (1, "", f"error: not {NOUNS[mode]}: {literal!r}\n"), argv
+
+
+@pytest.mark.parametrize("family, flags, message", [
+    ("epsilon", ("--scheme", "rearranged"), "--family epsilon has no --scheme"),
+    ("theta", ("--scheme", "classic"), "--family theta has no --scheme"),
+    ("aitken", ("--scheme", "plain"), "scheme must be 'classic' or 'rearranged'"),
+    ("epsilon-cross", ("--scheme", "classic"), "form must be 'plain' or 'rearranged'"),
+    ("aitken", ("--modified",), "--modified applies to --family theta only"),
+    ("theta-iterated", ("--modified",), "--modified applies to --family theta only"),
+])
+def test_accelerate_rejects_flags_the_family_does_not_take(capsys, family, flags, message):
+    code, out, err = run(capsys, *LOG_ACCELERATE[:4], family, "--z=1/2", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_accelerate_modified_theta_still_runs(capsys):
+    code, out, _ = run(capsys, *LOG_ACCELERATE[:4], "theta", "--z=1/2", "--modified")
+    assert code == 0 and out.startswith("# builtin:log1p-over-z -> family=theta ")
+
+
 def test_predict_use_past_a_tail_less_file_names_the_flag(capsys, tmp_path):
     path = tmp_path / "c5.txt"
     path.write_text("1\n1/2\n1/3\n1/4\n1/5\n")

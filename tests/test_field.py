@@ -3,7 +3,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from seriaccel.field import (
     BigFloatField,
@@ -215,3 +215,65 @@ def test_field_for_mode():
     assert field_for_mode("f64").mode == "f64"
     with pytest.raises(ValueError):
         field_for_mode("quad")
+
+
+NOUNS = {"rational": "a rational scalar", "bigfloat": "a bigfloat scalar", "f64": "an f64 scalar"}
+# Per mode: literals that are not finite numbers there.  The rational ones past
+# the 4,300-digit exponent limit would otherwise build a billion-digit integer.
+NOT_FINITE = {
+    "rational": ("1e999999999", "-1e-999999999", "1e4301"),
+    "bigfloat": ("1e999999999", "-1e999999999"),
+    "f64": ("1e500", "-1e500", "1" + "0" * 400 + "/3"),
+}
+
+
+@pytest.mark.parametrize("fld", [RAT, BF, F64], ids=lambda f: f.mode)
+def test_parse_rejects_literals_that_are_not_finite_numbers(fld):
+    for text in ("inf", "-inf", "Infinity", "nan", "NaN", "sNaN") + NOT_FINITE[fld.mode]:
+        with pytest.raises(ParseError) as info:
+            fld.parse(text)
+        assert str(info.value) == f"not {NOUNS[fld.mode]}: {text!r}"
+
+
+def test_parse_keeps_finite_values_at_the_edges_of_each_mode():
+    assert RAT.parse("1e4300") == 10 ** 4300
+    assert RAT.parse("-1e-4300") == Fraction(-1, 10 ** 4300)
+    assert BF.parse("1e500") == Decimal("1e500")
+    assert F64.parse("1.7976931348623157e308") == 1.7976931348623157e308
+    assert F64.parse("1e-400") == 0.0
+
+
+def _direct_parse(fld, text):
+    """Each mode's own conversion of a finite literal, written out per mode."""
+    if "/" in text:
+        num, den = (int(part) for part in text.split("/"))
+        if fld.mode == "rational":
+            return Fraction(num, den)
+        if fld.mode == "bigfloat":
+            with fld.arithmetic():
+                return Decimal(num) / Decimal(den)
+        return num / den
+    if fld.mode == "rational":
+        return Fraction(Decimal(text))
+    if fld.mode == "bigfloat":
+        with fld.arithmetic():
+            return +Decimal(text)
+    return float(text)
+
+
+finite_literals = st.one_of(
+    st.builds(lambda m, e: f"{m}e{e}", st.integers(-(10 ** 80), 10 ** 80), st.integers(-330, 330)),
+    st.builds(lambda m, d: f"{m}.{d}", st.integers(-(10 ** 30), 10 ** 30), st.integers(0, 10 ** 40)),
+    # a nonzero numerator: "0/-q" is a signed zero in the float modes only when
+    # divided directly, while the exact fraction 0/-q has no sign
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-(10 ** 60), 10 ** 60).filter(bool),
+              st.integers(-(10 ** 60), 10 ** 60).filter(bool)),
+)
+
+
+@pytest.mark.parametrize("fld", [RAT, BF, F64], ids=lambda f: f.mode)
+@given(text=finite_literals)
+def test_parse_matches_each_modes_direct_conversion(fld, text):
+    expected = _direct_parse(fld, text)
+    assume(fld.is_finite(expected))
+    assert repr(fld.parse(text)) == repr(expected)

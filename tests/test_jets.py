@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seriaccel.field import RationalField
-from seriaccel.jets import Jet, JetBreakdownError, PowerSeries, delta2_shift, delta_shift
+from seriaccel.jets import Jet, JetBreakdownError, PowerSeries
 
 RAT = RationalField()
 
@@ -89,32 +89,6 @@ def test_shift_drops_top_coefficient():
     assert jet(1, 2, 3).shift(2).coeffs == (F(0), F(0), F(1))
 
 
-def test_delta_of_constants():
-    family = [Jet.constant(RAT, F(1), 2), Jet.constant(RAT, F(1), 2)]
-    assert delta_shift(family, 0).coeffs == (F(-1), F(1), F(0))
-
-
-def test_delta2_of_constant_family():
-    c = F(7)
-    family = [Jet.constant(RAT, c, 3) for _ in range(3)]
-    assert delta2_shift(family, 0).coeffs == (c, -2 * c, c, F(0))
-
-
-@given(st.lists(jet_coeffs.map(lambda c: c + [F(1)]), min_size=3, max_size=3))
-def test_delta2_two_forms_agree(rows):
-    order = min(len(r) for r in rows) - 1
-    family = [Jet.from_coeffs(RAT, r, order=order) for r in rows]
-    via_delta = delta_shift(family, 1).shift() - delta_shift(family, 0)
-    direct = family[2].shift(2) - family[1].shift().scale(F(2)) + family[0]
-    assert via_delta == direct
-    assert delta2_shift(family, 0) == direct
-
-
-def test_delta_index_out_of_range():
-    with pytest.raises(IndexError):
-        delta_shift([Jet.constant(RAT, F(1), 2)], 0)
-
-
 @given(jet_coeffs, jet_coeffs, st.integers(min_value=0, max_value=6))
 def test_truncation_consistency(a, b, order):
     ja, jb = Jet.from_coeffs(RAT, a), Jet.from_coeffs(RAT, b)
@@ -136,9 +110,3 @@ def test_power_series_without_tail_stops():
     series = PowerSeries(RAT, (F(1), F(2)))
     with pytest.raises(IndexError):
         series.coefficient(5)
-
-
-def test_first_zero_coefficient():
-    series = PowerSeries(RAT, (F(1), F(0), F(3)))
-    assert series.first_zero_coefficient(2) == 1
-    assert PowerSeries(RAT, (F(1), F(2))).first_zero_coefficient(1) is None

@@ -1,0 +1,233 @@
+"""Output-identity guard for the library: seeded inputs, one digest per group.
+
+Every group runs one kind of library output over the same inputs in one field
+mode and is pinned to the sha256 of ``repr`` of what it returned: table
+entries, validity flags, failure notes and the order of every dict.  Errors
+count as outputs too (their type and message).  The inputs are the builtin
+series, a series whose coefficient 2 is zero, a tail-less series and
+``RANDOM_SERIES`` seeded random series; the random bigfloat inputs carry 70
+digits (wider than the 50-digit working precision) and some random f64 inputs
+sit near 1e300, so rounding of wide inputs and overflow are pinned too.  A
+refactor that is meant to change no value must keep every digest.
+"""
+
+import hashlib
+import random
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+
+from seriaccel.field import BigFloatField, Float64Field, RationalField
+from seriaccel.jets import PowerSeries
+from seriaccel.prediction import leading_predictions, transformation_terms
+from seriaccel.remainders import (
+    evaluate_error_terms,
+    evaluate_transformation_terms,
+    leading_remainders,
+    remainder_jets,
+)
+from seriaccel.series_library import builtin_series
+from seriaccel.transforms import (
+    FAMILIES,
+    ScalarSequence,
+    aitken_table,
+    epsilon_cross_table,
+    epsilon_table,
+    iterated_theta_table,
+    theta_table,
+)
+
+FIELDS = {"rational": RationalField(), "bigfloat": BigFloatField(50), "f64": Float64Field()}
+RANDOM_SERIES = 40
+STORED = 8  # coefficients 0..7 are stored; the tail rule supplies the rest
+
+TABLES = (
+    ("aitken-classic", lambda seq: aitken_table(seq, "classic")),
+    ("aitken-rearranged", lambda seq: aitken_table(seq, "rearranged")),
+    ("epsilon", epsilon_table),
+    ("epsilon-cross-plain", lambda seq: epsilon_cross_table(seq, "plain")),
+    ("epsilon-cross-rearranged", lambda seq: epsilon_cross_table(seq, "rearranged")),
+    ("theta", theta_table),
+    ("theta-modified", lambda seq: theta_table(seq, modified=True)),
+    ("theta-iterated-classic", lambda seq: iterated_theta_table(seq, "classic")),
+    ("theta-iterated-rearranged", lambda seq: iterated_theta_table(seq, "rearranged")),
+)
+
+
+def _random_value(fld, rng):
+    if isinstance(fld, RationalField):
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+    if isinstance(fld, BigFloatField):
+        return Decimal(rng.randint(-10 ** 70, 10 ** 70)).scaleb(rng.randint(-72, -68))
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.choice((0, 0, 0, 299, 300))
+
+
+def _random_series(fld, seed):
+    memo = {}
+
+    def tail(i):
+        if i not in memo:
+            memo[i] = _random_value(fld, random.Random(seed * 7919 + i))
+        return memo[i]
+
+    return f"random-{seed}", PowerSeries(fld, tuple(tail(i) for i in range(STORED)), tail=tail)
+
+
+def _series(fld):
+    """(label, series) of every input series in ``fld``."""
+    def log(i):
+        return fld.from_fraction(Fraction((-1) ** i, i + 1))
+
+    out = [(name, builtin_series(name, params, STORED, fld).series)
+           for name, params in (("log1p-over-z", ()), ("zeta", (fld.from_int(2),)),
+                                ("geometric", ()))]
+    out.append(("gamma2-zero", PowerSeries(fld, tuple(fld.zero if i == 2 else log(i)
+                                                      for i in range(STORED)),
+                                           tail=lambda i: fld.zero if i == 2 else log(i))))
+    out.append(("tail-less", PowerSeries(fld, tuple(log(i) for i in range(STORED)))))
+    out += [_random_series(fld, seed) for seed in range(RANDOM_SERIES)]
+    return out
+
+
+def _sequences(fld):
+    """(label, sequence) of every textbook-table input in ``fld``."""
+    out = []
+    for label, series in _series(fld)[:8]:
+        for z in (Fraction(1, 2), Fraction(-9, 10), Fraction(3)):
+            z_f = fld.from_fraction(z)
+            out.append((f"{label}@{z}",
+                        ScalarSequence(fld, tuple(series.partial_sum(n, z_f) for n in range(STORED)))))
+    model = builtin_series("model", (fld.from_int(1), fld.from_int(1), fld.from_fraction(Fraction(1, 2))),
+                           STORED, fld)
+    out.append(("model", model.sequence))
+    for seed in range(RANDOM_SERIES):
+        rng = random.Random(seed)
+        values = [_random_value(fld, rng) for _ in range(STORED)]
+        if seed % 5 == 0:
+            values[3:6] = [values[3]] * 3  # a run of equal values
+        out.append((f"random-{seed}", ScalarSequence(fld, tuple(values))))
+    return out
+
+
+def _call(lines, label, fn, *args, **kwargs):
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # an error is an output too
+        lines.append(f"{label} {type(exc).__name__}: {exc}")
+        return None
+    return result
+
+
+def _tables(fld):
+    lines = []
+    for label, seq in _sequences(fld):
+        for name, build in TABLES:
+            table = _call(lines, f"{label} {name}", build, seq)
+            if table is not None:
+                lines.append(repr((label, name, table.family, table.size, list(table.entries.items()),
+                                   list(table.valid.items()), list(table.notes.items()))))
+    return lines
+
+
+def _jet_table(table):
+    return (table.family, table.order,
+            [(key, t.family, t.k, t.n, t.offset, t.term.coeffs) for key, t in table.terms.items()],
+            list(table.failures.items()))
+
+
+def _leading_table(table):
+    return (table.family, list(table.entries.items()), list(table.valid.items()),
+            list(table.nonzero.items()), list(table.notes.items()))
+
+
+def _transformation_terms(fld):
+    lines = []
+    for label, series in _series(fld):
+        for family in FAMILIES:
+            levels = (STORED - 1) // FAMILIES[family].step
+            table = _call(lines, f"{label} {family}", transformation_terms, series, family,
+                          levels, order=2)
+            if table is not None:
+                lines.append(repr((label, _jet_table(table))))
+    return lines
+
+
+def _remainder_jets(fld):
+    lines = []
+    for label, series in _series(fld):
+        for family in FAMILIES:
+            table = _call(lines, f"{label} {family}", remainder_jets, series, family, 2,
+                          order=2, n_max=2)
+            if table is not None:
+                lines.append(repr((label, _jet_table(table))))
+    return lines
+
+
+def _leading(fld):
+    lines = []
+    for label, series in _series(fld):
+        for family in FAMILIES:
+            step = FAMILIES[family].step
+            for name, fn, levels in (
+                ("prediction", leading_predictions, (STORED - 1) // step),
+                ("remainder", leading_remainders, (STORED - 2) // step),
+            ):
+                table = _call(lines, f"{label} {family} {name}", fn, series, family, levels)
+                if table is not None:
+                    lines.append(repr((label, name, _leading_table(table))))
+    return lines
+
+
+def _evaluate(fld):
+    lines = []
+    for label, series in _series(fld):
+        for name, fn, points in (
+            ("error", evaluate_error_terms, (Fraction(1, 2), Fraction(-1, 2), Fraction(1))),
+            ("transformation", evaluate_transformation_terms,
+             (Fraction(1, 2), Fraction(-3, 4), Fraction(1), Fraction(5))),
+        ):
+            for z in points:
+                cells = _call(lines, f"{label} {name} {z}", fn, series, fld.from_fraction(z),
+                              STORED - 1)
+                if cells is not None:
+                    lines.append(repr((label, name, str(z), list(cells.items()))))
+    return lines
+
+
+GROUPS = {
+    "tables": _tables,
+    "transformation_terms": _transformation_terms,
+    "remainder_jets": _remainder_jets,
+    "leading": _leading,
+    "evaluate": _evaluate,
+}
+
+# sha256 of the newline-joined lines of each (group, mode)
+EXPECTED = {
+    ('tables', 'rational'): "ce1aed9b663b2bc1e376f8c28890e6ccc775175d3fc0a13567a2c468cdd13b4f",
+    ('tables', 'bigfloat'): "216f76e486e98eabb5303bc5c558e43e0f3f1ba17c1c307f379bb1151f03f2bc",
+    ('tables', 'f64'): "486788d3e611eccb0e29145b5386f1d115dcea3ddc9e292927510352dd9e3d95",
+    ('transformation_terms', 'rational'): "c3428a3d42a41125364b24c924d039ef5e8f8873ddec631d60eecd6137ce0114",
+    ('transformation_terms', 'bigfloat'): "6b8cc19652da4e017ee48405edf8c48c6d800900b9e9eee05bead0bd4ad02418",
+    ('transformation_terms', 'f64'): "8fb93789e76caec8cfd351ddabc31c36cf58c2dd6daf704ea9c6e5ac72fc9d8a",
+    ('remainder_jets', 'rational'): "47100df8a1462c0e234962530aa0b239c740b9abc143e23201aca48725347271",
+    ('remainder_jets', 'bigfloat'): "6c9bec111c0f7e2e6a47314f43a3897cb255e99492a0b22ea2d03b5288398bab",
+    ('remainder_jets', 'f64'): "73c3a31d1473d8711d957c4c57f56539e7286be836fefdaa416b377fd1f56f6d",
+    ('leading', 'rational'): "3c2001a84beb313afd15bc37ed103f2087fa62af455386e173d0c8459ac5cf5d",
+    ('leading', 'bigfloat'): "29d650111ef5109a33fd1b80a647a8c98064f05c85f3a23c07b80a7950123cc9",
+    ('leading', 'f64'): "999f828cf47460f0409935ee429cad277d7ab35fabe5ed132560134f1487b200",
+    ('evaluate', 'rational'): "15460949bf3d9532a668fe8e00c549113f00452a2936f93dfb5b90ca2ac01388",
+    ('evaluate', 'bigfloat'): "33be806cc909cbfd379a86c81cda52ad0b3f846606b37bc320e4d539b915cd26",
+    ('evaluate', 'f64'): "f854ffc322cc4c333695dc2bb1dc39a8d7dea131b69902f7755c41d7d6b7d57d",
+}
+
+
+def digest(group, mode):
+    lines = GROUPS[group](FIELDS[mode])
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("group, mode", sorted(EXPECTED))
+def test_library_output_is_unchanged(group, mode):
+    assert digest(group, mode) == EXPECTED[(group, mode)]

@@ -13,12 +13,11 @@ from seriaccel.field import RationalField, decimal_string
 from seriaccel.jets import Jet, PowerSeries
 from seriaccel.prediction import (
     PredictionBreakdownError,
-    canonical_family,
     leading_predictions,
     predict_coefficients,
     transformation_terms,
 )
-from seriaccel.transforms import pade_linear_system
+from seriaccel.transforms import get_family, pade_linear_system
 
 RAT = RationalField()
 
@@ -34,9 +33,9 @@ def random_series(rng, count=11):
 
 
 def test_family_aliases():
-    assert canonical_family("theta") == "theta-iterated"
+    assert get_family("theta").name == "theta-iterated"
     with pytest.raises(ValueError):
-        canonical_family("rho")
+        get_family("rho")
 
 
 def test_first_aitken_term_matches_closed_form():
