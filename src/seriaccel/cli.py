@@ -108,6 +108,14 @@ _TABLE_BUILDERS = {
 }
 
 
+# --scheme values of the families that have more than one form
+_SCHEMES = {
+    "aitken": ("classic", "rearranged"),
+    "epsilon-cross": ("plain", "rearranged"),
+    "theta-iterated": ("classic", "rearranged"),
+}
+
+
 def _sequence_from_input(resolved, args, field):
     if resolved.sequence is not None:
         return resolved.sequence
@@ -124,8 +132,12 @@ def _sequence_from_input(resolved, args, field):
 
 
 def cmd_accelerate(args) -> int:
-    if args.scheme is not None and args.family in ("epsilon", "theta"):
-        raise _UsageError(f"--family {args.family} has no --scheme")
+    schemes = _SCHEMES.get(args.family, ())
+    if args.scheme is not None and args.scheme not in schemes:
+        if not schemes:
+            raise _UsageError(f"--family {args.family} has no --scheme")
+        raise _UsageError(f"--family {args.family} takes --scheme "
+                          f"{' or '.join(schemes)}, not {args.scheme}")
     if args.modified and args.family != "theta":
         raise _UsageError("--modified applies to --family theta only")
     field = _field(args.mode)

@@ -6,12 +6,18 @@ a power of the series variable times a *transformation term*.  The Taylor
 coefficients of that term are predictions for the series coefficients the
 approximant never saw.
 
-Two routes are implemented and cross-check each other:
+Three routes are implemented and cross-check each other:
 
 * :func:`transformation_terms` expands the terms as jets via the rearranged
   recursions, giving as many predicted coefficients as the jet order allows;
+* for epsilon, whose entry at level ``k``, start ``n`` is the [n+k/k] Pade
+  approximant, the family's prediction strategy writes the term in closed
+  form from the Pade denominator (one linear solve instead of the triangle);
 * :func:`leading_predictions` runs the dedicated scalar recursions for just
   the first prediction (the term's constant part), with no jets involved.
+
+:func:`predict_coefficients` takes the closed form where the family has one
+and the jet expansion otherwise.
 
 The family names are ``"aitken"`` (iterated delta-squared), ``"epsilon"``
 (Wynn's algorithm / Pade approximants) and ``"theta-iterated"`` (alias
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 from ._recursions import JetOps, NumericOps, _Build, run_recursion
 from .field import BreakdownError, Scalar
 from .jets import Jet, PowerSeries
-from .transforms import Family, get_family, selection_indices
+from .transforms import DegeneratePadeError, Family, get_family, selection_indices
 
 __all__ = [
     "PredictionBreakdownError",
@@ -221,16 +227,26 @@ def predict_coefficients(
     """Predict the ``count`` coefficients after ``last_index``.
 
     Uses the family's selection rule to pick the deepest transformation term
-    reachable from coefficients ``0..last_index``, expands it with two guard
-    orders of headroom, and reads the predictions off its Taylor
-    coefficients.  The first prediction equals the corresponding
-    :func:`leading_predictions` entry exactly.
+    reachable from coefficients ``0..last_index`` and reads the predictions
+    off its Taylor coefficients.  A family with a closed-form term
+    (``Family.prediction_term``: epsilon, from its Pade denominator) expands
+    it through order ``count - 1``; the others expand their recursion over
+    jets with two guard orders of headroom.  The first prediction equals the
+    corresponding :func:`leading_predictions` entry exactly where that entry
+    is valid.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    k, n = selection_indices(get_family(family).step, last_index)
-    table = transformation_terms(
-        series, family, max_level=k, order=count + 2, last_index=last_index
-    )
-    term = table.term(k, n)  # raises PredictionBreakdownError if that cell broke
-    return tuple((last_index + 1 + j, term.term.coeffs[j]) for j in range(count))
+    fam = get_family(family)
+    k, n = selection_indices(fam.step, _last_index(series, last_index))
+    if fam.prediction_term is None:
+        table = transformation_terms(
+            series, family, max_level=k, order=count + 2, last_index=last_index
+        )
+        term = table.term(k, n).term  # raises PredictionBreakdownError if that cell broke
+    else:
+        try:
+            term = fam.prediction_term(series, k, n, count - 1)
+        except DegeneratePadeError as exc:
+            raise PredictionBreakdownError(fam.name, k, n, str(exc)) from None
+    return tuple((last_index + 1 + j, term.coeffs[j]) for j in range(count))

@@ -9,8 +9,8 @@ Implemented here:
 * Brezinski's theta algorithm (with the modified odd-column variant) and the
   iterated theta transformation, again in textbook and rearranged forms;
 * the family registry :data:`FAMILIES` (names, aliases, steps, selection
-  rules and recursion steps), a Pade solver used as an independent oracle,
-  and a convergence-type classifier.
+  rules, recursion steps and prediction strategies), a Pade solver, and a
+  convergence-type classifier.
 
 The rearranged forms are the family steps of :mod:`seriaccel._recursions`
 at z = 1, where the shifted difference ``z * X(n+1) - X(n)`` is the forward
@@ -192,7 +192,10 @@ class Family:
     ``recursion`` is the rearranged step shared by transformation terms,
     remainder terms and, at z = 1, the rearranged table, and ``deps`` the
     cells it reads; the two ``leading_*`` steps are the scalar recursions for
-    the z-independent parts.
+    the z-independent parts.  ``prediction_term`` is the family's prediction
+    strategy when its transformation term has a closed form:
+    ``(series, k, n, order) -> Jet`` gives the term at ``(k, n)`` through
+    ``order``.  Without one, predictions expand ``recursion`` over jets.
     """
 
     name: str
@@ -203,6 +206,26 @@ class Family:
     recursion: Callable
     leading_prediction: Callable
     leading_remainder: Callable
+    prediction_term: Callable[[PowerSeries, int, int, int], Jet] | None = None
+
+
+def _epsilon_pade_term(series: PowerSeries, k: int, n: int, order: int) -> Jet:
+    """Transformation term of the epsilon entry at level ``k``, start ``n``.
+
+    That entry is the [n+k/k] Pade approximant P/Q of the coefficients
+    ``0..m``, ``m = n + 2k``.  Since ``P - Q*S_m = O(z**(m+1))`` and
+    ``deg P <= m``, the term is ``-[Q*S_m]_{>m} / (z**(m+1) * Q)``, exactly;
+    coefficient ``j`` of its numerator is ``-(Q*A)[k + j]``, where ``A`` holds
+    the top ``k`` coefficients of ``S_m``.  A singular system for Q raises
+    :class:`DegeneratePadeError`.
+    """
+    fld = series.field
+    m = n + 2 * k
+    q = pade_linear_system(series, n + k, k).denominator
+    top = Jet.from_coeffs(fld, [series.coefficient(i) for i in range(m - k + 1, m + 1)],
+                          order=k + order)
+    high = Jet.from_coeffs(fld, q, order=k + order) * top  # Q left: its zero padding is skipped
+    return Jet(fld, high.coeffs[k:]).scale(-1) / Jet.from_coeffs(fld, q, order=order)
 
 
 FAMILIES = {
@@ -213,7 +236,8 @@ FAMILIES = {
                rec.aitken_leading_prediction, rec.aitken_leading_remainder),
         Family("epsilon", (), 2, {EPSILON: 2, EPSILON_CROSS: 2},
                rec.epsilon_deps, rec.epsilon_step,
-               rec.epsilon_leading_prediction, rec.epsilon_leading_remainder),
+               rec.epsilon_leading_prediction, rec.epsilon_leading_remainder,
+               _epsilon_pade_term),
         Family("theta-iterated", ("theta",), 3,
                {THETA: 2, THETA_ITERATED_CLASSIC: 1, THETA_ITERATED_REARRANGED: 1},
                rec.theta_deps, rec.theta_step,
@@ -384,7 +408,7 @@ def select_approximant(table: TransformTable, m: int | None = None) -> tuple[int
 
 
 # ---------------------------------------------------------------------------
-# Pade approximants as an independent linear-algebra oracle
+# Pade approximants: the epsilon prediction strategy and an independent oracle
 
 
 @dataclass(frozen=True)
@@ -468,7 +492,8 @@ def pade_linear_system(series: PowerSeries, l: int, m: int) -> PadeRational:
         q = [fld.one]
     else:
         matrix = [[gamma(l + j - i) for i in range(1, m + 1)] for j in range(1, m + 1)]
-        rhs = [-gamma(l + j) for j in range(1, m + 1)]
+        with fld.arithmetic():  # a bigfloat negation rounds to the current context
+            rhs = [-gamma(l + j) for j in range(1, m + 1)]
         solution = _solve_linear(fld, matrix, rhs)
         if solution is None:
             raise DegeneratePadeError(f"[{l}/{m}] linear system is singular")

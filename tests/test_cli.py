@@ -157,10 +157,13 @@ def test_literal_that_is_not_a_finite_number_exits_one_before_any_output(capsys,
 @pytest.mark.parametrize("family, flags, message", [
     ("epsilon", ("--scheme", "rearranged"), "--family epsilon has no --scheme"),
     ("theta", ("--scheme", "classic"), "--family theta has no --scheme"),
-    ("aitken", ("--scheme", "plain"), "scheme must be 'classic' or 'rearranged'"),
-    ("epsilon-cross", ("--scheme", "classic"), "form must be 'plain' or 'rearranged'"),
+    ("aitken", ("--scheme", "plain"), "--family aitken takes --scheme classic or rearranged, not plain"),
+    ("epsilon-cross", ("--scheme", "classic"),
+     "--family epsilon-cross takes --scheme plain or rearranged, not classic"),
     ("aitken", ("--modified",), "--modified applies to --family theta only"),
     ("theta-iterated", ("--modified",), "--modified applies to --family theta only"),
+    ("theta-iterated", ("--scheme", "plain"),
+     "--family theta-iterated takes --scheme classic or rearranged, not plain"),
 ])
 def test_accelerate_rejects_flags_the_family_does_not_take(capsys, family, flags, message):
     code, out, err = run(capsys, *LOG_ACCELERATE[:4], family, "--z=1/2", *flags)

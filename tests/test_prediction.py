@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _laurent import (
     classic_aitken,
@@ -9,7 +10,7 @@ from _laurent import (
     classic_iterated_theta,
     partial_sum_laurents,
 )
-from seriaccel.field import RationalField, decimal_string
+from seriaccel.field import BigFloatField, Float64Field, RationalField, decimal_string
 from seriaccel.jets import Jet, PowerSeries
 from seriaccel.prediction import (
     PredictionBreakdownError,
@@ -17,6 +18,7 @@ from seriaccel.prediction import (
     predict_coefficients,
     transformation_terms,
 )
+from seriaccel.series_library import builtin_series
 from seriaccel.transforms import get_family, pade_linear_system
 
 RAT = RationalField()
@@ -190,3 +192,162 @@ def test_selected_breakdown_propagates_as_typed_error():
     with pytest.raises(PredictionBreakdownError) as err:
         predict_coefficients(series, "aitken", 4, 2)
     assert err.value.family == "aitken"
+
+
+# -- epsilon: the Pade route against the jet route -------------------------------
+#
+# ``predict_coefficients`` reads epsilon predictions off the transformation term
+# of the [n+k/k] Pade approximant; ``transformation_terms`` expands the epsilon
+# recursion over jets and is the oracle.
+
+
+def builtin(name, fld, count):
+    params = (fld.from_int(2),) if name == "zeta" else ()
+    return builtin_series(name, params, count, fld).series
+
+
+def broke(k, n):
+    return f"breakdown at ({k}, {n})"
+
+
+def epsilon_routes(series, use, count):
+    """Predictions of the Pade route and of the jet route, each a tuple of
+    values or :func:`broke` of the cell where it broke down."""
+    k, n = use // 2, use % 2
+    try:
+        pade = tuple(value for _, value in predict_coefficients(series, "epsilon", use, count))
+    except PredictionBreakdownError as exc:
+        pade = broke(exc.k, exc.n)
+    try:
+        table = transformation_terms(series, "epsilon", k, order=count + 2, last_index=use)
+        jets = table.term(k, n).term.coeffs[:count]
+    except PredictionBreakdownError as exc:
+        jets = broke(exc.k, exc.n)
+    return pade, jets
+
+
+@pytest.mark.parametrize("name", ["log1p-over-z", "zeta"])
+def test_epsilon_pade_route_equals_the_jet_route_on_the_builtins(name):
+    series = builtin(name, RAT, 25)
+    count = 5
+    # One jet table holds the selected term of every use through 24.
+    table = transformation_terms(series, "epsilon", 12, order=count + 2, last_index=24)
+    for use in range(2, 25):
+        predictions = predict_coefficients(series, "epsilon", use, count)
+        assert [index for index, _ in predictions] == list(range(use + 1, use + count + 1))
+        jets = table.term(use // 2, use % 2).term.coeffs[:count]
+        assert tuple(value for _, value in predictions) == jets, use
+
+
+@given(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_epsilon_pade_route_against_the_jet_route_with_zeros(coeffs):
+    series = PowerSeries(RAT, tuple(F(c) for c in coeffs))
+    use = len(coeffs) - 1
+    k, n = use // 2, use % 2
+    pade, jets = epsilon_routes(series, use, 3)
+    if pade == broke(k, n):  # then the jet route broke down too, at the same cell
+        assert jets == pade
+        return
+    taylor = pade_linear_system(series, n + k, k).taylor_jet(use + 3)
+    assert pade == taylor.coeffs[use + 1:]
+    assert jets in (pade, broke(k, n))
+
+
+def _rational_series(count):
+    """1 + 3z/(2 - z): coefficients 1, 3/2, 3/4, 3/8, ..."""
+    return PowerSeries(RAT, (F(1),) + tuple(F(3, 2 ** i) for i in range(1, count)))
+
+
+def _polynomial(count):
+    """1 + 2z + 3z**2, padded with zeros."""
+    return PowerSeries(RAT, tuple(F(i + 1) if i < 3 else F(0) for i in range(count)))
+
+
+@pytest.mark.parametrize("label, series, uses", [
+    ("geometric", builtin("geometric", RAT, 12), range(4, 12)),
+    ("polynomial", _polynomial(12), range(5, 12)),
+    ("1 + 3z/(2 - z)", _rational_series(12), range(4, 12)),
+])
+def test_epsilon_pade_route_breaks_down_where_the_jet_route_does(label, series, uses):
+    for use in uses:
+        k, n = use // 2, use % 2
+        assert epsilon_routes(series, use, 4) == (broke(k, n), broke(k, n)), (label, use)
+        with pytest.raises(PredictionBreakdownError, match=rf"\[{n + k}/{k}\] linear system is singular"):
+            predict_coefficients(series, "epsilon", use, 4)
+
+
+# Where only the jet route breaks down, the Pade route predicts the Taylor
+# coefficients of the [n+k/k] approximant: the first two are pinned.
+ONLY_THE_JET_ROUTE_BREAKS = {
+    "alternate zeros": (
+        lambda i: F(1, i // 2 + 1) if i % 2 == 0 else F(0),
+        {4: ("0", "2/9"), 5: ("2/9", "0"), 7: ("3/16", "0"), 8: ("0", "33/200"),
+         9: ("33/200", "0")},
+    ),
+    "gamma2 zero": (
+        lambda i: F(0) if i == 2 else F(1, i + 1),
+        {4: ("57/200", "41/125"), 5: ("52/375", "649/5625"),
+         6: ("95447/782775", "8094896/77807835"), 7: ("14765/133056", "24462505/245887488"),
+         8: ("6768025/67734072", "14729502565/162553306041"),
+         9: ("44431/488775", "3899013919/46805094000"),
+         10: ("337869349/4054582224", "64641427091/840505241268"),
+         11: ("1789669/23265792", "89497863721/1253002493952")},
+    ),
+    "polynomial": (lambda i: F(i + 1) if i < 3 else F(0), {4: ("0", "0")}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ONLY_THE_JET_ROUTE_BREAKS))
+def test_epsilon_pade_route_predicts_where_only_the_jet_route_breaks(label):
+    coefficient, pinned = ONLY_THE_JET_ROUTE_BREAKS[label]
+    series = PowerSeries(RAT, tuple(coefficient(i) for i in range(12)))
+    for use, values in pinned.items():
+        k, n = use // 2, use % 2
+        pade, jets = epsilon_routes(series, use, 2)
+        assert jets == broke(k, n), (label, use)
+        taylor = pade_linear_system(series, n + k, k).taylor_jet(use + 2)
+        assert pade == taylor.coeffs[use + 1:], (label, use)
+        assert tuple(str(value) for value in pade) == values, (label, use)
+
+
+def _relative_error(values, exact):
+    return max(abs(F(value) - e) / abs(e) for value, e in zip(values, exact))
+
+
+# (mode, name, use) -> which routes break down; every other case of
+# FLOAT_USES has both routes printing predictions.
+FLOAT_USES = (8, 12, 20, 30, 40)
+FLOAT_BREAKDOWNS = {
+    ("f64", "log1p-over-z", 30): "jets",
+    ("f64", "log1p-over-z", 40): "both",
+    ("f64", "zeta", 20): "jets",
+    ("f64", "zeta", 30): "both",
+    ("f64", "zeta", 40): "both",
+}
+
+
+@pytest.mark.parametrize("mode", ["bigfloat", "f64"])
+def test_float_epsilon_pade_route_stays_within_ten_times_the_jet_route_error(mode):
+    fld = BigFloatField(50) if mode == "bigfloat" else Float64Field()
+    for name in ("log1p-over-z", "zeta"):
+        exact_series = builtin(name, RAT, 41)
+        series = builtin(name, fld, 41)
+        for use in FLOAT_USES:
+            exact = [value for _, value in predict_coefficients(exact_series, "epsilon", use, 4)]
+            pade, jets = epsilon_routes(series, use, 4)
+            outcome = {(True, True): "both", (False, True): "jets", (True, False): "pade"}.get(
+                (isinstance(pade, str), isinstance(jets, str)))
+            assert outcome == FLOAT_BREAKDOWNS.get((mode, name, use)), (name, use)
+            if outcome is None:
+                assert _relative_error(pade, exact) <= 10 * _relative_error(jets, exact), (name, use)
+            elif outcome == "jets":
+                assert _relative_error(pade, exact) < F(1, 10 ** 10), (name, use)
+
+
+@pytest.mark.parametrize("name", ["log1p-over-z", "zeta"])
+def test_bigfloat_epsilon_predictions_at_use_20_keep_40_digits(name):
+    exact = predict_coefficients(builtin(name, RAT, 21), "epsilon", 20, 4)
+    got = predict_coefficients(builtin(name, BigFloatField(50), 21), "epsilon", 20, 4)
+    assert [index for index, _ in got] == [index for index, _ in exact]
+    assert _relative_error([v for _, v in got], [v for _, v in exact]) < F(1, 10 ** 40)

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from seriaccel.field import Float64Field, RationalField
+from seriaccel.field import BigFloatField, Float64Field, RationalField
 from seriaccel.jets import PowerSeries
+from seriaccel.series_library import builtin_series
 from seriaccel.transforms import (
     DegeneratePadeError,
     ModelSequence,
@@ -209,6 +210,15 @@ def test_epsilon_produces_pade_values_on_log_series():
         for n in range(13 - 2 * k):
             pade = pade_linear_system(series, n + k, k)
             assert table.entry(2 * k, n) == pade.evaluate(z)
+
+
+def test_bigfloat_pade_denominator_keeps_the_working_precision():
+    # The right-hand side of the system is negated inside the field's context:
+    # Python's default 28-digit context would round it.
+    exact, wide = (pade_linear_system(builtin_series("log1p-over-z", (), 9, fld).series, 4, 4)
+                   for fld in (RAT, BigFloatField(50)))
+    for got, want in zip(wide.denominator, exact.denominator, strict=True):
+        assert abs(F(got) - want) <= F(1, 10 ** 44) * abs(want)
 
 
 def test_pade_singular_system():
