@@ -194,7 +194,7 @@ def test_selected_breakdown_propagates_as_typed_error():
     assert err.value.family == "aitken"
 
 
-# -- epsilon: the Pade route against the jet route -------------------------------
+# -- epsilon: the Pade route against the jet route ----------------------------
 #
 # ``predict_coefficients`` reads epsilon predictions off the transformation term
 # of the [n+k/k] Pade approximant; ``transformation_terms`` expands the epsilon
