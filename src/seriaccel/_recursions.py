@@ -23,7 +23,9 @@ remainder form breaks down when ``d1`` has a zero constant part, so the step
 keeps both.  The Aitken form ``X(n+2) - d1**2 / (z*d1 - d0)`` cannot replace
 the remainder form: at z = 1 that must break down wherever the textbook
 ``eps_1 = 1/Delta`` does.  The ``*_leading_*`` functions are the scalar
-recursions for the z-independent parts of the two kinds of term.
+recursions for the z-independent parts of the two kinds of term; they take
+the same arguments as the family steps, read the injected coefficients, and
+run through :func:`run_recursion` too.
 
 Steps run over any carrier with ring operators, a checked division and
 multiplication by the series variable: :class:`JetOps` over truncated power
@@ -155,8 +157,10 @@ class _Build:
                 prev, cur = cur, row
 
 
-def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, scale: int = 1) -> _Build:
-    """Run ``family.recursion`` over cells ``(k, n)`` with ``n + step*k <= top``.
+def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, scale: int = 1,
+                  recursion=None) -> _Build:
+    """Run ``recursion`` (default ``family.recursion``) over cells ``(k, n)``
+    with ``n + step*k <= top``.
 
     With ``coeff`` (transformation terms, ``seed`` all zeros) the step gets
     the carrier constants ``coeff(n + step*k + 1 .. n + step*k + step)`` to
@@ -165,7 +169,7 @@ def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, scale: i
     it gets ``None`` and injects nothing.  ``scale`` is the key scale of
     :class:`_Build`.
     """
-    step, recursion = family.step, family.recursion
+    step, recursion = family.step, recursion or family.recursion
 
     def cell(k, n, cur, prev):
         g = None if coeff is None else [ops.const(coeff(n + step * k + i)) for i in range(1, step + 1)]
@@ -241,48 +245,46 @@ def theta_step(ops, g, k, n, cur, prev):
 
 
 # ---------------------------------------------------------------------------
-# scalar steps for the leading (z-independent) parts: predictions read the
-# coefficients ``gamma``, remainders start from ``-gamma(n + 1)`` and ignore it
+# scalar steps for the leading (z-independent) parts, run by :func:`run_recursion`
+# like the family steps: predictions read the injected coefficients ``g``,
+# remainders start from ``-gamma(n + 1)`` and get ``g = None``
 
 
-def aitken_leading_prediction(fld, gamma, k, n, cur, prev):
-    hi = gamma(n + 2 * k + 2) - cur[n + 1]
-    lo = gamma(n + 2 * k + 1) - cur[n]
-    return cur[n + 2] + fld.div(hi * hi, lo)
+def aitken_leading_prediction(ops, g, k, n, cur, prev):
+    hi = g[1] - cur[n + 1]
+    lo = g[0] - cur[n]
+    return cur[n + 2] + ops.div(hi * hi, lo)
 
 
-def aitken_leading_remainder(fld, gamma, k, n, cur, prev):
-    return cur[n + 2] - fld.div(cur[n + 1] * cur[n + 1], cur[n])
+def aitken_leading_remainder(ops, g, k, n, cur, prev):
+    return cur[n + 2] - ops.div(cur[n + 1] * cur[n + 1], cur[n])
 
 
-def epsilon_leading_prediction(fld, gamma, k, n, cur, prev):
+def epsilon_leading_prediction(ops, g, k, n, cur, prev):
     if k == 0:
-        g = gamma(n + 2)
-        return fld.div(g * g, gamma(n + 1))
-    hi = gamma(n + 2 * k + 2) - cur[n + 1]
+        return ops.div(g[1] * g[1], g[0])
+    hi = g[1] - cur[n + 1]
     sq = hi * hi
-    direct = fld.div(sq, gamma(n + 2 * k + 1) - cur[n])
-    across = fld.div(sq, gamma(n + 2 * k + 1) - prev[n + 2])
+    direct = ops.div(sq, g[0] - cur[n])
+    across = ops.div(sq, g[0] - prev[n + 2])
     return cur[n + 2] + direct - across
 
 
-def epsilon_leading_remainder(fld, gamma, k, n, cur, prev):
+def epsilon_leading_remainder(ops, g, k, n, cur, prev):
     sq = cur[n + 1] * cur[n + 1]
-    value = cur[n + 2] - fld.div(sq, cur[n])
+    value = cur[n + 2] - ops.div(sq, cur[n])
     if k >= 1:
-        value = value + fld.div(sq, prev[n + 2])
+        value = value + ops.div(sq, prev[n + 2])
     return value
 
 
-def theta_leading_prediction(fld, gamma, k, n, cur, prev):
-    u0 = gamma(n + 3 * k + 1) - cur[n]
-    u1 = gamma(n + 3 * k + 2) - cur[n + 1]
-    u2 = gamma(n + 3 * k + 3) - cur[n + 2]
-    num = u2 * (u1 * u1 - fld.from_int(2) * u0 * u2)
-    return cur[n + 3] - fld.div(num, u0 * u1)
+def theta_leading_prediction(ops, g, k, n, cur, prev):
+    u0, u1, u2 = (gi - cur[n + i] for i, gi in enumerate(g))
+    num = u2 * (u1 * u1 - ops.const(2) * u0 * u2)
+    return cur[n + 3] - ops.div(num, u0 * u1)
 
 
-def theta_leading_remainder(fld, gamma, k, n, cur, prev):
-    two = fld.from_int(2)
+def theta_leading_remainder(ops, g, k, n, cur, prev):
+    two = ops.const(2)
     num = cur[n + 2] * (two * cur[n] * cur[n + 2] - cur[n + 1] * cur[n + 1])
-    return cur[n + 3] - fld.div(num, cur[n] * cur[n + 1])
+    return cur[n + 3] - ops.div(num, cur[n] * cur[n + 1])

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, localcontext
 from fractions import Fraction
 from typing import Union
 
@@ -220,7 +220,10 @@ class BigFloatField(Field):
     def __post_init__(self):
         if self.digits < 50:
             raise ValueError("bigfloat mode is defined for >= 50 significant digits")
-        object.__setattr__(self, "_context", Context(prec=self.digits, rounding=ROUND_HALF_EVEN))
+        # Overflow and invalid operations give infinities and NaNs, which the
+        # builders flag as ``overflow``, as f64 arithmetic does.
+        object.__setattr__(self, "_context", Context(prec=self.digits, rounding=ROUND_HALF_EVEN,
+                                                     traps=[DivisionByZero]))
         # 10 guard digits of slack below the working precision.
         object.__setattr__(self, "near_zero", Decimal(1).scaleb(10 - self.digits))
 
@@ -233,7 +236,7 @@ class BigFloatField(Field):
             return Decimal(value.numerator) / Decimal(value.denominator)
 
     def _from_decimal(self, value: Decimal) -> Decimal:
-        with self.arithmetic():  # raises decimal.Overflow past the context's exponent range
+        with self.arithmetic():  # infinite past the context's exponent range
             return +value
 
     def is_zero(self, value, scale=None) -> bool:

@@ -17,7 +17,10 @@ Three routes are implemented and cross-check each other:
   the first prediction (the term's constant part), with no jets involved.
 
 :func:`predict_coefficients` takes the closed form where the family has one
-and the jet expansion otherwise.
+and the jet expansion otherwise, and both expand exactly through the last
+coefficient it returns: coefficient ``j`` of a truncated jet sum, product,
+reciprocal or shift depends only on operand coefficients up to ``j``, so a
+longer expansion would give the same predictions.
 
 The family names are ``"aitken"`` (iterated delta-squared), ``"epsilon"``
 (Wynn's algorithm / Pade approximants) and ``"theta-iterated"`` (alias
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from ._recursions import JetOps, NumericOps, _Build, run_recursion
+from ._recursions import JetOps, NumericOps, run_recursion
 from .field import BreakdownError, Scalar
 from .jets import Jet, PowerSeries
 from .transforms import DegeneratePadeError, Family, get_family, selection_indices
@@ -94,7 +97,7 @@ class TermJetTable:
         return iter(sorted(self.terms.values(), key=lambda t: (t.k, t.n)))
 
 
-def _term_table(family: Family, order: int, build: _Build) -> TermJetTable:
+def _term_table(family: Family, order: int, build) -> TermJetTable:
     terms = {(k, n): TermJet(family.name, k, n, n + family.step * k + 1, jet)
              for (k, n), jet in build.entries.items()}
     return TermJetTable(family.name, order, terms, build.failures)
@@ -138,13 +141,11 @@ class LeadingTable:
 
 
 def _leading_table(series: PowerSeries, family: Family, max_level: int, top: int, seed,
-                   cell) -> LeadingTable:
+                   cell, coeff=None) -> LeadingTable:
     """Run the scalar leading-part step ``cell`` over ``(k, n)``, ``n + step*k <= top``."""
     fld = series.field
-    gamma = series.coefficient
-    build = _Build(NumericOps(fld, fld.zero), max_level, lambda k: top - family.step * k,
-                   family.deps, seed)
-    build.run(lambda k, n, cur, prev: cell(fld, gamma, k, n, cur, prev))
+    build = run_recursion(family, NumericOps(fld, fld.zero), max_level, top, seed, coeff,
+                          recursion=cell)
     nonzero = {key: not fld.is_zero(value) for key, value in build.entries.items()}
     return LeadingTable(family.name, build.entries, build.valid, nonzero, build.failures)
 
@@ -215,7 +216,8 @@ def leading_predictions(
     m = _last_index(series, last_index)
     fam = _checked(family, max_level, m)
     seed = [series.field.zero] * (m + 1)
-    return _leading_table(series, fam, max_level, m, seed, fam.leading_prediction)
+    return _leading_table(series, fam, max_level, m, seed, fam.leading_prediction,
+                          series.coefficient)
 
 
 def predict_coefficients(
@@ -228,25 +230,24 @@ def predict_coefficients(
 
     Uses the family's selection rule to pick the deepest transformation term
     reachable from coefficients ``0..last_index`` and reads the predictions
-    off its Taylor coefficients.  A family with a closed-form term
-    (``Family.prediction_term``: epsilon, from its Pade denominator) expands
-    it through order ``count - 1``; the others expand their recursion over
-    jets with two guard orders of headroom.  The first prediction equals the
-    corresponding :func:`leading_predictions` entry exactly where that entry
-    is valid.
+    off its Taylor coefficients through order ``count - 1``.  A family with
+    a closed-form term (``Family.prediction_term``: epsilon, from its Pade
+    denominator) expands that; the others expand their recursion over jets.
+    The first prediction equals the corresponding :func:`leading_predictions`
+    entry exactly where that entry is valid.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     fam = get_family(family)
     k, n = selection_indices(fam.step, _last_index(series, last_index))
+    order = count - 1
     if fam.prediction_term is None:
-        table = transformation_terms(
-            series, family, max_level=k, order=count + 2, last_index=last_index
-        )
+        table = transformation_terms(series, family, max_level=k, order=order,
+                                     last_index=last_index)
         term = table.term(k, n).term  # raises PredictionBreakdownError if that cell broke
     else:
         try:
-            term = fam.prediction_term(series, k, n, count - 1)
+            term = fam.prediction_term(series, k, n, order)
         except DegeneratePadeError as exc:
             raise PredictionBreakdownError(fam.name, k, n, str(exc)) from None
     return tuple((last_index + 1 + j, term.coeffs[j]) for j in range(count))

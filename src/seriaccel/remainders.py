@@ -202,8 +202,11 @@ def _selected_cells(family, step, entries, failures, fld, z, m_max):
                 # Not enough inputs for a genuine transform yet: zero by convention.
                 cells.append(TermCell(m, family, k, n, fld.zero, True))
             elif (k, n) in entries:
-                value = z ** (m + 1) * entries[(k, n)]
-                if fld.is_finite(value):
+                try:
+                    value = z ** (m + 1) * entries[(k, n)]
+                except OverflowError:  # a float power raises where a product gives inf
+                    value = None
+                if value is not None and fld.is_finite(value):
                     cells.append(TermCell(m, family, k, n, value, True))
                 else:
                     cells.append(TermCell(m, family, k, n, None, False, "overflow"))
@@ -213,24 +216,19 @@ def _selected_cells(family, step, entries, failures, fld, z, m_max):
     return cells
 
 
-def _evaluate(series, z, m_max, families, seed, coeff=None) -> dict[str, list[TermCell]]:
-    """Selected cells per family (default: all) of the rearranged recursion at ``z``."""
+def _evaluate(series, z, m_max, seed, coeff=None) -> dict[str, list[TermCell]]:
+    """Selected cells per family of the rearranged recursion at ``z``."""
     fld = series.field
     ops = NumericOps(fld, z)
     out = {}
-    for fam in FAMILIES.values() if families is None else map(get_family, families):
+    for fam in FAMILIES.values():
         build = run_recursion(fam, ops, m_max // fam.step, m_max, seed, coeff)
         out[fam.name] = _selected_cells(fam.name, fam.step, build.entries, build.failures,
                                         fld, z, m_max)
     return out
 
 
-def evaluate_error_terms(
-    series: PowerSeries,
-    z: Scalar,
-    m_max: int,
-    families=None,
-) -> dict[str, list[TermCell]]:
+def evaluate_error_terms(series: PowerSeries, z: Scalar, m_max: int) -> dict[str, list[TermCell]]:
     """Numeric error terms (approximant minus function) per family and m.
 
     The remainder recursions run directly on the numeric scaled truncation
@@ -244,15 +242,11 @@ def evaluate_error_terms(
     tail rule raises :class:`~seriaccel.jets.MissingCoefficientError`.
     """
     z = series.field.ensure(z)
-    return _evaluate(series, z, m_max, families, _remainder_bases(series, z, m_max))
+    return _evaluate(series, z, m_max, _remainder_bases(series, z, m_max))
 
 
-def evaluate_transformation_terms(
-    series: PowerSeries,
-    z: Scalar,
-    m_max: int,
-    families=None,
-) -> dict[str, list[TermCell]]:
+def evaluate_transformation_terms(series: PowerSeries, z: Scalar,
+                                  m_max: int) -> dict[str, list[TermCell]]:
     """Numeric transformation terms (approximant minus its partial sum).
 
     Runs on the series coefficients and a numeric point, which may lie far
@@ -261,4 +255,4 @@ def evaluate_transformation_terms(
     """
     z = series.field.ensure(z)
     zeros = [series.field.zero] * (m_max + 1)
-    return _evaluate(series, z, m_max, families, zeros, series.coefficient)
+    return _evaluate(series, z, m_max, zeros, series.coefficient)

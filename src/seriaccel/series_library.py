@@ -142,15 +142,13 @@ def resolve_series_spec(spec: str, field: Field, count: int) -> ResolvedInput:
 _MODE_HEADER = re.compile(r"^#\s*mode\s*:\s*(rational|bigfloat|f64)\s*$")
 
 
-def load_coefficient_file(
-    path: str | Path,
-    field: Field | None = None,
-    digits: int = 50,
-) -> tuple[Field, PowerSeries]:
+def load_coefficient_file(path: str | Path,
+                          field: Field | None = None) -> tuple[Field, PowerSeries]:
     """Read one coefficient per line; ``# mode:`` header picks the field.
 
     An explicitly supplied ``field`` wins over the header; without either,
-    coefficients load in rational mode.
+    coefficients load in rational mode.  A header-picked bigfloat field has
+    50 digits.
     """
     text = Path(path).read_text()
     mode_from_header = None
@@ -169,6 +167,6 @@ def load_coefficient_file(
     if not values:
         raise ParseError(f"{path}: no coefficients found")
     if field is None:
-        field = field_for_mode(mode_from_header or "rational", digits)
+        field = field_for_mode(mode_from_header or "rational")
     coeffs = tuple(field.parse(v) for v in values)
     return field, PowerSeries(field, coeffs)

@@ -160,7 +160,7 @@ class TransformTable:
         return self.size - 1
 
     def has(self, k: int, n: int) -> bool:
-        return (k, n) in self.entries or (k, n) in self.valid
+        return (k, n) in self.valid
 
     def is_valid(self, k: int, n: int) -> bool:
         return self.valid.get((k, n), False)
@@ -438,23 +438,19 @@ class PadeRational:
 
 
 def _solve_linear(fld: Field, matrix, rhs):
-    """Gaussian elimination with pivoting; None when singular."""
+    """Gaussian elimination, pivoting on the largest nonzero magnitude; None
+    when singular.  A nonsingular system has one solution, so in rational
+    mode the pivot order changes only the cost, never the result."""
     n = len(rhs)
     a = [list(row) + [value] for row, value in zip(matrix, rhs)]
     with fld.arithmetic():
         for col in range(n):
             pivot_row = None
-            if isinstance(fld.zero, Fraction):
-                for r in range(col, n):
-                    if a[r][col] != 0:
-                        pivot_row = r
-                        break
-            else:
-                best = None
-                for r in range(col, n):
-                    mag = abs(a[r][col])
-                    if not fld.is_zero(a[r][col]) and (best is None or mag > best):
-                        best, pivot_row = mag, r
+            best = None
+            for r in range(col, n):
+                mag = abs(a[r][col])
+                if not fld.is_zero(a[r][col]) and (best is None or mag > best):
+                    best, pivot_row = mag, r
             if pivot_row is None:
                 return None
             a[col], a[pivot_row] = a[pivot_row], a[col]
@@ -516,16 +512,13 @@ class ConvergenceReport:
     rho: Scalar | None = None
 
 
-def classify_convergence(
-    seq: ScalarSequence,
-    limit: Scalar | None = None,
-    tolerance: Fraction = Fraction(1, 100),
-) -> ConvergenceReport:
+def classify_convergence(seq: ScalarSequence, limit: Scalar | None = None) -> ConvergenceReport:
     """Classify by the limiting ratio of consecutive distances to the limit.
 
     The ratio is estimated as the average over the last three available
-    index pairs; the classification bands are ``|rho| < 1 - tol`` (linear),
-    ``|rho - 1| < tol`` (logarithmic) and ``|rho| > 1 + tol`` (divergent).
+    index pairs; with ``tol = 1/100`` the classification bands are
+    ``|rho| < 1 - tol`` (linear), ``|rho - 1| < tol`` (logarithmic) and
+    ``|rho| > 1 + tol`` (divergent).
     """
     fld = seq.field
     if len(seq.entries) < 5:
@@ -542,7 +535,7 @@ def classify_convergence(
                 return ConvergenceReport("inconclusive")
             ratios.append((seq.entries[i + 1] - s) / den)
         rho = sum(ratios, start=fld.zero) / fld.from_int(len(ratios))
-        tol = fld.from_fraction(tolerance)
+        tol = fld.from_fraction(Fraction(1, 100))
         one = fld.one
         if abs(rho) < one - tol:
             return ConvergenceReport("linear", rho)

@@ -100,6 +100,14 @@ def test_accelerate_coefficient_file(capsys, tmp_path):
     assert "m=2 k=2 n=0 2" in out
 
 
+@pytest.mark.parametrize("spec, z", [("builtin:geometric(1/2)", "1/2"), ("builtin:zeta(2)", "1")])
+def test_accelerate_takes_the_default_point_of_a_builtin(capsys, spec, z):
+    argv = ("accelerate", "--series", spec, "--family", "epsilon", "--terms", "7")
+    default = run(capsys, *argv)
+    assert default == run(capsys, *argv, "--z", z)
+    assert default[0] == 0 and "selected approximant per m:" in default[1]
+
+
 def test_error_terms_on_tail_less_file_exit_one(capsys, tmp_path):
     path = tmp_path / "c5.txt"
     path.write_text("1\n1/2\n1/3\n1/4\n1/5\n")
@@ -121,6 +129,30 @@ def test_transform_terms_past_file_end_exit_one(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: coefficient 5 is past the stored order 4")
+
+
+def test_bigfloat_accelerate_past_the_exponent_range_marks_cells_overflow(capsys):
+    code, out, err = run(capsys, "accelerate", "--series", "builtin:geometric", "--mode",
+                         "bigfloat", "--family", "aitken", "--z", "1e500000", "--terms", "5")
+    assert (code, err) == (0, "")
+    assert "0 2 Infinity" in out
+    assert "1 1 invalid (overflow)" in out
+    assert "m=3 unavailable (entry (1, 1) is invalid: overflow)" in out
+
+
+@pytest.mark.parametrize("series, mode, z, max_m, first", [
+    ("builtin:geometric", "bigfloat", "1e400000", 5, 2),
+    ("builtin:log1p-over-z", "f64", "1e100", 6, 3),
+])
+def test_transform_terms_past_the_float_range_mark_cells_invalid(capsys, series, mode, z,
+                                                                 max_m, first):
+    code, out, err = run(capsys, "transform-terms", "--series", series, "--mode", mode,
+                         "--z", z, "--max-m", str(max_m))
+    assert (code, err) == (0, "")
+    rows = rows_from_csv(out)
+    assert len(rows) == 3 * (max_m + 1)
+    assert all(row.valid for row in rows if row.m < first)
+    assert not any(row.valid for row in rows if row.m > first)
 
 
 @pytest.mark.parametrize("mode", ["rational", "bigfloat", "f64"])

@@ -351,3 +351,27 @@ def test_bigfloat_epsilon_predictions_at_use_20_keep_40_digits(name):
     got = predict_coefficients(builtin(name, BigFloatField(50), 21), "epsilon", 20, 4)
     assert [index for index, _ in got] == [index for index, _ in exact]
     assert _relative_error([v for _, v in got], [v for _, v in exact]) < F(1, 10 ** 40)
+
+
+# The jet route of predict_coefficients expands through count - 1 and no
+# further: coefficient j of a jet sum, product, reciprocal or shift reads only
+# operand coefficients up to j, so a longer expansion gives the same leading
+# coefficients and breaks down at the same cells.
+EXPANSION_USES = {("rational", "aitken"): 11, ("rational", "theta-iterated"): 14}
+
+
+@pytest.mark.parametrize("fld", [RAT, BigFloatField(50), Float64Field()], ids=lambda f: f.mode)
+@pytest.mark.parametrize("name", ["log1p-over-z", "zeta"])
+@pytest.mark.parametrize("family", ["aitken", "theta-iterated"])
+def test_jet_route_predictions_need_no_orders_past_the_last_one(fld, name, family):
+    use = EXPANSION_USES.get((fld.mode, family), 29)
+    series = builtin(name, fld, use + 1)
+    level = use // get_family(family).step
+
+    def leading(order, count):
+        table = transformation_terms(series, family, level, order=order, last_index=use)
+        return ({(t.k, t.n): [repr(c) for c in t.term.coeffs[:count]] for t in table},
+                table.failures)
+
+    for count in range(1, 7):
+        assert leading(count + 2, count) == leading(count - 1, count), count

@@ -237,6 +237,20 @@ def test_transformation_term_table_divergent_point():
     assert ratio < Decimal("1e-5")
 
 
+@pytest.mark.parametrize("fld, name, z, overflow", [
+    (BF, "geometric", "1e400000", {"aitken": [2, 3], "theta-iterated": [3, 4, 5]}),
+    (F64, "log1p-over-z", "1e100", {"aitken": [3], "theta-iterated": [3, 4, 5]}),
+], ids=["bigfloat", "f64"])
+def test_transformation_terms_past_the_float_range_are_marked_overflow(fld, name, z, overflow):
+    # z**(m + 1) leaves the field's range: a bigfloat power and an f64 power
+    # both end in an ``overflow`` cell instead of an exception.
+    cells = evaluate_transformation_terms(builtin(name, fld), fld.parse(z), 5)
+    overflow["epsilon"] = overflow["aitken"]
+    for family, marked in overflow.items():
+        assert [c.m for c in cells[family] if c.note == "overflow"] == marked, family
+        assert all(c.value is None for c in cells[family] if not c.valid)
+
+
 def test_remainder_jets_need_tail_coefficients():
     series = PowerSeries(RAT, tuple(F(1, m + 1) for m in range(5)))
     with pytest.raises(IndexError):
