@@ -26,10 +26,7 @@ from .field import (
 )
 from .jets import Jet, JetBreakdownError, PowerSeries
 from .prediction import (
-    LeadingTable,
     PredictionBreakdownError,
-    TermJet,
-    TermJetTable,
     leading_predictions,
     predict_coefficients,
     transformation_terms,

@@ -33,12 +33,16 @@ series (Taylor expansions), :class:`NumericOps` over plain scalars at a
 fixed point, :class:`UnitOps` at z = 1.  :class:`_Build` runs a step over a
 triangle -- these recursions and the textbook tables of
 :mod:`seriaccel.transforms` alike -- and is the one place where failures
-propagate: a breakdown in one cell never aborts the build, and every cell
-that reads it inherits the failure.
+propagate: a breakdown or a non-finite value in one cell, seeds included,
+never aborts the build, and every cell that reads it inherits the failure.
+Every build comes back as a :class:`TransformTable`, the one result type of
+the package: textbook tables hold scalars, transformation- and
+remainder-term tables hold jets, leading tables hold their scalar parts.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Mapping
 
 from .field import BreakdownError, Field, Scalar
@@ -99,6 +103,49 @@ class UnitOps(NumericOps):
         return a
 
 
+class SelectionError(LookupError):
+    """The selected table entry does not exist or was invalidated."""
+
+    def __init__(self, message, k=None, n=None):
+        super().__init__(message)
+        self.k = k
+        self.n = n
+
+
+@dataclass
+class TransformTable:
+    """Triangular table of entries with validity flags, as one build left it.
+
+    Keys are ``(k, n)``.  For the epsilon and theta algorithms ``k`` is the
+    literal column subscript (odd columns are auxiliary); for the Aitken and
+    iterated-theta schemes, and for every term table, ``k`` is the iteration
+    level.  ``notes`` gives the reason of each invalid entry.  In a term
+    table built from the series coefficients, the entry at ``(k, n)`` is
+    the term of order ``n + step*k + 1``.
+    """
+
+    family: str
+    size: int
+    entries: dict = dataclass_field(default_factory=dict)
+    valid: dict = dataclass_field(default_factory=dict)
+    notes: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def last_index(self) -> int:
+        return self.size - 1
+
+    def is_valid(self, k: int, n: int) -> bool:
+        return self.valid.get((k, n), False)
+
+    def entry(self, k: int, n: int):
+        if (k, n) not in self.valid:
+            raise KeyError(f"table has no entry ({k}, {n})")
+        if not self.valid[(k, n)]:
+            note = self.notes.get((k, n), "breakdown")
+            raise SelectionError(f"entry ({k}, {n}) is invalid: {note}", k=k, n=n)
+        return self.entries[(k, n)]
+
+
 class _Build:
     """One triangular build: level 0 is ``seed``, and :meth:`run` fills the
     cells ``(k + 1, n)`` with ``n <= width(k + 1)``, level by level.
@@ -106,10 +153,10 @@ class _Build:
     ``deps(k, n)`` names, as ``(level, n)``, the cells the step into
     ``(k + 1, n)`` reads.  A cell whose dependency failed records ``depends
     on invalid entry (k, n)`` without running the step; a step that breaks
-    down or overflows records why.  ``valid`` flags every cell, seeds
-    included.  Keys, and the dependencies named in notes, are
-    ``(scale * level, n)``, so a table that holds only the even columns keeps
-    their literal subscripts.
+    down, or a cell (seeds included) that is not finite, records why.
+    ``valid`` flags every cell.  Keys, and the dependencies named in notes,
+    are ``(scale * level, n)``, so a table that holds only the even columns
+    keeps their literal subscripts.
     """
 
     def __init__(self, ops, levels: int, width: Width, deps: Callable[[int, int], list],
@@ -121,16 +168,25 @@ class _Build:
             deps = lambda k, n, level_deps=deps: [(scale * j, i) for j, i in level_deps(k, n)]
         self.deps = deps
         self.scale = scale
-        self.entries: dict[tuple[int, int], object] = {(0, n): seed[n] for n in range(width(0) + 1)}
-        self.valid: dict[tuple[int, int], bool] = dict.fromkeys(self.entries, True)
+        self.entries: dict[tuple[int, int], object] = {}
+        self.valid: dict[tuple[int, int], bool] = {}
         self.failures: dict[tuple[int, int], str] = {}
+        for n in range(width(0) + 1):
+            self.valid[(0, n)] = ops.finite(seed[n])
+            if self.valid[(0, n)]:
+                self.entries[(0, n)] = seed[n]
+            else:
+                self.failures[(0, n)] = "overflow"
+
+    def table(self, name: str) -> TransformTable:
+        return TransformTable(name, self.width(0) + 1, self.entries, self.valid, self.failures)
 
     def run(self, step: Callable[[int, int, Mapping[int, object], Mapping[int, object] | None], object]):
         entries, valid, failures = self.entries, self.valid, self.failures
         deps, finite = self.deps, self.ops.finite
         # ``cur`` and ``prev`` hold the rows of levels k and k - 1; the row of
         # level k + 1 fills while it is built.
-        prev, cur = None, {n: entries[(0, n)] for n in range(self.width(0) + 1)}
+        prev, cur = None, {n: value for (_, n), value in entries.items()}
         with self.ops.context():
             for k in range(self.levels):
                 row = {}

@@ -274,7 +274,7 @@ def _reproduce_expansion7() -> int:
     diffs = []
     for family in FAMILIES:
         level = golden.EXPANSION7_LEVEL[family]
-        jet = remainder_jets(series, family, level, order=4, n_max=0).term(level, 0).term
+        jet = remainder_jets(series, family, level, order=4, n_max=0).entry(level, 0)
         got = tuple(to_fraction_string(c) for c in jet.coeffs[:3])
         rows.append(f"{family} (level {level}): " + " ".join(got))
         for g, w, power in zip(got, golden.EXPANSION7[family], (7, 8, 9)):

@@ -25,24 +25,22 @@ longer expansion would give the same predictions.
 The family names are ``"aitken"`` (iterated delta-squared), ``"epsilon"``
 (Wynn's algorithm / Pade approximants) and ``"theta-iterated"`` (alias
 ``"theta"``); their records live in :data:`seriaccel.transforms.FAMILIES`.
-The result types here serve the remainder views of
-:mod:`seriaccel.remainders` too.
+:func:`transformation_terms` and :func:`leading_predictions` return a
+:class:`~seriaccel.transforms.TransformTable` named after the family, whose
+entry at ``(k, n)`` is the term jet or its leading part; the first
+coefficient it predicts has order ``n + step*k + 1``.  The argument checks
+here serve the remainder views of :mod:`seriaccel.remainders` too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
-from ._recursions import JetOps, NumericOps, run_recursion
+from ._recursions import JetOps, NumericOps, TransformTable, run_recursion
 from .field import BreakdownError, Scalar
-from .jets import Jet, PowerSeries
+from .jets import PowerSeries
 from .transforms import DegeneratePadeError, Family, get_family, selection_indices
 
 __all__ = [
     "PredictionBreakdownError",
-    "TermJet",
-    "TermJetTable",
-    "LeadingTable",
     "transformation_terms",
     "leading_predictions",
     "predict_coefficients",
@@ -57,97 +55,6 @@ class PredictionBreakdownError(BreakdownError):
         self.k = k
         self.n = n
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class TermJet:
-    """Expansion of one transformation or remainder term at position ``(k, n)``.
-
-    A transformation term satisfies ``approximant = partial_sum(n + step*k) +
-    z**offset * term``, so coefficient ``j`` of ``term`` predicts series
-    coefficient ``offset + j``; a remainder term satisfies ``approximant =
-    f + z**offset * term``.
-    """
-
-    family: str
-    k: int
-    n: int
-    offset: int
-    term: Jet
-
-
-@dataclass
-class TermJetTable:
-    family: str
-    order: int
-    terms: dict = dataclass_field(default_factory=dict)
-    failures: dict = dataclass_field(default_factory=dict)
-
-    def has(self, k: int, n: int) -> bool:
-        return (k, n) in self.terms
-
-    def term(self, k: int, n: int) -> TermJet:
-        if (k, n) in self.terms:
-            return self.terms[(k, n)]
-        if (k, n) in self.failures:
-            raise PredictionBreakdownError(self.family, k, n, self.failures[(k, n)])
-        raise KeyError(f"no term at ({k}, {n})")
-
-    def __iter__(self):
-        return iter(sorted(self.terms.values(), key=lambda t: (t.k, t.n)))
-
-
-def _term_table(family: Family, order: int, build) -> TermJetTable:
-    terms = {(k, n): TermJet(family.name, k, n, n + family.step * k + 1, jet)
-             for (k, n), jet in build.entries.items()}
-    return TermJetTable(family.name, order, terms, build.failures)
-
-
-@dataclass
-class LeadingTable:
-    """Leading (z-independent) part per table position, from scalar recursions.
-
-    For predictions entry ``(k, n)`` is the first predicted coefficient, of
-    order :meth:`predicted_index`.  For remainders it must be nonzero for the
-    scheme's accuracy-through-order estimate to hold at that position; a zero
-    value is stored but flagged, and deeper entries that would divide by it
-    break down.
-    """
-
-    family: str
-    entries: dict = dataclass_field(default_factory=dict)
-    valid: dict = dataclass_field(default_factory=dict)
-    nonzero: dict = dataclass_field(default_factory=dict)
-    notes: dict = dataclass_field(default_factory=dict)
-
-    def is_valid(self, k: int, n: int) -> bool:
-        return self.valid.get((k, n), False)
-
-    def is_nonzero(self, k: int, n: int) -> bool:
-        return self.nonzero.get((k, n), False)
-
-    def entry(self, k: int, n: int) -> Scalar:
-        if not self.valid.get((k, n), False):
-            raise PredictionBreakdownError(
-                self.family, k, n, self.notes.get((k, n), "entry not computed")
-            )
-        return self.entries[(k, n)]
-
-    def predicted_index(self, k: int, n: int) -> int:
-        return n + get_family(self.family).step * k + 1
-
-    def positions(self):
-        return sorted(self.entries)
-
-
-def _leading_table(series: PowerSeries, family: Family, max_level: int, top: int, seed,
-                   cell, coeff=None) -> LeadingTable:
-    """Run the scalar leading-part step ``cell`` over ``(k, n)``, ``n + step*k <= top``."""
-    fld = series.field
-    build = run_recursion(family, NumericOps(fld, fld.zero), max_level, top, seed, coeff,
-                          recursion=cell)
-    nonzero = {key: not fld.is_zero(value) for key, value in build.entries.items()}
-    return LeadingTable(family.name, build.entries, build.valid, nonzero, build.failures)
 
 
 def _last_index(series: PowerSeries, last_index: int | None) -> int:
@@ -187,19 +94,20 @@ def transformation_terms(
     max_level: int,
     order: int,
     last_index: int | None = None,
-) -> TermJetTable:
+) -> TransformTable:
     """Expand the transformation terms of ``family`` as jets of ``order``.
 
     Produces every position ``(k, n)`` with ``k <= max_level`` and
     ``n + step*k <= last_index`` (default: all stored coefficients).  A
-    position whose recursion hits a (near-)zero denominator is recorded in
-    ``failures`` instead of aborting the rest of the table.
+    position whose recursion hits a (near-)zero denominator is marked
+    invalid, with the reason in ``notes``, instead of aborting the rest of
+    the table.
     """
     m = _last_index(series, last_index)
     fam = _checked(family, max_level, m, order)
     ops = JetOps(series.field, order)
     build = run_recursion(fam, ops, max_level, m, [ops.zero] * (m + 1), series.coefficient)
-    return _term_table(fam, order, build)
+    return build.table(fam.name)
 
 
 def leading_predictions(
@@ -207,7 +115,7 @@ def leading_predictions(
     family: str,
     max_level: int,
     last_index: int | None = None,
-) -> LeadingTable:
+) -> TransformTable:
     """First predicted coefficient for every reachable table position.
 
     Pure scalar recursions on the series coefficients; entry ``(k, n)``
@@ -215,9 +123,10 @@ def leading_predictions(
     """
     m = _last_index(series, last_index)
     fam = _checked(family, max_level, m)
-    seed = [series.field.zero] * (m + 1)
-    return _leading_table(series, fam, max_level, m, seed, fam.leading_prediction,
-                          series.coefficient)
+    fld = series.field
+    build = run_recursion(fam, NumericOps(fld, fld.zero), max_level, m, [fld.zero] * (m + 1),
+                          series.coefficient, recursion=fam.leading_prediction)
+    return build.table(fam.name)
 
 
 def predict_coefficients(
@@ -244,7 +153,9 @@ def predict_coefficients(
     if fam.prediction_term is None:
         table = transformation_terms(series, family, max_level=k, order=order,
                                      last_index=last_index)
-        term = table.term(k, n).term  # raises PredictionBreakdownError if that cell broke
+        if not table.is_valid(k, n):
+            raise PredictionBreakdownError(fam.name, k, n, table.notes[(k, n)])
+        term = table.entry(k, n)
     else:
         try:
             term = fam.prediction_term(series, k, n, order)

@@ -32,17 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._recursions import JetOps, NumericOps, run_recursion
+from ._recursions import JetOps, NumericOps, TransformTable, run_recursion
 from .field import BigFloatField, RationalField, Scalar
 from .jets import Jet, PowerSeries
-from .prediction import (
-    LeadingTable,
-    TermJetTable,
-    _checked,
-    _last_index,
-    _leading_table,
-    _term_table,
-)
+from .prediction import _checked, _last_index
 from .transforms import FAMILIES, get_family, selection_indices
 
 __all__ = [
@@ -73,7 +66,7 @@ def remainder_jets(
     max_level: int,
     order: int,
     n_max: int | None = None,
-) -> TermJetTable:
+) -> TransformTable:
     """Expand remainder terms as jets for positions up to ``(max_level, n_max)``.
 
     ``n_max`` defaults to ``step - 1``.  Raises ``ValueError`` on an argument
@@ -86,7 +79,7 @@ def remainder_jets(
     fam = _checked(family, max_level, top, order)
     base = _base_remainder_row(series, order, top)
     build = run_recursion(fam, JetOps(series.field, order), max_level, top, base)
-    return _term_table(fam, order, build)
+    return build.table(fam.name)
 
 
 def leading_remainders(
@@ -94,20 +87,25 @@ def leading_remainders(
     family: str,
     max_level: int,
     last_index: int | None = None,
-) -> LeadingTable:
+) -> TransformTable:
     """Scalar recursion for the z-independent remainder parts.
 
     Base entries are the negated coefficients one past each position; the
     recursion per family mirrors its remainder recursion at the series
     origin.  Positions use coefficients through ``last_index`` (default: all
-    stored ones), so level ``k`` needs ``last_index >= step*k + 1``.
+    stored ones), so level ``k`` needs ``last_index >= step*k + 1``.  The
+    scheme's accuracy-through-order estimate holds at ``(k, n)`` only where
+    the entry is nonzero (``not field.is_zero(entry)``); a zero entry is
+    kept, and the deeper entries that divide by it break down.
     """
     m = _last_index(series, last_index)
     fam = _checked(family, max_level, m, spare=1)
     fld = series.field
     with fld.arithmetic():
         seed = [-series.coefficient(n + 1) for n in range(m)]
-    return _leading_table(series, fam, max_level, m - 1, seed, fam.leading_remainder)
+    build = run_recursion(fam, NumericOps(fld, fld.zero), max_level, m - 1, seed,
+                          recursion=fam.leading_remainder)
+    return build.table(fam.name)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +191,8 @@ class TermCell:
     note: str = ""
 
 
-def _selected_cells(family, step, entries, failures, fld, z, m_max):
+def _selected_cells(table, step, fld, z, m_max):
+    family, entries = table.family, table.entries
     cells = []
     with fld.arithmetic():
         for m in range(m_max + 1):
@@ -211,7 +210,7 @@ def _selected_cells(family, step, entries, failures, fld, z, m_max):
                 else:
                     cells.append(TermCell(m, family, k, n, None, False, "overflow"))
             else:
-                note = failures.get((k, n), "not computed")
+                note = table.notes.get((k, n), "not computed")
                 cells.append(TermCell(m, family, k, n, None, False, note))
     return cells
 
@@ -222,9 +221,8 @@ def _evaluate(series, z, m_max, seed, coeff=None) -> dict[str, list[TermCell]]:
     ops = NumericOps(fld, z)
     out = {}
     for fam in FAMILIES.values():
-        build = run_recursion(fam, ops, m_max // fam.step, m_max, seed, coeff)
-        out[fam.name] = _selected_cells(fam.name, fam.step, build.entries, build.failures,
-                                        fld, z, m_max)
+        table = run_recursion(fam, ops, m_max // fam.step, m_max, seed, coeff).table(fam.name)
+        out[fam.name] = _selected_cells(table, fam.step, fld, z, m_max)
     return out
 
 

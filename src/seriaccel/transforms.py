@@ -17,7 +17,7 @@ at z = 1, where the shifted difference ``z * X(n+1) - X(n)`` is the forward
 difference; the classic and plain forms stay as independent references.
 
 Every transformation is a step run by the shared triangle builder of
-:mod:`seriaccel._recursions` and returns a :class:`TransformTable` with
+:mod:`seriaccel._recursions` and returns its :class:`TransformTable` with
 per-entry validity flags: a (near-)zero denominator marks the entry invalid
 instead of raising, and invalidity propagates to every entry that would read
 it.
@@ -25,12 +25,12 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import _recursions as rec
-from ._recursions import NumericOps, UnitOps, _Build, run_recursion
+from ._recursions import NumericOps, SelectionError, TransformTable, UnitOps, _Build, run_recursion
 from .field import Field, Scalar
 from .jets import Jet, PowerSeries
 
@@ -70,15 +70,6 @@ EPSILON_CROSS = "epsilon-cross"
 THETA = "theta"
 THETA_ITERATED_CLASSIC = "theta-iterated-classic"
 THETA_ITERATED_REARRANGED = "theta-iterated-rearranged"
-
-
-class SelectionError(LookupError):
-    """The selected table entry does not exist or was invalidated."""
-
-    def __init__(self, message, k=None, n=None):
-        super().__init__(message)
-        self.k = k
-        self.n = n
 
 
 class DegeneratePadeError(ArithmeticError):
@@ -138,46 +129,6 @@ class ModelSequence:
                 out.append(self.limit + self.amplitude * power)
                 power = power * self.ratio
         return ScalarSequence(self.field, tuple(out), limit=self.limit)
-
-
-@dataclass
-class TransformTable:
-    """Triangular table of transformation elements with validity flags.
-
-    Keys are ``(k, n)``.  For the epsilon and theta algorithms ``k`` is the
-    literal column subscript (odd columns are auxiliary); for the Aitken and
-    iterated-theta schemes ``k`` is the iteration level.
-    """
-
-    family: str
-    size: int
-    entries: dict = dataclass_field(default_factory=dict)
-    valid: dict = dataclass_field(default_factory=dict)
-    notes: dict = dataclass_field(default_factory=dict)
-
-    @property
-    def last_index(self) -> int:
-        return self.size - 1
-
-    def has(self, k: int, n: int) -> bool:
-        return (k, n) in self.valid
-
-    def is_valid(self, k: int, n: int) -> bool:
-        return self.valid.get((k, n), False)
-
-    def entry(self, k: int, n: int) -> Scalar:
-        if not self.has(k, n):
-            raise KeyError(f"table has no entry ({k}, {n})")
-        if not self.valid[(k, n)]:
-            note = self.notes.get((k, n), "breakdown")
-            raise SelectionError(f"entry ({k}, {n}) is invalid: {note}", k=k, n=n)
-        return self.entries[(k, n)]
-
-    def is_auxiliary(self, k: int) -> bool:
-        """Odd epsilon/theta columns approximate nothing; they are scaffolding."""
-        if self.family in (EPSILON, THETA):
-            return k % 2 == 1
-        return False
 
 
 @dataclass(frozen=True)
@@ -258,16 +209,15 @@ def _table(family: str, seq: ScalarSequence, levels: int, width, deps, step,
            scale: int = 1) -> TransformTable:
     build = _Build(NumericOps(seq.field, seq.field.zero), levels, width, deps, seq.entries, scale)
     build.run(step)
-    return TransformTable(family, len(seq.entries), build.entries, build.valid, build.failures)
+    return build.table(family)
 
 
 def _rearranged(table: str, family: str, seq: ScalarSequence) -> TransformTable:
     """The family's rearranged recursion at z = 1, which is the textbook rearranged scheme."""
     fam = FAMILIES[family]
     m = seq.last_index
-    build = run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries,
-                          scale=fam.tables[table])
-    return TransformTable(table, len(seq.entries), build.entries, build.valid, build.failures)
+    return run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries,
+                         scale=fam.tables[table]).table(table)
 
 
 def aitken_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable:

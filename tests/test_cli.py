@@ -131,13 +131,16 @@ def test_transform_terms_past_file_end_exit_one(capsys, tmp_path):
     assert err.startswith("error: coefficient 5 is past the stored order 4")
 
 
-def test_bigfloat_accelerate_past_the_exponent_range_marks_cells_overflow(capsys):
+@pytest.mark.parametrize("mode, z", [("bigfloat", "1e500000"), ("f64", "1e300")],
+                         ids=["bigfloat", "f64"])
+def test_bigfloat_accelerate_past_the_exponent_range_marks_cells_overflow(capsys, mode, z):
     code, out, err = run(capsys, "accelerate", "--series", "builtin:geometric", "--mode",
-                         "bigfloat", "--family", "aitken", "--z", "1e500000", "--terms", "5")
+                         mode, "--family", "aitken", "--z", z, "--terms", "5")
     assert (code, err) == (0, "")
-    assert "0 2 Infinity" in out
-    assert "1 1 invalid (overflow)" in out
-    assert "m=3 unavailable (entry (1, 1) is invalid: overflow)" in out
+    assert "Infinity" not in out
+    assert "0 2 invalid (overflow)" in out
+    assert "1 1 invalid (depends on invalid entry (0, 2))" in out
+    assert "m=3 unavailable (entry (1, 1) is invalid: depends on invalid entry (0, 2))" in out
 
 
 @pytest.mark.parametrize("series, mode, z, max_m, first", [
@@ -218,6 +221,14 @@ def test_predict_use_past_a_tail_less_file_names_the_flag(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err == ("error: --use 8 is past the stored coefficients 0..4 "
                    "and the series has no tail rule\n")
+
+
+def test_predict_breakdown_exits_one_with_the_cell_and_its_reason(capsys):
+    code, out, err = run(capsys, "predict", "--series", "builtin:log1p-over-z", "--mode", "f64",
+                         "--family", "aitken", "--use", "24")
+    assert (code, out) == (1, "")
+    assert err == ("error: aitken prediction breakdown at (k=12, n=0): "
+                   "depends on invalid entry (11, 0)\n")
 
 
 def test_predict_family_choices_come_from_the_registry():

@@ -8,13 +8,18 @@ series, a series whose coefficient 2 is zero, a tail-less series and
 ``RANDOM_SERIES`` seeded random series; the random bigfloat inputs carry 70
 digits (wider than the 50-digit working precision) and some random f64 inputs
 sit near 1e300, so rounding of wide inputs and overflow are pinned too.  A
-refactor that is meant to change no value must keep every digest.
+refactor that is meant to change no value must keep every digest.  The
+library example of the README runs here too.
 """
 
+import contextlib
 import hashlib
+import io
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -130,15 +135,22 @@ def _tables(fld):
     return lines
 
 
-def _jet_table(table):
-    return (table.family, table.order,
-            [(key, t.family, t.k, t.n, t.offset, t.term.coeffs) for key, t in table.terms.items()],
-            list(table.failures.items()))
+def _jet_table(table, order):
+    """The tuple the digests hash, rebuilt from a term table: per entry its
+    family, level, start, first predicted order and coefficients."""
+    step = FAMILIES[table.family].step
+    return (table.family, order,
+            [((k, n), table.family, k, n, n + step * k + 1, jet.coeffs)
+             for (k, n), jet in table.entries.items()],
+            list(table.notes.items()))
 
 
-def _leading_table(table):
-    return (table.family, list(table.entries.items()), list(table.valid.items()),
-            list(table.nonzero.items()), list(table.notes.items()))
+def _leading_table(table, fld):
+    """The tuple the digests hash, rebuilt from a leading table: with a
+    nonzero flag per entry."""
+    nonzero = [(key, not fld.is_zero(value)) for key, value in table.entries.items()]
+    return (table.family, list(table.entries.items()), list(table.valid.items()), nonzero,
+            list(table.notes.items()))
 
 
 def _transformation_terms(fld):
@@ -149,7 +161,7 @@ def _transformation_terms(fld):
             table = _call(lines, f"{label} {family}", transformation_terms, series, family,
                           levels, order=2)
             if table is not None:
-                lines.append(repr((label, _jet_table(table))))
+                lines.append(repr((label, _jet_table(table, 2))))
     return lines
 
 
@@ -160,7 +172,7 @@ def _remainder_jets(fld):
             table = _call(lines, f"{label} {family}", remainder_jets, series, family, 2,
                           order=2, n_max=2)
             if table is not None:
-                lines.append(repr((label, _jet_table(table))))
+                lines.append(repr((label, _jet_table(table, 2))))
     return lines
 
 
@@ -175,7 +187,7 @@ def _leading(fld):
             ):
                 table = _call(lines, f"{label} {family} {name}", fn, series, family, levels)
                 if table is not None:
-                    lines.append(repr((label, name, _leading_table(table))))
+                    lines.append(repr((label, name, _leading_table(table, fld))))
     return lines
 
 
@@ -231,3 +243,14 @@ def digest(group, mode):
 @pytest.mark.parametrize("group, mode", sorted(EXPECTED))
 def test_library_output_is_unchanged(group, mode):
     assert digest(group, mode) == EXPECTED[(group, mode)]
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    prediction, selected = out.getvalue().splitlines()
+    assert prediction.startswith("(13, Fraction(")
+    assert selected.startswith("(8, 0, Fraction(")

@@ -19,7 +19,7 @@ from seriaccel.prediction import (
     transformation_terms,
 )
 from seriaccel.series_library import builtin_series
-from seriaccel.transforms import get_family, pade_linear_system
+from seriaccel.transforms import SelectionError, get_family, pade_linear_system
 
 RAT = RationalField()
 
@@ -48,8 +48,7 @@ def test_first_aitken_term_matches_closed_form():
         g1, g2 = series.coefficient(n + 1), series.coefficient(n + 2)
         numerator = Jet.constant(RAT, g2 * g2, 5)
         denominator = Jet.from_coeffs(RAT, (g1, -g2), order=5)
-        assert table.term(1, n).term == numerator / denominator
-        assert table.term(1, n).offset == n + 3
+        assert table.entry(1, n) == numerator / denominator
 
 
 def test_first_epsilon_term_equals_first_aitken_term():
@@ -57,7 +56,7 @@ def test_first_epsilon_term_equals_first_aitken_term():
     aitken = transformation_terms(series, "aitken", 1, order=4)
     epsilon = transformation_terms(series, "epsilon", 1, order=4)
     for n in range(7):
-        assert aitken.term(1, n).term == epsilon.term(1, n).term
+        assert aitken.entry(1, n) == epsilon.entry(1, n)
 
 
 def test_first_theta_prediction_closed_form():
@@ -68,7 +67,6 @@ def test_first_theta_prediction_closed_form():
         g1, g2, g3 = (series.coefficient(n + i) for i in (1, 2, 3))
         expected = -g3 * (g2 * g2 - 2 * g1 * g3) / (g1 * g2)
         assert table.entry(1, n) == expected
-        assert table.predicted_index(1, n) == n + 4
 
 
 def test_log_series_spot_predictions():
@@ -92,8 +90,8 @@ def test_leading_predictions_equal_term_constant_parts(family, max_level):
     series = log_series()
     terms = transformation_terms(series, family, max_level, order=3)
     leads = leading_predictions(series, family, max_level)
-    for term in terms:
-        assert leads.entry(term.k, term.n) == term.term.constant_term
+    for (k, n), jet in terms.entries.items():
+        assert leads.entry(k, n) == jet.constant_term
 
 
 def test_predict_coefficients_first_value_matches_leading_table():
@@ -132,8 +130,7 @@ def test_epsilon_predictions_match_pade_taylor_coefficients():
 def _reconstruct(series, family, k, n, order):
     step = 3 if family == "theta-iterated" else 2
     table = transformation_terms(series, family, k, order=order)
-    term = table.term(k, n)
-    return series.partial_sum_jet(n + step * k, order) + term.term.shift(term.offset)
+    return series.partial_sum_jet(n + step * k, order) + table.entry(k, n).shift(n + step * k + 1)
 
 
 @pytest.mark.parametrize(
@@ -176,13 +173,13 @@ def test_log_series_reconstruction_against_raw_epsilon():
 def test_zero_coefficient_is_flagged_not_fatal():
     series = PowerSeries(RAT, (F(1), F(0), F(1, 3), F(-1, 4), F(1, 5), F(-1, 6), F(1, 7)))
     table = transformation_terms(series, "aitken", 3, order=3)
-    assert table.failures  # at least one cell broke
-    assert any(term.k >= 1 for term in table)  # but others survived
+    assert table.notes  # at least one cell broke
+    assert any(k >= 1 for k, n in table.entries)  # but others survived
     leads = leading_predictions(series, "epsilon", 3)
     broken = [key for key in leads.valid if not leads.valid[key]]
     assert broken
     for k, n in broken:
-        with pytest.raises(PredictionBreakdownError):
+        with pytest.raises(SelectionError):
             leads.entry(k, n)
 
 
@@ -220,8 +217,8 @@ def epsilon_routes(series, use, count):
         pade = broke(exc.k, exc.n)
     try:
         table = transformation_terms(series, "epsilon", k, order=count + 2, last_index=use)
-        jets = table.term(k, n).term.coeffs[:count]
-    except PredictionBreakdownError as exc:
+        jets = table.entry(k, n).coeffs[:count]
+    except SelectionError as exc:
         jets = broke(exc.k, exc.n)
     return pade, jets
 
@@ -235,7 +232,7 @@ def test_epsilon_pade_route_equals_the_jet_route_on_the_builtins(name):
     for use in range(2, 25):
         predictions = predict_coefficients(series, "epsilon", use, count)
         assert [index for index, _ in predictions] == list(range(use + 1, use + count + 1))
-        jets = table.term(use // 2, use % 2).term.coeffs[:count]
+        jets = table.entry(use // 2, use % 2).coeffs[:count]
         assert tuple(value for _, value in predictions) == jets, use
 
 
@@ -370,8 +367,8 @@ def test_jet_route_predictions_need_no_orders_past_the_last_one(fld, name, famil
 
     def leading(order, count):
         table = transformation_terms(series, family, level, order=order, last_index=use)
-        return ({(t.k, t.n): [repr(c) for c in t.term.coeffs[:count]] for t in table},
-                table.failures)
+        return ({key: [repr(c) for c in jet.coeffs[:count]]
+                 for key, jet in sorted(table.entries.items())}, table.notes)
 
     for count in range(1, 7):
         assert leading(count + 2, count) == leading(count - 1, count), count

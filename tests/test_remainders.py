@@ -7,11 +7,7 @@ from hypothesis import given, settings, strategies as st
 from seriaccel import remainders
 from seriaccel.field import BigFloatField, Float64Field, RationalField, scientific_string
 from seriaccel.jets import PowerSeries
-from seriaccel.prediction import (
-    PredictionBreakdownError,
-    leading_predictions,
-    transformation_terms,
-)
+from seriaccel.prediction import leading_predictions, transformation_terms
 from seriaccel.remainders import (
     _remainder_bases,
     evaluate_error_terms,
@@ -22,6 +18,7 @@ from seriaccel.remainders import (
     series_value,
 )
 from seriaccel.series_library import builtin_series
+from seriaccel.transforms import SelectionError
 
 RAT = RationalField()
 BF = BigFloatField(50)
@@ -43,23 +40,21 @@ def log_series_bigfloat(count=13):
 
 def test_base_remainder_jet_sign_pattern():
     table = remainder_jets(log_series_rational(), "aitken", 0, order=2, n_max=0)
-    assert table.term(0, 0).term.coeffs == (F(1, 2), F(-1, 3), F(1, 4))
-    assert table.term(0, 0).offset == 1
+    assert table.entry(0, 0).coeffs == (F(1, 2), F(-1, 3), F(1, 4))
 
 
 def test_exact_error_expansions_level3_level3_level2():
     series = log_series_rational()
-    aitken = remainder_jets(series, "aitken", 3, order=4, n_max=0).term(3, 0)
-    assert aitken.offset == 7
-    assert aitken.term.coeffs[:3] == (
+    aitken = remainder_jets(series, "aitken", 3, order=4, n_max=0).entry(3, 0)
+    assert aitken.coeffs[:3] == (
         F(421, 16537500),
         F(-796321, 8682187500),
         F(810757427, 4051687500000),
     )
-    epsilon = remainder_jets(series, "epsilon", 3, order=4, n_max=0).term(3, 0)
-    assert epsilon.term.coeffs[:3] == (F(1, 9800), F(-31, 77175), F(113, 120050))
-    theta = remainder_jets(series, "theta", 2, order=4, n_max=0).term(2, 0)
-    assert theta.term.coeffs[:3] == (F(1, 37800), F(-19, 198450), F(1, 4725))
+    epsilon = remainder_jets(series, "epsilon", 3, order=4, n_max=0).entry(3, 0)
+    assert epsilon.coeffs[:3] == (F(1, 9800), F(-31, 77175), F(113, 120050))
+    theta = remainder_jets(series, "theta", 2, order=4, n_max=0).entry(2, 0)
+    assert theta.coeffs[:3] == (F(1, 37800), F(-19, 198450), F(1, 4725))
 
 
 def test_leading_remainder_base_case():
@@ -84,7 +79,7 @@ def test_connection_identity_leading_parts(family, step):
     predictions = leading_predictions(series, family, max_level)
     remainders_table = leading_remainders(series, family, max_level)
     checked = 0
-    for k, n in remainders_table.positions():
+    for k, n in sorted(remainders_table.entries):
         index = n + step * k + 1
         if index > 12 or not predictions.is_valid(k, n):
             continue
@@ -98,8 +93,8 @@ def test_remainder_jet_constant_part_matches_scalar_recursion(family, level):
     series = log_series_rational()
     jets = remainder_jets(series, family, level, order=2, n_max=1)
     scalars = leading_remainders(series, family, level)
-    for term in jets:
-        assert term.term.constant_term == scalars.entry(term.k, term.n)
+    for (k, n), jet in jets.entries.items():
+        assert jet.constant_term == scalars.entry(k, n)
 
 
 def test_zero_leading_part_is_flagged_and_contained():
@@ -107,11 +102,11 @@ def test_zero_leading_part_is_flagged_and_contained():
     # exactly; the level-2 entry above it must break down, nothing else.
     series = PowerSeries(RAT, (F(1), F(1, 2), F(1, 2), F(1, 2), F(1, 5), F(1, 7), F(1, 11)))
     table = leading_remainders(series, "aitken", 2)
-    assert table.is_valid(0, 0) and table.is_nonzero(0, 0)
-    assert table.is_valid(1, 0) and not table.is_nonzero(1, 0)
+    assert table.is_valid(0, 0) and not RAT.is_zero(table.entry(0, 0))
+    assert table.is_valid(1, 0) and RAT.is_zero(table.entry(1, 0))
     assert table.entry(1, 0) == 0
     assert not table.is_valid(2, 0)
-    with pytest.raises(PredictionBreakdownError):
+    with pytest.raises(SelectionError):
         table.entry(2, 0)
     assert table.is_valid(1, 1)  # the breakdown stays local to that column
 
@@ -295,10 +290,10 @@ def test_epsilon_first_level_keeps_separate_term_and_remainder_forms(fld):
     series = PowerSeries(fld, tuple(coeff(i) for i in range(10)), tail=coeff)
     epsilon = transformation_terms(series, "epsilon", 1, order=3)
     aitken = transformation_terms(series, "aitken", 1, order=3)
-    assert epsilon.has(1, 0)
-    assert epsilon.term(1, 0).term == aitken.term(1, 0).term
-    assert set(remainder_jets(series, "epsilon", 1, order=3, n_max=1).failures) == {(1, 0), (1, 1)}
-    assert set(remainder_jets(series, "aitken", 1, order=3, n_max=1).failures) == {(1, 1)}
+    assert epsilon.is_valid(1, 0)
+    assert epsilon.entry(1, 0) == aitken.entry(1, 0)
+    assert set(remainder_jets(series, "epsilon", 1, order=3, n_max=1).notes) == {(1, 0), (1, 1)}
+    assert set(remainder_jets(series, "aitken", 1, order=3, n_max=1).notes) == {(1, 1)}
 
 
 def test_corrected_cells_cross_checked_by_exact_rational_route():

@@ -79,7 +79,6 @@ def test_classic_and_rearranged_schemes_agree():
 def test_epsilon_on_geometric_partial_sums():
     table = epsilon_table(seq(1, F(3, 2), F(7, 4)))
     assert table.entry(2, 0) == 2
-    assert table.is_auxiliary(1) and not table.is_auxiliary(2)
 
 
 def test_epsilon_column_two_equals_one_aitken_step():
