@@ -22,10 +22,12 @@ defined, but they round differently in the float modes and only the
 remainder form breaks down when ``d1`` has a zero constant part, so the step
 keeps both.  The Aitken form ``X(n+2) - d1**2 / (z*d1 - d0)`` cannot replace
 the remainder form: at z = 1 that must break down wherever the textbook
-``eps_1 = 1/Delta`` does.  The ``*_leading_*`` functions are the scalar
-recursions for the z-independent parts of the two kinds of term; they take
-the same arguments as the family steps, read the injected coefficients, and
-run through :func:`run_recursion` too.
+``eps_1 = 1/Delta`` does.  The ``*_leading`` functions are the scalar
+recursions for the z-independent parts of both kinds of term, one per
+family; they take the same arguments as the family steps and run through
+:func:`run_recursion` too.  Their differences are the shifted differences
+at z = 0: ``g[i] - X(n+i)`` for a transformation term and ``-X(n+i)`` for a
+remainder term.
 
 Steps run over any carrier with ring operators, a checked division and
 multiplication by the series variable: :class:`JetOps` over truncated power
@@ -221,8 +223,8 @@ def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, scale: i
     With ``coeff`` (transformation terms, ``seed`` all zeros) the step gets
     the carrier constants ``coeff(n + step*k + 1 .. n + step*k + step)`` to
     inject; without it (remainder terms, ``seed`` the scaled truncation
-    errors, or a rearranged textbook table, ``seed`` the sequence at z = 1)
-    it gets ``None`` and injects nothing.  ``scale`` is the key scale of
+    errors, or a textbook table of the family, ``seed`` the sequence at
+    z = 1) it gets ``None`` and injects nothing.  ``scale`` is the key scale of
     :class:`_Build`.
     """
     step, recursion = family.step, recursion or family.recursion
@@ -302,45 +304,32 @@ def theta_step(ops, g, k, n, cur, prev):
 
 # ---------------------------------------------------------------------------
 # scalar steps for the leading (z-independent) parts, run by :func:`run_recursion`
-# like the family steps: predictions read the injected coefficients ``g``,
-# remainders start from ``-gamma(n + 1)`` and get ``g = None``
+# like the family steps.  Predictions start from zeros and read the injected
+# coefficients ``g``; remainders start from ``-gamma(n + 1)`` and get ``g = None``.
 
 
-def aitken_leading_prediction(ops, g, k, n, cur, prev):
-    hi = g[1] - cur[n + 1]
-    lo = g[0] - cur[n]
+def _less(g, i: int, x):
+    """``g[i] - x``, or ``-x`` without ``g``."""
+    return -x if g is None else g[i] - x
+
+
+def aitken_leading(ops, g, k, n, cur, prev):
+    lo, hi = (_less(g, i, cur[n + i]) for i in range(2))
     return cur[n + 2] + ops.div(hi * hi, lo)
 
 
-def aitken_leading_remainder(ops, g, k, n, cur, prev):
-    return cur[n + 2] - ops.div(cur[n + 1] * cur[n + 1], cur[n])
-
-
-def epsilon_leading_prediction(ops, g, k, n, cur, prev):
-    if k == 0:
-        return ops.div(g[1] * g[1], g[0])
-    hi = g[1] - cur[n + 1]
+def epsilon_leading(ops, g, k, n, cur, prev):
+    if k == 0 and g is not None:
+        return ops.div(g[1] * g[1], g[0])  # the seeds are zero: subtracting them could round g
+    lo, hi = (_less(g, i, cur[n + i]) for i in range(2))
     sq = hi * hi
-    direct = ops.div(sq, g[0] - cur[n])
-    across = ops.div(sq, g[0] - prev[n + 2])
-    return cur[n + 2] + direct - across
-
-
-def epsilon_leading_remainder(ops, g, k, n, cur, prev):
-    sq = cur[n + 1] * cur[n + 1]
-    value = cur[n + 2] - ops.div(sq, cur[n])
+    value = cur[n + 2] + ops.div(sq, lo)
     if k >= 1:
-        value = value + ops.div(sq, prev[n + 2])
+        value = value - ops.div(sq, _less(g, 0, prev[n + 2]))
     return value
 
 
-def theta_leading_prediction(ops, g, k, n, cur, prev):
-    u0, u1, u2 = (gi - cur[n + i] for i, gi in enumerate(g))
+def theta_leading(ops, g, k, n, cur, prev):
+    u0, u1, u2 = (_less(g, i, cur[n + i]) for i in range(3))
     num = u2 * (u1 * u1 - ops.const(2) * u0 * u2)
     return cur[n + 3] - ops.div(num, u0 * u1)
-
-
-def theta_leading_remainder(ops, g, k, n, cur, prev):
-    two = ops.const(2)
-    num = cur[n + 2] * (two * cur[n] * cur[n + 2] - cur[n + 1] * cur[n + 1])
-    return cur[n + 3] - ops.div(num, cur[n] * cur[n + 1])

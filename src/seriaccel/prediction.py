@@ -125,7 +125,7 @@ def leading_predictions(
     fam = _checked(family, max_level, m)
     fld = series.field
     build = run_recursion(fam, NumericOps(fld, fld.zero), max_level, m, [fld.zero] * (m + 1),
-                          series.coefficient, recursion=fam.leading_prediction)
+                          series.coefficient, recursion=fam.leading)
     return build.table(fam.name)
 
 

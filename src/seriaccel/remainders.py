@@ -104,7 +104,7 @@ def leading_remainders(
     with fld.arithmetic():
         seed = [-series.coefficient(n + 1) for n in range(m)]
     build = run_recursion(fam, NumericOps(fld, fld.zero), max_level, m - 1, seed,
-                          recursion=fam.leading_remainder)
+                          recursion=fam.leading)
     return build.table(fam.name)
 
 

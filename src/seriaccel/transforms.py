@@ -15,6 +15,12 @@ Implemented here:
 The rearranged forms are the family steps of :mod:`seriaccel._recursions`
 at z = 1, where the shifted difference ``z * X(n+1) - X(n)`` is the forward
 difference; the classic and plain forms stay as independent references.
+Both kinds of step, and the leading steps, take the same arguments, and the
+tables of the Aitken, epsilon-cross and iterated theta schemes run them by
+:func:`~seriaccel._recursions.run_recursion` on the family's registry record,
+which fixes their levels, widths, dependencies and key scale.  Only the full
+epsilon and theta tables, whose columns are not a family's levels, set out
+their own geometry.
 
 Every transformation is a step run by the shared triangle builder of
 :mod:`seriaccel._recursions` and returns its :class:`TransformTable` with
@@ -30,7 +36,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import _recursions as rec
-from ._recursions import NumericOps, SelectionError, TransformTable, UnitOps, _Build, run_recursion
+from ._recursions import SelectionError, TransformTable, UnitOps, _Build, run_recursion
 from .field import Field, Scalar
 from .jets import Jet, PowerSeries
 
@@ -142,8 +148,9 @@ class Family:
     theta column subscripts, so that level ``k`` sits at key ``2k``.
     ``recursion`` is the rearranged step shared by transformation terms,
     remainder terms and, at z = 1, the rearranged table, and ``deps`` the
-    cells it reads; the two ``leading_*`` steps are the scalar recursions for
-    the z-independent parts.  ``prediction_term`` is the family's prediction
+    cells it reads; ``leading`` is the scalar recursion for the z-independent
+    parts of both kinds of term.  The same record is the geometry of the
+    family's textbook tables.  ``prediction_term`` is the family's prediction
     strategy when its transformation term has a closed form:
     ``(series, k, n, order) -> Jet`` gives the term at ``(k, n)`` through
     ``order``.  Without one, predictions expand ``recursion`` over jets.
@@ -155,8 +162,7 @@ class Family:
     tables: dict[str, int]
     deps: Callable[[int, int], list]
     recursion: Callable
-    leading_prediction: Callable
-    leading_remainder: Callable
+    leading: Callable
     prediction_term: Callable[[PowerSeries, int, int, int], Jet] | None = None
 
 
@@ -183,16 +189,12 @@ FAMILIES = {
     family.name: family
     for family in (
         Family("aitken", (), 2, {AITKEN_CLASSIC: 1, AITKEN_REARRANGED: 1},
-               rec.aitken_deps, rec.aitken_step,
-               rec.aitken_leading_prediction, rec.aitken_leading_remainder),
+               rec.aitken_deps, rec.aitken_step, rec.aitken_leading),
         Family("epsilon", (), 2, {EPSILON: 2, EPSILON_CROSS: 2},
-               rec.epsilon_deps, rec.epsilon_step,
-               rec.epsilon_leading_prediction, rec.epsilon_leading_remainder,
-               _epsilon_pade_term),
+               rec.epsilon_deps, rec.epsilon_step, rec.epsilon_leading, _epsilon_pade_term),
         Family("theta-iterated", ("theta",), 3,
                {THETA: 2, THETA_ITERATED_CLASSIC: 1, THETA_ITERATED_REARRANGED: 1},
-               rec.theta_deps, rec.theta_step,
-               rec.theta_leading_prediction, rec.theta_leading_remainder),
+               rec.theta_deps, rec.theta_step, rec.theta_leading),
     )
 }
 
@@ -205,19 +207,33 @@ def get_family(name: str) -> Family:
     raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
 
 
-def _table(family: str, seq: ScalarSequence, levels: int, width, deps, step,
-           scale: int = 1) -> TransformTable:
-    build = _Build(NumericOps(seq.field, seq.field.zero), levels, width, deps, seq.entries, scale)
+def _table(family: str, seq: ScalarSequence, levels: int, width, deps, step) -> TransformTable:
+    """A column-wise textbook table, whose geometry is not a family's."""
+    build = _Build(UnitOps(seq.field), levels, width, deps, seq.entries)
     build.run(step)
     return build.table(family)
 
 
-def _rearranged(table: str, family: str, seq: ScalarSequence) -> TransformTable:
-    """The family's rearranged recursion at z = 1, which is the textbook rearranged scheme."""
-    fam = FAMILIES[family]
+def _owner(table: str) -> Family | None:
+    """Registry record of the family whose textbook tables include ``table``."""
+    return next((fam for fam in FAMILIES.values() if table in fam.tables), None)
+
+
+def _family_table(table: str, seq: ScalarSequence, recursion=None) -> TransformTable:
+    """Textbook table ``table`` in its family's geometry: ``recursion``, by
+    default the family's rearranged step, over the levels the sequence
+    reaches, at z = 1."""
+    fam = _owner(table)
     m = seq.last_index
     return run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries,
-                         scale=fam.tables[table]).table(table)
+                         scale=fam.tables[table], recursion=recursion).table(table)
+
+
+def _aitken_classic(ops, g, k, n, cur, prev):
+    d0 = cur[n + 1] - cur[n]
+    d1 = cur[n + 2] - cur[n + 1]
+    dd = d1 - d0
+    return cur[n] - ops.div(d0 * d0, dd)
 
 
 def aitken_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable:
@@ -225,17 +241,8 @@ def aitken_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable
     if scheme not in ("classic", "rearranged"):
         raise ValueError("scheme must be 'classic' or 'rearranged'")
     if scheme == "rearranged":
-        return _rearranged(AITKEN_REARRANGED, "aitken", seq)
-    fld = seq.field
-    m = seq.last_index
-
-    def step(k, n, cur, prev):
-        d0 = cur[n + 1] - cur[n]
-        d1 = cur[n + 2] - cur[n + 1]
-        dd = d1 - d0
-        return cur[n] - fld.div(d0 * d0, dd)
-
-    return _table(AITKEN_CLASSIC, seq, m // 2, lambda k: m - 2 * k, rec.aitken_deps, step)
+        return _family_table(AITKEN_REARRANGED, seq)
+    return _family_table(AITKEN_CLASSIC, seq, _aitken_classic)
 
 
 def epsilon_table(seq: ScalarSequence) -> TransformTable:
@@ -251,6 +258,16 @@ def epsilon_table(seq: ScalarSequence) -> TransformTable:
     return _table(EPSILON, seq, m, lambda j: m - j, deps, step)
 
 
+def _epsilon_cross_plain(ops, g, k, n, cur, prev):
+    d0 = cur[n + 1] - cur[n]
+    d1 = cur[n + 2] - cur[n + 1]
+    denom = ops.div(ops.one, d1) - ops.div(ops.one, d0)
+    if k >= 1:
+        gap = cur[n + 1] - prev[n + 2]
+        denom = denom + ops.div(ops.one, gap)
+    return cur[n + 1] + ops.div(ops.one, denom)
+
+
 def epsilon_cross_table(seq: ScalarSequence, form: str = "plain") -> TransformTable:
     """Even epsilon columns via the five-point cross rule (no odd columns).
 
@@ -262,22 +279,7 @@ def epsilon_cross_table(seq: ScalarSequence, form: str = "plain") -> TransformTa
     """
     if form not in ("plain", "rearranged"):
         raise ValueError("form must be 'plain' or 'rearranged'")
-    if form == "rearranged":
-        return _rearranged(EPSILON_CROSS, "epsilon", seq)
-    fld = seq.field
-    m = seq.last_index
-    one = fld.one
-
-    def step(k, n, cur, prev):
-        d0 = cur[n + 1] - cur[n]
-        d1 = cur[n + 2] - cur[n + 1]
-        denom = fld.div(one, d1) - fld.div(one, d0)
-        if k >= 1:
-            gap = cur[n + 1] - prev[n + 2]
-            denom = denom + fld.div(one, gap)
-        return cur[n + 1] + fld.div(one, denom)
-
-    return _table(EPSILON_CROSS, seq, m // 2, lambda k: m - 2 * k, rec.epsilon_deps, step, scale=2)
+    return _family_table(EPSILON_CROSS, seq, _epsilon_cross_plain if form == "plain" else None)
 
 
 def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
@@ -308,25 +310,23 @@ def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
     return _table(THETA, seq, 2 * (m // 3) + 1, lambda j: m - 3 * j // 2, deps, step)
 
 
+def _theta_classic(ops, g, k, n, cur, prev):
+    d0 = cur[n + 1] - cur[n]
+    d1 = cur[n + 2] - cur[n + 1]
+    d2 = cur[n + 3] - cur[n + 2]
+    dd0 = d1 - d0
+    dd1 = d2 - d1
+    den = d2 * dd0 - d0 * dd1
+    return cur[n + 1] - ops.div(d0 * d1 * dd1, den)
+
+
 def iterated_theta_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable:
     """Iterated theta transformation; classic and rearranged updates agree."""
     if scheme not in ("classic", "rearranged"):
         raise ValueError("scheme must be 'classic' or 'rearranged'")
     if scheme == "rearranged":
-        return _rearranged(THETA_ITERATED_REARRANGED, "theta-iterated", seq)
-    fld = seq.field
-    m = seq.last_index
-
-    def step(k, n, cur, prev):
-        d0 = cur[n + 1] - cur[n]
-        d1 = cur[n + 2] - cur[n + 1]
-        d2 = cur[n + 3] - cur[n + 2]
-        dd0 = d1 - d0
-        dd1 = d2 - d1
-        den = d2 * dd0 - d0 * dd1
-        return cur[n + 1] - fld.div(d0 * d1 * dd1, den)
-
-    return _table(THETA_ITERATED_CLASSIC, seq, m // 3, lambda k: m - 3 * k, rec.theta_deps, step)
+        return _family_table(THETA_ITERATED_REARRANGED, seq)
+    return _family_table(THETA_ITERATED_CLASSIC, seq, _theta_classic)
 
 
 def selection_indices(step: int, m: int) -> tuple[int, int]:
@@ -346,13 +346,13 @@ def select_approximant(table: TransformTable, m: int | None = None) -> tuple[int
         m = table.last_index
     if m < 0 or m > table.last_index:
         raise SelectionError(f"selection index {m} outside table built from 0..{table.last_index}")
-    for family in FAMILIES.values():
-        if table.family in family.tables:
-            break
-    else:
+    family = _owner(table.family)
+    if family is None:
         raise SelectionError(f"no selection rule for family {table.family!r}")
     level, n = selection_indices(family.step, m)
     k = family.tables[table.family] * level
+    if (k, n) not in table.valid:
+        raise SelectionError(f"table has no entry ({k}, {n})", k=k, n=n)
     value = table.entry(k, n)  # raises SelectionError when invalid
     return k, n, value
 

@@ -19,7 +19,7 @@ from seriaccel.prediction import (
     transformation_terms,
 )
 from seriaccel.series_library import builtin_series
-from seriaccel.transforms import SelectionError, get_family, pade_linear_system
+from seriaccel.transforms import SelectionError, get_family, pade_linear_system, select_approximant
 
 RAT = RationalField()
 
@@ -38,6 +38,15 @@ def test_family_aliases():
     assert get_family("theta").name == "theta-iterated"
     with pytest.raises(ValueError):
         get_family("rho")
+
+
+@pytest.mark.parametrize("family, max_level", [("aitken", 4), ("epsilon", 4), ("theta-iterated", 2)])
+def test_select_approximant_on_a_term_table_raises_selection_error(family, max_level):
+    # A term table is keyed by level, and the epsilon one shares the name of
+    # the textbook epsilon table, whose keys are column subscripts.
+    table = transformation_terms(log_series(9), family, max_level, order=1)
+    with pytest.raises(SelectionError):
+        select_approximant(table)
 
 
 def test_first_aitken_term_matches_closed_form():

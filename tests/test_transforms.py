@@ -185,6 +185,19 @@ def test_selection_of_invalid_entry_raises_with_location():
     assert (err.value.k, err.value.n) == (1, 0)
 
 
+@pytest.mark.parametrize("build, scheme, message", [
+    pytest.param(aitken_table, "plain", "scheme must be 'classic' or 'rearranged'", id="aitken"),
+    pytest.param(iterated_theta_table, "plain", "scheme must be 'classic' or 'rearranged'",
+                 id="theta-iterated"),
+    pytest.param(epsilon_cross_table, "classic", "form must be 'plain' or 'rearranged'",
+                 id="epsilon-cross"),
+])
+def test_unknown_scheme_is_rejected_with_its_message(build, scheme, message):
+    with pytest.raises(ValueError) as err:
+        build(log_partial_sums(7), scheme)
+    assert str(err.value) == message
+
+
 # -- Pade oracle -------------------------------------------------------------
 
 
