@@ -124,10 +124,15 @@ class TransformTable:
     level.  ``notes`` gives the reason of each invalid entry.  In a term
     table built from the series coefficients, the entry at ``(k, n)`` is
     the term of order ``n + step*k + 1``.
+
+    ``step`` and ``scale`` are the table's selection geometry: a level
+    consumes ``step`` inputs, and level ``k`` sits at key ``scale * k``.
     """
 
     family: str
     size: int
+    step: int
+    scale: int
     entries: dict = dataclass_field(default_factory=dict)
     valid: dict = dataclass_field(default_factory=dict)
     notes: dict = dataclass_field(default_factory=dict)
@@ -158,12 +163,14 @@ class _Build:
     down, or a cell (seeds included) that is not finite, records why.
     ``valid`` flags every cell.  Keys, and the dependencies named in notes,
     are ``(scale * level, n)``, so a table that holds only the even columns
-    keeps their literal subscripts.
+    keeps their literal subscripts.  ``step`` is the number of inputs a
+    selected level consumes; :meth:`table` records it.
     """
 
     def __init__(self, ops, levels: int, width: Width, deps: Callable[[int, int], list],
-                 seed, scale: int = 1):
+                 seed, step: int, scale: int = 1):
         self.ops = ops
+        self.step = step
         self.levels = levels
         self.width = width
         if scale != 1:
@@ -180,8 +187,11 @@ class _Build:
             else:
                 self.failures[(0, n)] = "overflow"
 
-    def table(self, name: str) -> TransformTable:
-        return TransformTable(name, self.width(0) + 1, self.entries, self.valid, self.failures)
+    def table(self, name: str, scale: int | None = None) -> TransformTable:
+        """The build as a table whose selected level ``k`` sits at key ``scale * k``
+        (by default the key scale of the build)."""
+        return TransformTable(name, self.width(0) + 1, self.step, scale or self.scale,
+                              self.entries, self.valid, self.failures)
 
     def run(self, step: Callable[[int, int, Mapping[int, object], Mapping[int, object] | None], object]):
         entries, valid, failures = self.entries, self.valid, self.failures
@@ -233,7 +243,7 @@ def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, scale: i
         g = None if coeff is None else [ops.const(coeff(n + step * k + i)) for i in range(1, step + 1)]
         return recursion(ops, g, k, n, cur, prev)
 
-    build = _Build(ops, levels, lambda k: top - step * k, family.deps, seed, scale)
+    build = _Build(ops, levels, lambda k: top - step * k, family.deps, seed, step, scale)
     build.run(cell)
     return build
 

@@ -144,25 +144,33 @@ def cmd_accelerate(args) -> int:
     resolved = resolve_series_spec(args.series, field, count=args.terms)
     seq = _sequence_from_input(resolved, args, field)
     table = _TABLE_BUILDERS[args.family](seq, args.scheme, args.modified)
-    print(f"# {resolved.label} -> family={table.family} entries={table.size}")
-    print("k n value")
-    for (k, n) in sorted(table.valid):
-        if table.is_valid(k, n):
-            print(f"{k} {n} {_render(field, table.entries[(k, n)], args.digits)}")
+    sys.stdout.writelines(_accelerate_lines(resolved, seq, table, field, args.digits))
+    return 0
+
+
+def _accelerate_lines(resolved, seq, table, field, digits):
+    """The lines of ``accelerate``, each with its newline, one at a time, so
+    that the lines before a rendering error still reach stdout."""
+    yield f"# {resolved.label} -> family={table.family} entries={table.size}\n"
+    yield "k n value\n"
+    entries = table.entries  # holds exactly the valid entries
+    for key in sorted(table.valid):
+        k, n = key
+        if key in entries:
+            yield f"{k} {n} {_render(field, entries[key], digits)}\n"
         else:
-            print(f"{k} {n} invalid ({table.notes.get((k, n), 'breakdown')})")
-    print("selected approximant per m:")
+            yield f"{k} {n} invalid ({table.notes.get(key, 'breakdown')})\n"
+    yield "selected approximant per m:\n"
     for m in range(table.size):
         try:
             k, n, value = select_approximant(table, m)
-            print(f"m={m} k={k} n={n} {_render(field, value, args.digits)}")
+            yield f"m={m} k={k} n={n} {_render(field, value, digits)}\n"
         except SelectionError as exc:
-            print(f"m={m} unavailable ({exc})")
+            yield f"m={m} unavailable ({exc})\n"
     if seq.limit is not None and len(seq.entries) >= 5:
         report = classify_convergence(seq)
         rho = "" if report.rho is None else f" rho~{_render(field, report.rho, 6)}"
-        print(f"classification: {report.kind}{rho}")
-    return 0
+        yield f"classification: {report.kind}{rho}\n"
 
 
 # ---------------------------------------------------------------------------

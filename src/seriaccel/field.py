@@ -22,6 +22,13 @@ near-zero rule is relative: a denominator ``d`` counts as zero when
 doubles and ``eps = 10**(10 - digits)`` for bigfloats, so the guard scales
 with the working precision instead of strangling deep high-precision tables.
 It stops overflow cascades without flagging legitimately small values.
+
+:func:`scientific_string` renders a finite ``float`` or ``Decimal`` by one
+half-even rounding to the requested digits (exact for a ``float``, through a
+cached context for a ``Decimal``) and one fixed-point ``e`` format, then
+moves the point.  Fractions and non-finite values take the slower exact
+``Decimal`` route, which is the reference the fast path is tested against;
+neither route depends on the ambient decimal context.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Scalar = Union[Fraction, Decimal, float]
@@ -169,6 +177,10 @@ class Field:
                 numerator=numerator,
                 denominator=denominator,
             )
+        return self._quotient(numerator, denominator)
+
+    def _quotient(self, numerator: Scalar, denominator: Scalar) -> Scalar:
+        """The rounded quotient, once :meth:`div` has checked the denominator."""
         with self.arithmetic():
             return numerator / denominator
 
@@ -234,6 +246,9 @@ class BigFloatField(Field):
     def from_fraction(self, value: Fraction) -> Decimal:
         with self.arithmetic():
             return Decimal(value.numerator) / Decimal(value.denominator)
+
+    def _quotient(self, numerator, denominator):
+        return self._context.divide(numerator, denominator)
 
     def _from_decimal(self, value: Decimal) -> Decimal:
         with self.arithmetic():  # infinite past the context's exponent range
@@ -324,6 +339,12 @@ def decimal_string(value: Scalar, digits: int) -> str:
     return format(d, "f")
 
 
+@lru_cache(maxsize=64)
+def _rounder(digits: int):
+    """Round a Decimal half-to-even to ``digits`` significant digits."""
+    return Context(prec=digits, rounding=ROUND_HALF_EVEN).plus
+
+
 def scientific_string(value: Scalar, digits: int) -> str:
     """Render as ``0.DDDDDDe[-]E`` with the mantissa in [0.1, 1).
 
@@ -331,13 +352,32 @@ def scientific_string(value: Scalar, digits: int) -> str:
     ``0.620539e-2`` for 6 significant digits of 0.00620539.  Exact zero
     renders as ``"0"``.
     """
+    if isinstance(value, float) and math.isfinite(value):
+        if value == 0:
+            return "0"
+        text = format(value, f".{digits - 1}e")
+    elif isinstance(value, Decimal) and value.is_finite():
+        if not value:
+            return "0"
+        # Rounded first: ``Decimal.__format__`` rounds by the ambient context.
+        text = format(_rounder(digits)(value), f".{digits - 1}e")
+    else:
+        return _scientific_reference(value, digits)
+    # d.ddde+X -> 0.dddde(X+1)
+    mantissa, _, exponent = text.partition("e")
+    sign = "-" if mantissa[0] == "-" else ""
+    return f"{sign}0.{mantissa.lstrip('-').replace('.', '')}e{int(exponent) + 1}"
+
+
+def _scientific_reference(value: Scalar, digits: int) -> str:
+    """:func:`scientific_string` by exact ``Decimal`` steps, for any scalar."""
     d = _as_rounded_decimal(value, digits)
     if not d.is_finite():
         return str(d)
     if d == 0:
         return "0"
     sign = "-" if d < 0 else ""
-    magnitude = abs(d)
+    magnitude = d.copy_abs()
     exponent = magnitude.adjusted() + 1
     with localcontext() as ctx:
         ctx.prec = digits + 5

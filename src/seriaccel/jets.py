@@ -196,8 +196,12 @@ class PowerSeries:
 
     def partial_sum(self, n: int, z: Scalar) -> Scalar:
         z = self.field.ensure(z)
+        stored = min(n, self.known_order)
+        coeffs = self.coeffs
         with self.field.arithmetic():
             acc = self.field.zero
-            for i in range(n, -1, -1):
+            for i in range(n, stored, -1):  # past the stored order: the tail rule
                 acc = acc * z + self.coefficient(i)
+            for i in range(stored, -1, -1):
+                acc = acc * z + coeffs[i]
             return acc

@@ -207,23 +207,19 @@ def get_family(name: str) -> Family:
     raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
 
 
-def _table(family: str, seq: ScalarSequence, levels: int, width, deps, step) -> TransformTable:
-    """A column-wise textbook table, whose geometry is not a family's."""
-    build = _Build(UnitOps(seq.field), levels, width, deps, seq.entries)
+def _table(table: str, fam: Family, seq: ScalarSequence, levels: int, width, deps,
+           step) -> TransformTable:
+    """A column-wise textbook table of ``fam``, whose columns are not the
+    family's levels: level ``k`` sits at column ``fam.tables[table] * k``."""
+    build = _Build(UnitOps(seq.field), levels, width, deps, seq.entries, fam.step)
     build.run(step)
-    return build.table(family)
+    return build.table(table, scale=fam.tables[table])
 
 
-def _owner(table: str) -> Family | None:
-    """Registry record of the family whose textbook tables include ``table``."""
-    return next((fam for fam in FAMILIES.values() if table in fam.tables), None)
-
-
-def _family_table(table: str, seq: ScalarSequence, recursion=None) -> TransformTable:
+def _family_table(table: str, fam: Family, seq: ScalarSequence, recursion=None) -> TransformTable:
     """Textbook table ``table`` in its family's geometry: ``recursion``, by
     default the family's rearranged step, over the levels the sequence
     reaches, at z = 1."""
-    fam = _owner(table)
     m = seq.last_index
     return run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries,
                          scale=fam.tables[table], recursion=recursion).table(table)
@@ -241,8 +237,8 @@ def aitken_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable
     if scheme not in ("classic", "rearranged"):
         raise ValueError("scheme must be 'classic' or 'rearranged'")
     if scheme == "rearranged":
-        return _family_table(AITKEN_REARRANGED, seq)
-    return _family_table(AITKEN_CLASSIC, seq, _aitken_classic)
+        return _family_table(AITKEN_REARRANGED, FAMILIES["aitken"], seq)
+    return _family_table(AITKEN_CLASSIC, FAMILIES["aitken"], seq, _aitken_classic)
 
 
 def epsilon_table(seq: ScalarSequence) -> TransformTable:
@@ -255,7 +251,7 @@ def epsilon_table(seq: ScalarSequence) -> TransformTable:
         return base + fld.div(fld.one, cur[n + 1] - cur[n])
 
     deps = lambda j, n: [(j, n), (j, n + 1), (j - 1, n + 1)] if j else [(j, n), (j, n + 1)]
-    return _table(EPSILON, seq, m, lambda j: m - j, deps, step)
+    return _table(EPSILON, FAMILIES["epsilon"], seq, m, lambda j: m - j, deps, step)
 
 
 def _epsilon_cross_plain(ops, g, k, n, cur, prev):
@@ -279,7 +275,8 @@ def epsilon_cross_table(seq: ScalarSequence, form: str = "plain") -> TransformTa
     """
     if form not in ("plain", "rearranged"):
         raise ValueError("form must be 'plain' or 'rearranged'")
-    return _family_table(EPSILON_CROSS, seq, _epsilon_cross_plain if form == "plain" else None)
+    return _family_table(EPSILON_CROSS, FAMILIES["epsilon"], seq,
+                         _epsilon_cross_plain if form == "plain" else None)
 
 
 def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
@@ -307,7 +304,8 @@ def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
             return [(j, n), (j, n + 1)] + carry
         return [(j - 1, n + 1), (j - 1, n + 2), (j, n), (j, n + 1), (j, n + 2)]
 
-    return _table(THETA, seq, 2 * (m // 3) + 1, lambda j: m - 3 * j // 2, deps, step)
+    return _table(THETA, FAMILIES["theta-iterated"], seq, 2 * (m // 3) + 1,
+                  lambda j: m - 3 * j // 2, deps, step)
 
 
 def _theta_classic(ops, g, k, n, cur, prev):
@@ -325,8 +323,8 @@ def iterated_theta_table(seq: ScalarSequence, scheme: str = "classic") -> Transf
     if scheme not in ("classic", "rearranged"):
         raise ValueError("scheme must be 'classic' or 'rearranged'")
     if scheme == "rearranged":
-        return _family_table(THETA_ITERATED_REARRANGED, seq)
-    return _family_table(THETA_ITERATED_CLASSIC, seq, _theta_classic)
+        return _family_table(THETA_ITERATED_REARRANGED, FAMILIES["theta-iterated"], seq)
+    return _family_table(THETA_ITERATED_CLASSIC, FAMILIES["theta-iterated"], seq, _theta_classic)
 
 
 def selection_indices(step: int, m: int) -> tuple[int, int]:
@@ -338,19 +336,18 @@ def selection_indices(step: int, m: int) -> tuple[int, int]:
 def select_approximant(table: TransformTable, m: int | None = None) -> tuple[int, int, Scalar]:
     """Entry used as the approximation to the limit after ``m+1`` inputs.
 
-    Returns ``(k, n, value)`` in the table's own indexing (so the epsilon
-    and theta families report their literal column subscript).  Raises
+    The table's own ``step`` and ``scale`` give the entry: level
+    ``m // step`` at start ``m % step``, keyed ``scale * level``.  Returns
+    ``(k, n, value)`` in the table's own indexing (so the epsilon and theta
+    tables report their literal column subscript).  Raises
     :class:`SelectionError` when the entry is out of range or invalid.
     """
     if m is None:
         m = table.last_index
     if m < 0 or m > table.last_index:
         raise SelectionError(f"selection index {m} outside table built from 0..{table.last_index}")
-    family = _owner(table.family)
-    if family is None:
-        raise SelectionError(f"no selection rule for family {table.family!r}")
-    level, n = selection_indices(family.step, m)
-    k = family.tables[table.family] * level
+    level, n = selection_indices(table.step, m)
+    k = table.scale * level
     if (k, n) not in table.valid:
         raise SelectionError(f"table has no entry ({k}, {n})", k=k, n=n)
     value = table.entry(k, n)  # raises SelectionError when invalid

@@ -81,6 +81,15 @@ def test_accelerate_model_sequence(capsys):
     assert "classification: linear" in out
 
 
+def test_accelerate_prints_every_digit_past_28(capsys):
+    code, out, _ = run(
+        capsys, "accelerate", "--series", "builtin:log1p-over-z", "--mode", "bigfloat",
+        "--family", "epsilon", "--z", "1/2", "--terms", "5", "--digits", "35",
+    )
+    assert code == 0
+    assert "\n0 2 0.8" + "3" * 34 + "e0\n" in out  # the partial sum 5/6
+
+
 def test_accelerate_series_needs_z(capsys):
     code, _, err = run(
         capsys, "accelerate", "--series", "builtin:log1p-over-z", "--family", "epsilon",

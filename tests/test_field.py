@@ -1,9 +1,9 @@
 from contextlib import contextmanager
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from seriaccel.field import (
     BigFloatField,
@@ -89,6 +89,37 @@ def test_scientific_rendering_matches_table_typography():
     assert scientific_string(Fraction(-620539, 100000000), 6) == "-0.620539e-2"
     assert scientific_string(Fraction(0), 6) == "0"
     assert scientific_string(Decimal("24.67105263157"), 10) == "0.2467105263e2"
+
+
+def test_scientific_rendering_past_28_digits():
+    # Every digit is significant past the default context's 28 digits.
+    assert scientific_string(Fraction(5, 6), 35) == "0.8" + "3" * 34 + "e0"
+    assert scientific_string(BF.from_fraction(Fraction(-2, 3)), 35) == "-0." + "6" * 34 + "7e0"
+    assert scientific_string(Decimal("1" * 40), 35) == "0." + "1" * 35 + "e40"
+
+
+finite_decimals = st.builds(
+    lambda sign, coefficient, exponent: Decimal((sign, tuple(map(int, str(coefficient))), exponent)),
+    st.integers(0, 1), st.integers(0, 10 ** 60), st.integers(-400, 400))
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), finite_decimals),
+       st.integers(1, 40))
+@example(Decimal("1.234565"), 6)  # a tie, which ROUND_HALF_UP would round up
+@example(0.125, 2)
+@example(9.5, 1)  # rounds up to the next power of ten
+@example(-0.0, 6)
+@example(5e-324, 17)
+@example(Decimal("-9.99999999999999999999999999999999999999995"), 40)
+def test_fast_rendering_equals_the_exact_route(value, digits):
+    # Floats and Decimals take the fast path; a Fraction takes the exact
+    # Decimal route, which is the reference.
+    text = scientific_string(value, digits)
+    assert text == scientific_string(Fraction(value), digits)
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 3, ROUND_HALF_UP
+        assert scientific_string(value, digits) == text
+        assert scientific_string(Fraction(value), digits) == text
 
 
 def test_rendering_rounds_half_to_even():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seriaccel.field import RationalField
+from seriaccel.field import BigFloatField, Float64Field, RationalField
 from seriaccel.jets import Jet, JetBreakdownError, PowerSeries
 
 RAT = RationalField()
@@ -104,6 +104,20 @@ def test_power_series_tail_and_partial_sums():
     assert series.coefficient(4) == F(1, 5)
     assert series.partial_sum_jet(1, 3).coeffs == (F(1), F(-1, 2), F(0), F(0))
     assert series.partial_sum(2, F(1, 2)) == F(1) - F(1, 4) + F(1, 12)
+
+
+@pytest.mark.parametrize("fld", [RAT, BigFloatField(50), Float64Field()], ids=lambda f: f.mode)
+def test_partial_sums_past_the_stored_order_read_the_tail_rule(fld):
+    rule = lambda i: fld.from_fraction(F((-1) ** i, i + 1))
+    series = PowerSeries(fld, tuple(rule(i) for i in range(3)), tail=rule)
+    z = fld.from_fraction(F(-9, 10))
+    with fld.arithmetic():
+        horner = fld.zero
+        for i in range(6, -1, -1):
+            horner = horner * z + series.coefficient(i)
+    assert series.partial_sum(6, z) == horner
+    if fld is RAT:
+        assert horner == sum(F((-1) ** i, i + 1) * z ** i for i in range(7))
 
 
 def test_power_series_without_tail_stops():

@@ -40,13 +40,18 @@ def test_family_aliases():
         get_family("rho")
 
 
-@pytest.mark.parametrize("family, max_level", [("aitken", 4), ("epsilon", 4), ("theta-iterated", 2)])
-def test_select_approximant_on_a_term_table_raises_selection_error(family, max_level):
-    # A term table is keyed by level, and the epsilon one shares the name of
-    # the textbook epsilon table, whose keys are column subscripts.
+@pytest.mark.parametrize("family, max_level, key", [
+    pytest.param("aitken", 4, (4, 0), id="aitken-4"),
+    pytest.param("epsilon", 4, (4, 0), id="epsilon-4"),
+    pytest.param("theta-iterated", 2, (2, 2), id="theta-iterated-2"),
+])
+def test_select_approximant_on_a_term_table_selects_by_level(family, max_level, key):
+    # A term table is keyed by level, while the textbook epsilon table, which
+    # shares its name, is keyed by column subscript: coefficients 0..8 select
+    # the deepest level, not column 2k.
     table = transformation_terms(log_series(9), family, max_level, order=1)
-    with pytest.raises(SelectionError):
-        select_approximant(table)
+    k, n, value = select_approximant(table)
+    assert (k, n) == key and value == table.entry(*key)
 
 
 def test_first_aitken_term_matches_closed_form():

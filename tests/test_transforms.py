@@ -5,6 +5,8 @@ import pytest
 
 from seriaccel.field import BigFloatField, Float64Field, RationalField
 from seriaccel.jets import PowerSeries
+from seriaccel.prediction import leading_predictions, transformation_terms
+from seriaccel.remainders import leading_remainders, remainder_jets
 from seriaccel.series_library import builtin_series
 from seriaccel.transforms import (
     DegeneratePadeError,
@@ -176,6 +178,48 @@ def test_selection_rules():
     assert (k, n) == (4, 1)
     k, n, _ = select_approximant(iterated_theta_table(log_partial_sums(8)), 7)
     assert (k, n) == (2, 1)
+
+
+def _selection_cases():
+    """(name, table, step, scale) of every kind of table, with the selection
+    geometry written out here rather than read from the table."""
+    s = log_partial_sums(13)
+    series = PowerSeries(RAT, tuple(F((-1) ** m, m + 1) for m in range(13)),
+                         tail=lambda i: F((-1) ** i, i + 1))
+    yield "aitken-classic", aitken_table(s), 2, 1
+    yield "aitken-rearranged", aitken_table(s, "rearranged"), 2, 1
+    yield "epsilon", epsilon_table(s), 2, 2
+    yield "epsilon-cross-plain", epsilon_cross_table(s), 2, 2
+    yield "epsilon-cross-rearranged", epsilon_cross_table(s, "rearranged"), 2, 2
+    yield "theta", theta_table(s), 3, 2
+    yield "theta-modified", theta_table(s, modified=True), 3, 2
+    yield "theta-iterated-classic", iterated_theta_table(s), 3, 1
+    yield "theta-iterated-rearranged", iterated_theta_table(s, "rearranged"), 3, 1
+    for family, step in (("aitken", 2), ("epsilon", 2), ("theta-iterated", 3)):
+        top = 12 // step
+        yield f"terms-{family}", transformation_terms(series, family, top, order=1), step, 1
+        yield f"leading-{family}", leading_predictions(series, family, top), step, 1
+        yield (f"remainders-{family}", remainder_jets(series, family, top - 1, order=1, n_max=2),
+               step, 1)
+        yield (f"leading-remainders-{family}", leading_remainders(series, family, 11 // step),
+               step, 1)
+
+
+@pytest.mark.parametrize("table, step, scale",
+                         [pytest.param(*case, id=name) for name, *case in _selection_cases()])
+def test_every_table_selects_by_its_own_geometry(table, step, scale):
+    # Inputs 0..m select level m // step at start m % step, keyed scale * level.
+    for m in range(table.size):
+        key = (scale * (m // step), m % step)
+        try:
+            k, n, value = select_approximant(table, m)
+        except SelectionError:
+            assert not table.is_valid(*key), (m, key)
+        else:
+            assert (k, n) == key and value == table.entry(*key), m
+    assert any(table.is_valid(scale * (m // step), m % step) for m in range(step, table.size))
+    with pytest.raises(SelectionError):
+        select_approximant(table, table.size)
 
 
 def test_selection_of_invalid_entry_raises_with_location():
