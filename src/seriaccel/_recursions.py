@@ -32,11 +32,12 @@ remainder term.
 Steps run over any carrier with ring operators, a checked division and
 multiplication by the series variable: :class:`JetOps` over truncated power
 series (Taylor expansions), :class:`NumericOps` over plain scalars at a
-fixed point, :class:`UnitOps` at z = 1.  :class:`_Build` runs a step over a
-triangle -- these recursions and the textbook tables of
-:mod:`seriaccel.transforms` alike -- and is the one place where failures
-propagate: a breakdown or a non-finite value in one cell, seeds included,
-never aborts the build, and every cell that reads it inherits the failure.
+fixed point, :class:`UnitOps` at z = 1.  Every step, in these recursions and
+the textbook tables of :mod:`seriaccel.transforms` alike, has the signature
+``step(ops, g, k, n, cur, prev)``.  :class:`_Build` runs it over a triangle,
+injects ``g`` and is the one place where failures propagate: a breakdown or
+a non-finite value in one cell, seeds included, never aborts the build, and
+every cell that reads it inherits the failure.
 Every build comes back as a :class:`TransformTable`, the one result type of
 the package: textbook tables hold scalars, transformation- and
 remainder-term tables hold jets, leading tables hold their scalar parts.
@@ -45,7 +46,7 @@ remainder-term tables hold jets, leading tables hold their scalar parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Mapping
+from typing import Callable
 
 from .field import BreakdownError, Field, Scalar
 from .jets import Jet
@@ -83,6 +84,7 @@ class NumericOps:
 
     def __init__(self, field: Field, z: Scalar):
         self.z = field.ensure(z)
+        self.zero = field.zero
         self.one = field.one
         self.const = field.ensure
         self.finite = field.is_finite
@@ -158,13 +160,14 @@ class _Build:
     cells ``(k + 1, n)`` with ``n <= width(k + 1)``, level by level.
 
     ``deps(k, n)`` names, as ``(level, n)``, the cells the step into
-    ``(k + 1, n)`` reads.  A cell whose dependency failed records ``depends
-    on invalid entry (k, n)`` without running the step; a step that breaks
-    down, or a cell (seeds included) that is not finite, records why.
-    ``valid`` flags every cell.  Keys, and the dependencies named in notes,
-    are ``(scale * level, n)``, so a table that holds only the even columns
-    keeps their literal subscripts.  ``step`` is the number of inputs a
-    selected level consumes; :meth:`table` records it.
+    ``(k + 1, n)`` reads; every dependency in the package is on level ``k``
+    or ``k - 1``, the two live rows :meth:`run` checks.  A cell whose
+    dependency failed records ``depends on invalid entry (key, n)`` without
+    running the step; a step that breaks down, or a cell (seeds included)
+    that is not finite, records why.  ``valid`` flags every cell.  Keys are
+    ``(scale * level, n)``, the scale applied where a key or a note is
+    written, so a table that holds only the even columns keeps their literal
+    subscripts.  ``step`` is the number of inputs a level consumes.
     """
 
     def __init__(self, ops, levels: int, width: Width, deps: Callable[[int, int], list],
@@ -173,8 +176,6 @@ class _Build:
         self.step = step
         self.levels = levels
         self.width = width
-        if scale != 1:
-            deps = lambda k, n, level_deps=deps: [(scale * j, i) for j, i in level_deps(k, n)]
         self.deps = deps
         self.scale = scale
         self.entries: dict[tuple[int, int], object] = {}
@@ -193,24 +194,29 @@ class _Build:
         return TransformTable(name, self.width(0) + 1, self.step, scale or self.scale,
                               self.entries, self.valid, self.failures)
 
-    def run(self, step: Callable[[int, int, Mapping[int, object], Mapping[int, object] | None], object]):
+    def run(self, recursion: Callable, coeff: Callable[[int], Scalar] | None = None):
+        """Fill the levels with ``recursion(ops, g, k, n, cur, prev)``: ``cur``
+        and ``prev`` map ``n`` to the valid cells of levels ``k`` and ``k - 1``,
+        and ``g`` is ``coeff(n + step*k + 1 .. n + step*k + step)`` as carrier
+        constants, asked for once the dependencies hold (``None`` without ``coeff``)."""
+        ops, step, scale = self.ops, self.step, self.scale
         entries, valid, failures = self.entries, self.valid, self.failures
-        deps, finite = self.deps, self.ops.finite
-        # ``cur`` and ``prev`` hold the rows of levels k and k - 1; the row of
-        # level k + 1 fills while it is built.
+        deps, finite, const = self.deps, ops.finite, ops.const
         prev, cur = None, {n: value for (_, n), value in entries.items()}
-        with self.ops.context():
+        with ops.context():
             for k in range(self.levels):
                 row = {}
-                level = self.scale * (k + 1)
+                level = scale * (k + 1)
                 for n in range(self.width(k + 1) + 1):
-                    for dep in deps(k, n):
-                        if dep not in entries:
-                            note = f"depends on invalid entry {dep}"
+                    for dep_k, dep_n in deps(k, n):
+                        if dep_n not in (cur if dep_k == k else prev):
+                            note = f"depends on invalid entry {(scale * dep_k, dep_n)}"
                             break
                     else:
                         try:
-                            value = step(k, n, cur, prev)
+                            g = None if coeff is None else [
+                                const(coeff(n + step * k + i)) for i in range(1, step + 1)]
+                            value = recursion(ops, g, k, n, cur, prev)
                         except BreakdownError as exc:
                             note = str(exc)
                         else:
@@ -225,27 +231,24 @@ class _Build:
                 prev, cur = cur, row
 
 
-def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, scale: int = 1,
-                  recursion=None) -> _Build:
-    """Run ``recursion`` (default ``family.recursion``) over cells ``(k, n)``
-    with ``n + step*k <= top``.
+def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, table: str | None = None,
+                  recursion: Callable | None = None) -> TransformTable:
+    """The table of ``recursion`` (default ``family.recursion``) over cells
+    ``(k, n)`` with ``n + step*k <= top``.
 
-    With ``coeff`` (transformation terms, ``seed`` all zeros) the step gets
+    With ``coeff`` (transformation terms, ``seed`` all zeros) each step gets
     the carrier constants ``coeff(n + step*k + 1 .. n + step*k + step)`` to
     inject; without it (remainder terms, ``seed`` the scaled truncation
     errors, or a textbook table of the family, ``seed`` the sequence at
-    z = 1) it gets ``None`` and injects nothing.  ``scale`` is the key scale of
-    :class:`_Build`.
+    z = 1) it gets ``None`` and injects nothing.  The table is named
+    ``table``, a textbook table of the family, with its key scale from
+    ``family.tables``; by default it is named after the family, with scale 1.
     """
-    step, recursion = family.step, recursion or family.recursion
-
-    def cell(k, n, cur, prev):
-        g = None if coeff is None else [ops.const(coeff(n + step * k + i)) for i in range(1, step + 1)]
-        return recursion(ops, g, k, n, cur, prev)
-
+    step = family.step
+    scale = family.tables[table] if table else 1
     build = _Build(ops, levels, lambda k: top - step * k, family.deps, seed, step, scale)
-    build.run(cell)
-    return build
+    build.run(recursion or family.recursion, coeff)
+    return build.table(table or family.name)
 
 
 def _shifted(ops, g, cur, n: int, count: int) -> list:

@@ -159,7 +159,7 @@ def _accelerate_lines(resolved, seq, table, field, digits):
         if key in entries:
             yield f"{k} {n} {_render(field, entries[key], digits)}\n"
         else:
-            yield f"{k} {n} invalid ({table.notes.get(key, 'breakdown')})\n"
+            yield f"{k} {n} invalid ({table.notes[key]})\n"
     yield "selected approximant per m:\n"
     for m in range(table.size):
         try:

@@ -181,8 +181,7 @@ class Field:
 
     def _quotient(self, numerator: Scalar, denominator: Scalar) -> Scalar:
         """The rounded quotient, once :meth:`div` has checked the denominator."""
-        with self.arithmetic():
-            return numerator / denominator
+        return numerator / denominator
 
     def is_finite(self, value: Scalar) -> bool:
         return True

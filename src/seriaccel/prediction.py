@@ -62,6 +62,8 @@ def _last_index(series: PowerSeries, last_index: int | None) -> int:
     the stored ones of a series without a tail rule."""
     if last_index is None:
         return series.known_order
+    if last_index < 0:
+        raise ValueError(f"last_index must be >= 0, got {last_index}")
     if last_index > series.known_order and not series.has_tail:
         raise ValueError(
             f"last_index {last_index} exceeds the stored coefficients and no tail rule is attached"
@@ -106,8 +108,7 @@ def transformation_terms(
     m = _last_index(series, last_index)
     fam = _checked(family, max_level, m, order)
     ops = JetOps(series.field, order)
-    build = run_recursion(fam, ops, max_level, m, [ops.zero] * (m + 1), series.coefficient)
-    return build.table(fam.name)
+    return run_recursion(fam, ops, max_level, m, [ops.zero] * (m + 1), series.coefficient)
 
 
 def leading_predictions(
@@ -124,9 +125,8 @@ def leading_predictions(
     m = _last_index(series, last_index)
     fam = _checked(family, max_level, m)
     fld = series.field
-    build = run_recursion(fam, NumericOps(fld, fld.zero), max_level, m, [fld.zero] * (m + 1),
-                          series.coefficient, recursion=fam.leading)
-    return build.table(fam.name)
+    return run_recursion(fam, NumericOps(fld, fld.zero), max_level, m, [fld.zero] * (m + 1),
+                         series.coefficient, recursion=fam.leading)
 
 
 def predict_coefficients(

@@ -78,8 +78,7 @@ def remainder_jets(
     top = n_max + step * max_level
     fam = _checked(family, max_level, top, order)
     base = _base_remainder_row(series, order, top)
-    build = run_recursion(fam, JetOps(series.field, order), max_level, top, base)
-    return build.table(fam.name)
+    return run_recursion(fam, JetOps(series.field, order), max_level, top, base)
 
 
 def leading_remainders(
@@ -103,9 +102,8 @@ def leading_remainders(
     fld = series.field
     with fld.arithmetic():
         seed = [-series.coefficient(n + 1) for n in range(m)]
-    build = run_recursion(fam, NumericOps(fld, fld.zero), max_level, m - 1, seed,
-                          recursion=fam.leading)
-    return build.table(fam.name)
+    return run_recursion(fam, NumericOps(fld, fld.zero), max_level, m - 1, seed,
+                         recursion=fam.leading)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +189,8 @@ class TermCell:
     note: str = ""
 
 
-def _selected_cells(table, step, fld, z, m_max):
-    family, entries = table.family, table.entries
+def _selected_cells(table, fld, z, m_max):
+    family, entries, step = table.family, table.entries, table.step
     cells = []
     with fld.arithmetic():
         for m in range(m_max + 1):
@@ -210,8 +208,7 @@ def _selected_cells(table, step, fld, z, m_max):
                 else:
                     cells.append(TermCell(m, family, k, n, None, False, "overflow"))
             else:
-                note = table.notes.get((k, n), "not computed")
-                cells.append(TermCell(m, family, k, n, None, False, note))
+                cells.append(TermCell(m, family, k, n, None, False, table.notes[(k, n)]))
     return cells
 
 
@@ -221,8 +218,8 @@ def _evaluate(series, z, m_max, seed, coeff=None) -> dict[str, list[TermCell]]:
     ops = NumericOps(fld, z)
     out = {}
     for fam in FAMILIES.values():
-        table = run_recursion(fam, ops, m_max // fam.step, m_max, seed, coeff).table(fam.name)
-        out[fam.name] = _selected_cells(table, fam.step, fld, z, m_max)
+        table = run_recursion(fam, ops, m_max // fam.step, m_max, seed, coeff)
+        out[fam.name] = _selected_cells(table, fld, z, m_max)
     return out
 
 

@@ -15,12 +15,12 @@ Implemented here:
 The rearranged forms are the family steps of :mod:`seriaccel._recursions`
 at z = 1, where the shifted difference ``z * X(n+1) - X(n)`` is the forward
 difference; the classic and plain forms stay as independent references.
-Both kinds of step, and the leading steps, take the same arguments, and the
-tables of the Aitken, epsilon-cross and iterated theta schemes run them by
-:func:`~seriaccel._recursions.run_recursion` on the family's registry record,
-which fixes their levels, widths, dependencies and key scale.  Only the full
-epsilon and theta tables, whose columns are not a family's levels, set out
-their own geometry.
+Every step here takes the same arguments as the family and leading steps.
+The tables of the Aitken, epsilon-cross and iterated theta schemes run theirs
+by :func:`~seriaccel._recursions.run_recursion` on the family's registry
+record, which fixes their levels, widths, dependencies and key scale.  Only
+the full epsilon and theta tables, whose columns are not a family's levels,
+set out their own geometry.
 
 Every transformation is a step run by the shared triangle builder of
 :mod:`seriaccel._recursions` and returns its :class:`TransformTable` with
@@ -221,8 +221,8 @@ def _family_table(table: str, fam: Family, seq: ScalarSequence, recursion=None) 
     default the family's rearranged step, over the levels the sequence
     reaches, at z = 1."""
     m = seq.last_index
-    return run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries,
-                         scale=fam.tables[table], recursion=recursion).table(table)
+    return run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries, table=table,
+                         recursion=recursion)
 
 
 def _aitken_classic(ops, g, k, n, cur, prev):
@@ -241,17 +241,16 @@ def aitken_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable
     return _family_table(AITKEN_CLASSIC, FAMILIES["aitken"], seq, _aitken_classic)
 
 
+def _epsilon_column(ops, g, j, n, cur, prev):
+    base = prev[n + 1] if j >= 1 else ops.zero
+    return base + ops.div(ops.one, cur[n + 1] - cur[n])
+
+
 def epsilon_table(seq: ScalarSequence) -> TransformTable:
     """Full epsilon table; even columns approximate, odd columns are auxiliary."""
-    fld = seq.field
     m = seq.last_index
-
-    def step(j, n, cur, prev):
-        base = prev[n + 1] if j >= 1 else fld.zero
-        return base + fld.div(fld.one, cur[n + 1] - cur[n])
-
     deps = lambda j, n: [(j, n), (j, n + 1), (j - 1, n + 1)] if j else [(j, n), (j, n + 1)]
-    return _table(EPSILON, FAMILIES["epsilon"], seq, m, lambda j: m - j, deps, step)
+    return _table(EPSILON, FAMILIES["epsilon"], seq, m, lambda j: m - j, deps, _epsilon_column)
 
 
 def _epsilon_cross_plain(ops, g, k, n, cur, prev):
@@ -286,17 +285,16 @@ def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
     which makes the even columns reproduce the iterated theta transformation.
     Column ``j`` has ``m + 1 - 3j // 2`` entries.
     """
-    fld = seq.field
     m = seq.last_index
 
-    def step(j, n, cur, prev):
+    def step(ops, g, j, n, cur, prev):
         if j % 2 == 0:  # odd column j + 1
-            base = fld.zero if modified or j == 0 else prev[n + 1]
-            return base + fld.div(fld.one, cur[n + 1] - cur[n])
+            base = ops.zero if modified or j == 0 else prev[n + 1]
+            return base + ops.div(ops.one, cur[n + 1] - cur[n])
         d_even = prev[n + 2] - prev[n + 1]
         d_odd = cur[n + 2] - cur[n + 1]
         dd_odd = d_odd - (cur[n + 1] - cur[n])
-        return prev[n + 1] + fld.div(d_even * d_odd, dd_odd)
+        return prev[n + 1] + ops.div(d_even * d_odd, dd_odd)
 
     def deps(j, n):
         if j % 2 == 0:

@@ -18,6 +18,7 @@ from seriaccel.prediction import (
     predict_coefficients,
     transformation_terms,
 )
+from seriaccel.remainders import leading_remainders
 from seriaccel.series_library import builtin_series
 from seriaccel.transforms import SelectionError, get_family, pade_linear_system, select_approximant
 
@@ -195,6 +196,19 @@ def test_zero_coefficient_is_flagged_not_fatal():
     for k, n in broken:
         with pytest.raises(SelectionError):
             leads.entry(k, n)
+
+
+@pytest.mark.parametrize("family", ["aitken", "epsilon", "theta-iterated"])
+def test_negative_last_index_is_rejected_with_one_message(family):
+    message = "last_index must be >= 0, got -1"
+    with pytest.raises(ValueError, match=message):
+        predict_coefficients(log_series(), family, -1, 2)
+    with pytest.raises(ValueError, match=message):
+        transformation_terms(log_series(), family, 0, order=1, last_index=-1)
+    with pytest.raises(ValueError, match=message):
+        leading_predictions(log_series(), family, 0, last_index=-1)
+    with pytest.raises(ValueError, match=message):
+        leading_remainders(log_series(), family, 0, last_index=-1)
 
 
 def test_selected_breakdown_propagates_as_typed_error():

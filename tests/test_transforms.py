@@ -180,12 +180,14 @@ def test_selection_rules():
     assert (k, n) == (2, 1)
 
 
-def _selection_cases():
+def _selection_cases(s=None, series=None):
     """(name, table, step, scale) of every kind of table, with the selection
-    geometry written out here rather than read from the table."""
-    s = log_partial_sums(13)
-    series = PowerSeries(RAT, tuple(F((-1) ** m, m + 1) for m in range(13)),
-                         tail=lambda i: F((-1) ** i, i + 1))
+    geometry written out here rather than read from the table.  By default
+    the tables are built from the logarithm's partial sums and series."""
+    if s is None:
+        s = log_partial_sums(13)
+        series = PowerSeries(RAT, tuple(F((-1) ** m, m + 1) for m in range(13)),
+                             tail=lambda i: F((-1) ** i, i + 1))
     yield "aitken-classic", aitken_table(s), 2, 1
     yield "aitken-rearranged", aitken_table(s, "rearranged"), 2, 1
     yield "epsilon", epsilon_table(s), 2, 2
@@ -220,6 +222,25 @@ def test_every_table_selects_by_its_own_geometry(table, step, scale):
     assert any(table.is_valid(scale * (m // step), m % step) for m in range(step, table.size))
     with pytest.raises(SelectionError):
         select_approximant(table, table.size)
+
+
+def _breaking_cases():
+    # An arithmetic run, repeated elements and zero coefficients make cells
+    # break down, and cells above them inherit the failure.
+    s = seq(1, 2, 3, 5, 8, 8, 13, 21, 21, 34, 55, 89, 144)
+    coeffs = (1, 0, F(1, 3), 0, F(1, 5), F(-1, 6), 0, F(-1, 8), F(1, 9), 0, F(1, 11), 1, 1)
+    series = PowerSeries(RAT, tuple(F(c) for c in coeffs), tail=lambda i: F(1, i + 1))
+    for name, table, _, _ in _selection_cases(s, series):
+        yield pytest.param(table, id=name)
+
+
+@pytest.mark.parametrize("table", _breaking_cases())
+def test_every_cell_is_an_entry_or_a_note(table):
+    entries, notes = set(table.entries), set(table.notes)
+    assert entries | notes == set(table.valid)
+    assert not entries & notes
+    assert all(ok == (key in entries) for key, ok in table.valid.items())
+    assert notes  # the inputs break some cell of every kind of table
 
 
 def test_selection_of_invalid_entry_raises_with_location():
