@@ -39,8 +39,8 @@ injects ``g`` and is the one place where failures propagate: a breakdown or
 a non-finite value in one cell, seeds included, never aborts the build, and
 every cell that reads it inherits the failure.
 Every build comes back as a :class:`TransformTable`, the one result type of
-the package: textbook tables hold scalars, transformation- and
-remainder-term tables hold jets, leading tables hold their scalar parts.
+the package: ``entries`` holds its valid cells (jets in term tables, scalars
+elsewhere), ``notes`` its failed ones; ``valid`` is a read-only view of both.
 """
 
 from __future__ import annotations
@@ -118,14 +118,15 @@ class SelectionError(LookupError):
 
 @dataclass
 class TransformTable:
-    """Triangular table of entries with validity flags, as one build left it.
+    """Triangular table as one build left it: its ``entries`` and ``notes``.
 
     Keys are ``(k, n)``.  For the epsilon and theta algorithms ``k`` is the
     literal column subscript (odd columns are auxiliary); for the Aitken and
     iterated-theta schemes, and for every term table, ``k`` is the iteration
-    level.  ``notes`` gives the reason of each invalid entry.  In a term
-    table built from the series coefficients, the entry at ``(k, n)`` is
-    the term of order ``n + step*k + 1``.
+    level.  Each cell is a key of ``entries`` (valid, with its value) or of
+    ``notes`` (failed, with the reason).  In a term table built from the
+    series coefficients, the entry at ``(k, n)`` is the term of order
+    ``n + step*k + 1``.
 
     ``step`` and ``scale`` are the table's selection geometry: a level
     consumes ``step`` inputs, and level ``k`` sits at key ``scale * k``.
@@ -136,23 +137,26 @@ class TransformTable:
     step: int
     scale: int
     entries: dict = dataclass_field(default_factory=dict)
-    valid: dict = dataclass_field(default_factory=dict)
     notes: dict = dataclass_field(default_factory=dict)
 
     @property
     def last_index(self) -> int:
         return self.size - 1
 
+    @property
+    def valid(self) -> dict:
+        """``{key: key in entries}`` over every cell, in key order; rebuilt on each access."""
+        return {key: key in self.entries for key in sorted([*self.entries, *self.notes])}
+
     def is_valid(self, k: int, n: int) -> bool:
-        return self.valid.get((k, n), False)
+        return (k, n) in self.entries
 
     def entry(self, k: int, n: int):
-        if (k, n) not in self.valid:
-            raise KeyError(f"table has no entry ({k}, {n})")
-        if not self.valid[(k, n)]:
-            note = self.notes.get((k, n), "breakdown")
-            raise SelectionError(f"entry ({k}, {n}) is invalid: {note}", k=k, n=n)
-        return self.entries[(k, n)]
+        if (k, n) in self.entries:
+            return self.entries[(k, n)]
+        if (k, n) in self.notes:
+            raise SelectionError(f"entry ({k}, {n}) is invalid: {self.notes[(k, n)]}", k=k, n=n)
+        raise KeyError(f"table has no entry ({k}, {n})")
 
 
 class _Build:
@@ -164,10 +168,10 @@ class _Build:
     or ``k - 1``, the two live rows :meth:`run` checks.  A cell whose
     dependency failed records ``depends on invalid entry (key, n)`` without
     running the step; a step that breaks down, or a cell (seeds included)
-    that is not finite, records why.  ``valid`` flags every cell.  Keys are
-    ``(scale * level, n)``, the scale applied where a key or a note is
-    written, so a table that holds only the even columns keeps their literal
-    subscripts.  ``step`` is the number of inputs a level consumes.
+    that is not finite, records why in ``failures``, the table's notes.
+    Keys are ``(scale * level, n)``, the scale applied where a key or a note
+    is written, so a table that holds only the even columns keeps their
+    literal subscripts.  ``step`` is the number of inputs a level consumes.
     """
 
     def __init__(self, ops, levels: int, width: Width, deps: Callable[[int, int], list],
@@ -179,11 +183,9 @@ class _Build:
         self.deps = deps
         self.scale = scale
         self.entries: dict[tuple[int, int], object] = {}
-        self.valid: dict[tuple[int, int], bool] = {}
         self.failures: dict[tuple[int, int], str] = {}
         for n in range(width(0) + 1):
-            self.valid[(0, n)] = ops.finite(seed[n])
-            if self.valid[(0, n)]:
+            if ops.finite(seed[n]):
                 self.entries[(0, n)] = seed[n]
             else:
                 self.failures[(0, n)] = "overflow"
@@ -192,7 +194,7 @@ class _Build:
         """The build as a table whose selected level ``k`` sits at key ``scale * k``
         (by default the key scale of the build)."""
         return TransformTable(name, self.width(0) + 1, self.step, scale or self.scale,
-                              self.entries, self.valid, self.failures)
+                              self.entries, self.failures)
 
     def run(self, recursion: Callable, coeff: Callable[[int], Scalar] | None = None):
         """Fill the levels with ``recursion(ops, g, k, n, cur, prev)``: ``cur``
@@ -200,7 +202,7 @@ class _Build:
         and ``g`` is ``coeff(n + step*k + 1 .. n + step*k + step)`` as carrier
         constants, asked for once the dependencies hold (``None`` without ``coeff``)."""
         ops, step, scale = self.ops, self.step, self.scale
-        entries, valid, failures = self.entries, self.valid, self.failures
+        entries, failures = self.entries, self.failures
         deps, finite, const = self.deps, ops.finite, ops.const
         prev, cur = None, {n: value for (_, n), value in entries.items()}
         with ops.context():
@@ -224,10 +226,8 @@ class _Build:
                     key = (level, n)
                     if note is None:
                         entries[key] = row[n] = value
-                        valid[key] = True
                     else:
                         failures[key] = note
-                        valid[key] = False
                 prev, cur = cur, row
 
 

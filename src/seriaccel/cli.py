@@ -153,13 +153,13 @@ def _accelerate_lines(resolved, seq, table, field, digits):
     that the lines before a rendering error still reach stdout."""
     yield f"# {resolved.label} -> family={table.family} entries={table.size}\n"
     yield "k n value\n"
-    entries = table.entries  # holds exactly the valid entries
-    for key in sorted(table.valid):
+    entries, notes = table.entries, table.notes
+    for key in sorted([*entries, *notes]):  # each in key order: the sort is one merge
         k, n = key
         if key in entries:
             yield f"{k} {n} {_render(field, entries[key], digits)}\n"
         else:
-            yield f"{k} {n} invalid ({table.notes[key]})\n"
+            yield f"{k} {n} invalid ({notes[key]})\n"
     yield "selected approximant per m:\n"
     for m in range(table.size):
         try:

@@ -23,10 +23,9 @@ the full epsilon and theta tables, whose columns are not a family's levels,
 set out their own geometry.
 
 Every transformation is a step run by the shared triangle builder of
-:mod:`seriaccel._recursions` and returns its :class:`TransformTable` with
-per-entry validity flags: a (near-)zero denominator marks the entry invalid
-instead of raising, and invalidity propagates to every entry that would read
-it.
+:mod:`seriaccel._recursions` and returns its :class:`TransformTable`: a
+(near-)zero denominator makes the entry a note instead of raising, and the
+failure propagates to every entry that would read it.
 """
 
 from __future__ import annotations
@@ -346,10 +345,10 @@ def select_approximant(table: TransformTable, m: int | None = None) -> tuple[int
         raise SelectionError(f"selection index {m} outside table built from 0..{table.last_index}")
     level, n = selection_indices(table.step, m)
     k = table.scale * level
-    if (k, n) not in table.valid:
-        raise SelectionError(f"table has no entry ({k}, {n})", k=k, n=n)
-    value = table.entry(k, n)  # raises SelectionError when invalid
-    return k, n, value
+    try:
+        return k, n, table.entry(k, n)  # raises SelectionError when invalid
+    except KeyError:
+        raise SelectionError(f"table has no entry ({k}, {n})", k=k, n=n) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -240,7 +241,20 @@ def test_every_cell_is_an_entry_or_a_note(table):
     assert entries | notes == set(table.valid)
     assert not entries & notes
     assert all(ok == (key in entries) for key, ok in table.valid.items())
+    assert list(table.valid) == sorted(table.entries.keys() | table.notes.keys())
+    assert all(table.is_valid(*key) == (key in entries) for key in entries | notes)
     assert notes  # the inputs break some cell of every kind of table
+
+
+def test_entry_returns_a_value_raises_a_note_or_a_missing_key():
+    table = aitken_table(seq(1, 1, 1))
+    assert table.entry(0, 2) == 1
+    assert table.notes[(1, 0)]
+    with pytest.raises(SelectionError, match=re.escape(table.notes[(1, 0)])) as err:
+        table.entry(1, 0)
+    assert (err.value.k, err.value.n) == (1, 0)
+    with pytest.raises(KeyError):
+        table.entry(1, 1)
 
 
 def test_selection_of_invalid_entry_raises_with_location():
