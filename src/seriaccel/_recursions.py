@@ -310,8 +310,9 @@ def theta_step(ops, g, k, n, cur, prev):
     u0, u1, u2 = _shifted(ops, g, cur, n, 3)
     v0 = ops.zmul(u1) - u0
     v1 = ops.zmul(u2) - u1
-    num = u2 * (u2 * v0 + u1 * u1 - u0 * u2)
-    den = ops.zmul(u2 * v0) - u0 * v1
+    u2v0 = u2 * v0
+    num = u2 * (u2v0 + u1 * u1 - u0 * u2)
+    den = ops.zmul(u2v0) - u0 * v1
     return cur[n + 3] - ops.div(num, den)
 
 

@@ -16,6 +16,7 @@ working precision (default 50 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -319,7 +320,11 @@ def cmd_reproduce(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    :func:`main` call in the process.  It holds no state between parses, and
+    ``SERIACCEL_PRECISION`` is read by each command, not here."""
     parser = _Parser(prog="seriaccel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -183,6 +183,36 @@ class Field:
         """The rounded quotient, once :meth:`div` has checked the denominator."""
         return numerator / denominator
 
+    # -- truncated power series: the coefficient work of jets ----------------
+
+    def series_product(self, a, b, n: int) -> tuple:
+        """Coefficients ``0..n`` of the product of the series ``a`` and ``b``,
+        each given by at least ``n + 1`` coefficients."""
+        zero = self.zero
+        out = [zero] * (n + 1)
+        with self.arithmetic():
+            for i in range(n + 1):
+                x = a[i]
+                if x == zero:
+                    continue
+                for j in range(n + 1 - i):
+                    out[i + j] += x * b[j]
+        return tuple(out)
+
+    def series_reciprocal(self, a) -> tuple:
+        """Coefficients of ``1 / a`` through the order of ``a``, by the triangular
+        recurrence ``r[k] = -(sum a[j] r[k-j]) / a[0]``; ``a[0]`` must be nonzero."""
+        a0 = a[0]
+        out = [self.zero] * len(a)
+        with self.arithmetic():
+            out[0] = self.one / a0
+            for k in range(1, len(a)):
+                acc = self.zero
+                for j in range(1, k + 1):
+                    acc += a[j] * out[k - j]
+                out[k] = -acc / a0
+        return tuple(out)
+
     def is_finite(self, value: Scalar) -> bool:
         return True
 
@@ -214,6 +244,40 @@ class RationalField(Field):
 
     def is_zero(self, value, scale=None) -> bool:
         return value == 0
+
+    # Both series kernels run in integers: the operand is written once over
+    # the least common denominator of its coefficients, and each result
+    # coefficient is normalised by one gcd, not one per term.
+
+    def series_product(self, a, b, n):
+        da, ia = _over_common_denominator(a[: n + 1])
+        db, ib = _over_common_denominator(b[: n + 1])
+        acc = [0] * (n + 1)
+        for i, x in enumerate(ia):
+            if x:
+                for j in range(n + 1 - i):
+                    acc[i + j] += x * ib[j]
+        d = da * db
+        return tuple(Fraction(c, d) for c in acc)
+
+    def series_reciprocal(self, a):
+        # With a[j] = A[j] / da and r[i] = R[i] / d over the common denominator
+        # d of r[0..k-1]: r[k] = -(sum A[j] R[k-j]) / (A[0] d).
+        da, ia = _over_common_denominator(a)
+        out = [Fraction(da, ia[0])]
+        for k in range(1, len(a)):
+            d, r = _over_common_denominator(out)
+            acc = 0
+            for j in range(1, k + 1):
+                acc += ia[j] * r[k - j]
+            out.append(Fraction(-acc, ia[0] * d))
+        return tuple(out)
+
+
+def _over_common_denominator(values) -> tuple[int, list[int]]:
+    """``(d, [int(v * d) for v in values])`` for the least common denominator ``d``."""
+    d = math.lcm(*[v.denominator for v in values])
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 @dataclass(frozen=True, repr=False)

@@ -10,7 +10,11 @@ order fixed.
 This is the engine that expands the rational transformation and remainder
 terms of the acceleration schemes into Taylor coefficients: all of their
 recursions reduce to jet addition, multiplication, reciprocal and the shift
-by the series variable.
+by the series variable.  Products and reciprocals take their coefficients
+from the field (:meth:`~seriaccel.field.Field.series_product`,
+:meth:`~seriaccel.field.Field.series_reciprocal`); in rational mode these run
+in integers over one common denominator per operand and normalise each result
+coefficient once, not once per term.
 """
 
 from __future__ import annotations
@@ -99,16 +103,7 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         n = self._common(other)
-        zero = self.field.zero
-        out = [zero] * (n + 1)
-        with self.field.arithmetic():
-            for i in range(n + 1):
-                a = self.coeffs[i]
-                if a == zero:
-                    continue
-                for j in range(n + 1 - i):
-                    out[i + j] += a * other.coeffs[j]
-        return Jet(self.field, tuple(out))
+        return Jet(self.field, self.field.series_product(self.coeffs, other.coeffs, n))
 
     def reciprocal(self) -> "Jet":
         """Jet ``r`` with ``self * r == 1`` through this jet's order.
@@ -122,16 +117,7 @@ class Jet:
                 "jet breakdown: reciprocal of a jet with zero constant term",
                 denominator=a0,
             )
-        n = self.order
-        out = [self.field.zero] * (n + 1)
-        with self.field.arithmetic():
-            out[0] = self.field.one / a0
-            for k in range(1, n + 1):
-                acc = self.field.zero
-                for j in range(1, k + 1):
-                    acc += self.coeffs[j] * out[k - j]
-                out[k] = -acc / a0
-        return Jet(self.field, tuple(out))
+        return Jet(self.field, self.field.series_reciprocal(self.coeffs))
 
     def __truediv__(self, other: "Jet") -> "Jet":
         return self * other.reciprocal()

@@ -330,3 +330,51 @@ def test_precision_env_override(capsys, monkeypatch):
         "--z", "0.95", "--max-m", "4",
     )
     assert code == 1 and "SERIACCEL_PRECISION" in err
+
+
+# -- one parser per process: a parse leaves nothing behind for the next one
+
+
+def first_run(capsys, *argv):
+    """``run`` on a parser built just for this call."""
+    build_parser.cache_clear()
+    return run(capsys, *argv)
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+LOG_PREDICT_OK = LOG_PREDICT + ("--use", "8", "--count", "2")
+LOG_ERROR_TERMS_OK = LOG_ERROR_TERMS + ("--max-m", "4")
+
+
+@pytest.mark.parametrize("before, argv", [
+    pytest.param(LOG_PREDICT + ("--count", "two"), LOG_PREDICT_OK, id="usage-error-then-valid"),
+    pytest.param(("accelerate", "--series", "builtin:log1p-over-z", "--family", "rho"),
+                 LOG_ACCELERATE + ("--terms", "6"), id="bad-choice-then-valid"),
+    pytest.param(LOG_ERROR_TERMS_OK, LOG_PREDICT_OK, id="error-terms-then-predict"),
+    pytest.param(LOG_PREDICT_OK, LOG_TRANSFORM_TERMS + ("--max-m", "3", "--format", "json"),
+                 id="predict-then-transform-terms"),
+    pytest.param(LOG_ACCELERATE + ("--terms", "6", "--scheme", "plain"),
+                 LOG_ACCELERATE + ("--terms", "6"), id="rejected-scheme-then-default"),
+])
+def test_a_reused_parser_prints_what_a_first_call_prints(capsys, before, argv):
+    expected = first_run(capsys, *argv)
+    assert expected[0] in (0, 1) and expected[1] + expected[2]
+    first_run(capsys, *before)
+    assert run(capsys, *argv) == expected
+
+
+def test_a_reused_parser_reads_the_precision_of_each_call(capsys, monkeypatch):
+    # 60 printed digits show the working precision in the last places.
+    argv = LOG_ERROR_TERMS_OK + ("--digits", "60")
+    expected = {}
+    for digits in ("70", "50", "fifty"):
+        monkeypatch.setenv("SERIACCEL_PRECISION", digits)
+        expected[digits] = first_run(capsys, *argv)
+    assert len({out for _, out, _ in expected.values()}) == 3
+    assert expected["fifty"][0] == 1
+    for digits in ("50", "70", "fifty", "50"):
+        monkeypatch.setenv("SERIACCEL_PRECISION", digits)
+        assert run(capsys, *argv) == expected[digits]

@@ -84,6 +84,94 @@ def test_reciprocal_identity(coeffs):
     assert all(c == 0 for c in product.coeffs[1:])
 
 
+# -- the rational series kernels against today's generic loops over Fractions.
+# Rationals are canonical, so exact equality of the coefficient tuples is
+# byte identity of every printed value.
+
+
+def _generic_product(a, b, zero=F(0)):
+    n = min(len(a), len(b)) - 1
+    out = [zero] * (n + 1)
+    for i in range(n + 1):
+        if a[i] == 0:
+            continue
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def _generic_reciprocal(a, zero=F(0), one=F(1)):
+    out = [zero] * len(a)
+    out[0] = one / a[0]
+    for k in range(1, len(a)):
+        acc = zero
+        for j in range(1, k + 1):
+            acc += a[j] * out[k - j]
+        out[k] = -acc / a[0]
+    return tuple(out)
+
+
+# Heights up to about 10**30 in numerator and denominator, negative values and
+# plenty of exact zeros.
+tall_fracs = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    small_fracs,
+)
+tall_coeffs = st.lists(tall_fracs, min_size=1, max_size=9)
+
+
+@given(tall_coeffs, tall_coeffs)
+@settings(max_examples=200)
+def test_rational_product_matches_the_generic_loop(a, b):
+    got = (Jet.from_coeffs(RAT, a) * Jet.from_coeffs(RAT, b)).coeffs
+    assert got == _generic_product(a, b)
+    assert all(type(c) is F for c in got)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0], [F(-3, 7)]),                                    # order 0, zero on the left
+    ([F(5, 2)], [0, 1]),                                  # order 0 against order 1
+    ([0, F(1, 3), 0, F(-2, 9)], [F(7, 4), 0, F(-1, 6)]),  # zero constant term, mixed orders
+    ([F(-1, 10**30), 10**30], [0, 0, F(10**29, 3)]),      # zero constant term on the right
+    ([0, 0], [0, 0, 0]),                                  # all zero
+])
+def test_rational_product_edge_cases(a, b):
+    a, b = [F(c) for c in a], [F(c) for c in b]
+    assert (Jet.from_coeffs(RAT, a) * Jet.from_coeffs(RAT, b)).coeffs == _generic_product(a, b)
+
+
+@given(tall_coeffs, tall_fracs.filter(lambda c: c != 0))
+@settings(max_examples=200)
+def test_rational_reciprocal_matches_the_generic_recurrence(coeffs, a0):
+    coeffs[0] = a0
+    got = Jet.from_coeffs(RAT, coeffs).reciprocal().coeffs
+    assert got == _generic_reciprocal(coeffs)
+    assert all(type(c) is F for c in got)
+
+
+@pytest.mark.parametrize("coeffs", [[F(-7, 3)], [F(1, 10**30), 0, 0, F(-1, 3)], [-1, 1, -1]])
+def test_rational_reciprocal_edge_cases(coeffs):
+    coeffs = [F(c) for c in coeffs]
+    assert Jet.from_coeffs(RAT, coeffs).reciprocal().coeffs == _generic_reciprocal(coeffs)
+
+
+@pytest.mark.parametrize("fld", [BigFloatField(50), Float64Field()], ids=lambda f: f.mode)
+@given(a=jet_coeffs, b=jet_coeffs)
+@settings(max_examples=50)
+def test_float_jets_keep_the_generic_loops(fld, a, b):
+    # Rounded arithmetic depends on the order of the operations: the float
+    # modes must run exactly the generic loops.
+    a, b = [fld.from_fraction(c) for c in a], [fld.from_fraction(c) for c in b]
+    with fld.arithmetic():
+        expected = _generic_product(a, b, fld.zero)
+    assert (Jet.from_coeffs(fld, a) * Jet.from_coeffs(fld, b)).coeffs == expected
+    if not fld.is_zero(a[0]):
+        with fld.arithmetic():
+            expected = _generic_reciprocal(a, fld.zero, fld.one)
+        assert Jet.from_coeffs(fld, a).reciprocal().coeffs == expected
+
+
 def test_shift_drops_top_coefficient():
     assert jet(1, 2, 3).shift().coeffs == (F(0), F(1), F(2))
     assert jet(1, 2, 3).shift(2).coeffs == (F(0), F(0), F(1))
