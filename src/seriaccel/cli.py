@@ -39,6 +39,7 @@ from .report import ReportRow, rows_to_csv, rows_to_json
 from .series_library import builtin_series, resolve_series_spec
 from .transforms import (
     FAMILIES,
+    SCHEMES,
     DegeneratePadeError,
     ScalarSequence,
     SelectionError,
@@ -101,19 +102,11 @@ def _render(field: Field, value, digits: int) -> str:
 # accelerate
 
 _TABLE_BUILDERS = {
-    "aitken": lambda seq, scheme, modified: aitken_table(seq, scheme or "classic"),
+    "aitken": lambda seq, scheme, modified: aitken_table(seq, scheme),
     "epsilon": lambda seq, scheme, modified: epsilon_table(seq),
-    "epsilon-cross": lambda seq, scheme, modified: epsilon_cross_table(seq, scheme or "plain"),
+    "epsilon-cross": lambda seq, scheme, modified: epsilon_cross_table(seq, scheme),
     "theta": lambda seq, scheme, modified: theta_table(seq, modified=modified),
-    "theta-iterated": lambda seq, scheme, modified: iterated_theta_table(seq, scheme or "classic"),
-}
-
-
-# --scheme values of the families that have more than one form
-_SCHEMES = {
-    "aitken": ("classic", "rearranged"),
-    "epsilon-cross": ("plain", "rearranged"),
-    "theta-iterated": ("classic", "rearranged"),
+    "theta-iterated": lambda seq, scheme, modified: iterated_theta_table(seq, scheme),
 }
 
 
@@ -133,7 +126,7 @@ def _sequence_from_input(resolved, args, field):
 
 
 def cmd_accelerate(args) -> int:
-    schemes = _SCHEMES.get(args.family, ())
+    schemes = SCHEMES.get(args.family, ())
     if args.scheme is not None and args.scheme not in schemes:
         if not schemes:
             raise _UsageError(f"--family {args.family} has no --scheme")
@@ -335,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accelerate", help="transformation table + selected approximants")
     add_common(p, "rational")
     p.add_argument("--family", required=True, choices=sorted(_TABLE_BUILDERS))
-    p.add_argument("--scheme", choices=["classic", "rearranged", "plain"], default=None)
+    p.add_argument("--scheme", default=None,
+                   choices=list(dict.fromkeys(form for forms in SCHEMES.values() for form in forms)))
     p.add_argument("--modified", action="store_true", help="theta only: drop the odd-column carry")
     p.add_argument("--z", default=None, help="evaluation point for partial sums")
     p.add_argument("--terms", type=_POSITIVE, default=13)

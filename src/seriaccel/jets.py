@@ -42,7 +42,11 @@ class MissingCoefficientError(IndexError):
 
 @dataclass(frozen=True)
 class Jet:
-    """Coefficients ``c[0] + c[1] z + ... + c[N] z**N`` of a truncated series."""
+    """Coefficients ``c[0] + c[1] z + ... + c[N] z**N`` of a truncated series.
+
+    :meth:`from_coeffs` and :meth:`constant` check coefficients as they enter;
+    the constructor takes them unchecked, from jet arithmetic and builders
+    that pass only values the field computed."""
 
     field: Field
     coeffs: tuple[Scalar, ...]
@@ -50,21 +54,21 @@ class Jet:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a jet needs at least its constant term")
-        object.__setattr__(self, "coeffs", self.field.ensure_all(self.coeffs))
 
     @classmethod
     def constant(cls, field: Field, value: Scalar, order: int) -> "Jet":
-        coeffs = [field.zero] * (order + 1)
-        coeffs[0] = field.ensure(value)
-        return cls(field, tuple(coeffs))
+        return cls.from_coeffs(field, (value,), order)
 
     @classmethod
     def from_coeffs(cls, field: Field, values, order: int | None = None) -> "Jet":
+        """``values`` zero-padded or cut to ``order``; ints become field values."""
         coeffs = list(values)
         if order is not None:
+            if order < 0:
+                raise ValueError("jet order must be >= 0")
             coeffs = coeffs[: order + 1]
             coeffs += [field.zero] * (order + 1 - len(coeffs))
-        return cls(field, tuple(coeffs))
+        return cls(field, field.ensure_all(coeffs))
 
     @property
     def order(self) -> int:
@@ -129,7 +133,7 @@ class Jet:
         if places == 0:
             return self
         zeros = (self.field.zero,) * min(places, self.order + 1)
-        return Jet(self.field, zeros + self.coeffs[: self.order + 1 - places])
+        return Jet(self.field, zeros + self.coeffs[: max(0, self.order + 1 - places)])
 
 
 def _mode_error(a: Jet, b: Jet):

@@ -12,7 +12,8 @@ Implemented here:
   rules, recursion steps and prediction strategies), a Pade solver, and a
   convergence-type classifier.
 
-The rearranged forms are the family steps of :mod:`seriaccel._recursions`
+:data:`SCHEMES` lists the forms of each table that has two, the default
+first.  The rearranged forms are the family steps of :mod:`seriaccel._recursions`
 at z = 1, where the shifted difference ``z * X(n+1) - X(n)`` is the forward
 difference; the classic and plain forms stay as independent references.
 Every step here takes the same arguments as the family and leading steps.
@@ -50,13 +51,7 @@ __all__ = [
     "Family",
     "FAMILIES",
     "get_family",
-    "AITKEN_CLASSIC",
-    "AITKEN_REARRANGED",
-    "EPSILON",
-    "EPSILON_CROSS",
-    "THETA",
-    "THETA_ITERATED_CLASSIC",
-    "THETA_ITERATED_REARRANGED",
+    "SCHEMES",
     "aitken_table",
     "epsilon_table",
     "epsilon_cross_table",
@@ -67,15 +62,6 @@ __all__ = [
     "pade_linear_system",
     "classify_convergence",
 ]
-
-AITKEN_CLASSIC = "aitken-classic"
-AITKEN_REARRANGED = "aitken-rearranged"
-EPSILON = "epsilon"
-EPSILON_CROSS = "epsilon-cross"
-THETA = "theta"
-THETA_ITERATED_CLASSIC = "theta-iterated-classic"
-THETA_ITERATED_REARRANGED = "theta-iterated-rearranged"
-
 
 class DegeneratePadeError(ArithmeticError):
     """The Pade linear system is singular."""
@@ -187,15 +173,33 @@ def _epsilon_pade_term(series: PowerSeries, k: int, n: int, order: int) -> Jet:
 FAMILIES = {
     family.name: family
     for family in (
-        Family("aitken", (), 2, {AITKEN_CLASSIC: 1, AITKEN_REARRANGED: 1},
+        Family("aitken", (), 2, {"aitken-classic": 1, "aitken-rearranged": 1},
                rec.aitken_deps, rec.aitken_step, rec.aitken_leading),
-        Family("epsilon", (), 2, {EPSILON: 2, EPSILON_CROSS: 2},
+        Family("epsilon", (), 2, {"epsilon": 2, "epsilon-cross": 2},
                rec.epsilon_deps, rec.epsilon_step, rec.epsilon_leading, _epsilon_pade_term),
         Family("theta-iterated", ("theta",), 3,
-               {THETA: 2, THETA_ITERATED_CLASSIC: 1, THETA_ITERATED_REARRANGED: 1},
+               {"theta": 2, "theta-iterated-classic": 1, "theta-iterated-rearranged": 1},
                rec.theta_deps, rec.theta_step, rec.theta_leading),
     )
 }
+
+#: The forms of each table builder with two, by table name, the default (the
+#: textbook update) first, then the family step at z = 1.
+SCHEMES = {
+    "aitken": ("classic", "rearranged"),
+    "epsilon-cross": ("plain", "rearranged"),
+    "theta-iterated": ("classic", "rearranged"),
+}
+
+
+def _scheme(table: str, scheme: str | None, noun: str = "scheme") -> str:
+    """``scheme`` of :data:`SCHEMES` ``[table]``, by default its first; else ``ValueError``."""
+    schemes = SCHEMES[table]
+    if scheme is None:
+        return schemes[0]
+    if scheme not in schemes:
+        raise ValueError(f"{noun} must be {' or '.join(map(repr, schemes))}")
+    return scheme
 
 
 def get_family(name: str) -> Family:
@@ -231,13 +235,11 @@ def _aitken_classic(ops, g, k, n, cur, prev):
     return cur[n] - ops.div(d0 * d0, dd)
 
 
-def aitken_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable:
-    """Iterated delta-squared table; classic and rearranged updates agree."""
-    if scheme not in ("classic", "rearranged"):
-        raise ValueError("scheme must be 'classic' or 'rearranged'")
-    if scheme == "rearranged":
-        return _family_table(AITKEN_REARRANGED, FAMILIES["aitken"], seq)
-    return _family_table(AITKEN_CLASSIC, FAMILIES["aitken"], seq, _aitken_classic)
+def aitken_table(seq: ScalarSequence, scheme: str | None = None) -> TransformTable:
+    """Iterated delta-squared table, ``classic`` by default; the two schemes agree."""
+    scheme = _scheme("aitken", scheme)
+    return _family_table(f"aitken-{scheme}", FAMILIES["aitken"], seq,
+                         _aitken_classic if scheme == "classic" else None)
 
 
 def _epsilon_column(ops, g, j, n, cur, prev):
@@ -249,7 +251,7 @@ def epsilon_table(seq: ScalarSequence) -> TransformTable:
     """Full epsilon table; even columns approximate, odd columns are auxiliary."""
     m = seq.last_index
     deps = lambda j, n: [(j, n), (j, n + 1), (j - 1, n + 1)] if j else [(j, n), (j, n + 1)]
-    return _table(EPSILON, FAMILIES["epsilon"], seq, m, lambda j: m - j, deps, _epsilon_column)
+    return _table("epsilon", FAMILIES["epsilon"], seq, m, lambda j: m - j, deps, _epsilon_column)
 
 
 def _epsilon_cross_plain(ops, g, k, n, cur, prev):
@@ -262,18 +264,17 @@ def _epsilon_cross_plain(ops, g, k, n, cur, prev):
     return cur[n + 1] + ops.div(ops.one, denom)
 
 
-def epsilon_cross_table(seq: ScalarSequence, form: str = "plain") -> TransformTable:
+def epsilon_cross_table(seq: ScalarSequence, form: str | None = None) -> TransformTable:
     """Even epsilon columns via the five-point cross rule (no odd columns).
 
-    ``plain`` keeps the rule as a direct rearrangement anchored at entry
-    ``(2k, n + 1)``; ``rearranged`` is the variant anchored at ``(2k, n + 2)``.
+    ``plain``, the default, keeps the rule as a direct rearrangement anchored
+    at entry ``(2k, n + 1)``; ``rearranged`` is the variant anchored at ``(2k, n + 2)``.
     The undefined column below the table is handled by a dedicated k = 0
     branch instead of a stored infinity.  Keys are the literal column
     subscripts ``2k``.
     """
-    if form not in ("plain", "rearranged"):
-        raise ValueError("form must be 'plain' or 'rearranged'")
-    return _family_table(EPSILON_CROSS, FAMILIES["epsilon"], seq,
+    form = _scheme("epsilon-cross", form, "form")
+    return _family_table("epsilon-cross", FAMILIES["epsilon"], seq,
                          _epsilon_cross_plain if form == "plain" else None)
 
 
@@ -301,7 +302,7 @@ def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
             return [(j, n), (j, n + 1)] + carry
         return [(j - 1, n + 1), (j - 1, n + 2), (j, n), (j, n + 1), (j, n + 2)]
 
-    return _table(THETA, FAMILIES["theta-iterated"], seq, 2 * (m // 3) + 1,
+    return _table("theta", FAMILIES["theta-iterated"], seq, 2 * (m // 3) + 1,
                   lambda j: m - 3 * j // 2, deps, step)
 
 
@@ -315,13 +316,11 @@ def _theta_classic(ops, g, k, n, cur, prev):
     return cur[n + 1] - ops.div(d0 * d1 * dd1, den)
 
 
-def iterated_theta_table(seq: ScalarSequence, scheme: str = "classic") -> TransformTable:
-    """Iterated theta transformation; classic and rearranged updates agree."""
-    if scheme not in ("classic", "rearranged"):
-        raise ValueError("scheme must be 'classic' or 'rearranged'")
-    if scheme == "rearranged":
-        return _family_table(THETA_ITERATED_REARRANGED, FAMILIES["theta-iterated"], seq)
-    return _family_table(THETA_ITERATED_CLASSIC, FAMILIES["theta-iterated"], seq, _theta_classic)
+def iterated_theta_table(seq: ScalarSequence, scheme: str | None = None) -> TransformTable:
+    """Iterated theta transformation, ``classic`` by default; the two schemes agree."""
+    scheme = _scheme("theta-iterated", scheme)
+    return _family_table(f"theta-iterated-{scheme}", FAMILIES["theta-iterated"], seq,
+                         _theta_classic if scheme == "classic" else None)
 
 
 def selection_indices(step: int, m: int) -> tuple[int, int]:

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from seriaccel.cli import build_parser, main
-from seriaccel.transforms import FAMILIES
+from seriaccel.transforms import FAMILIES, SCHEMES
 from seriaccel.report import rows_from_csv, rows_from_json
 
 
@@ -212,6 +212,39 @@ def test_literal_that_is_not_a_finite_number_exits_one_before_any_output(capsys,
 def test_accelerate_rejects_flags_the_family_does_not_take(capsys, family, flags, message):
     code, out, err = run(capsys, *LOG_ACCELERATE[:4], family, "--z=1/2", *flags)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_accelerate_help_lists_every_scheme(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["accelerate", "--help"])
+    assert exit_.value.code == 0
+    assert "--scheme {classic,rearranged,plain}" in capsys.readouterr().out
+
+
+SCHEME_RUNS = [
+    ("aitken", None, "aitken-classic"),
+    ("aitken", "classic", "aitken-classic"),
+    ("aitken", "rearranged", "aitken-rearranged"),
+    ("epsilon-cross", None, "epsilon-cross"),
+    ("epsilon-cross", "plain", "epsilon-cross"),
+    ("epsilon-cross", "rearranged", "epsilon-cross"),
+    ("theta-iterated", None, "theta-iterated-classic"),
+    ("theta-iterated", "classic", "theta-iterated-classic"),
+    ("theta-iterated", "rearranged", "theta-iterated-rearranged"),
+]
+
+
+def test_scheme_runs_cover_every_scheme():
+    assert {(family, scheme) for family, scheme, _ in SCHEME_RUNS if scheme} == {
+        (family, scheme) for family, schemes in SCHEMES.items() for scheme in schemes}
+
+
+@pytest.mark.parametrize("family, scheme, table", SCHEME_RUNS)
+def test_accelerate_runs_each_scheme_as_its_table(capsys, family, scheme, table):
+    flags = () if scheme is None else ("--scheme", scheme)
+    code, out, err = run(capsys, *LOG_ACCELERATE[:4], family, "--z=1/2", "--terms", "7", *flags)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"# builtin:log1p-over-z -> family={table} entries=7\n")
 
 
 def test_accelerate_modified_theta_still_runs(capsys):

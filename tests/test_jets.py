@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seriaccel.field import BigFloatField, Float64Field, RationalField
+from seriaccel.field import BigFloatField, Float64Field, ModeMismatchError, RationalField
 from seriaccel.jets import Jet, JetBreakdownError, PowerSeries
 
 RAT = RationalField()
@@ -175,6 +175,45 @@ def test_float_jets_keep_the_generic_loops(fld, a, b):
 def test_shift_drops_top_coefficient():
     assert jet(1, 2, 3).shift().coeffs == (F(0), F(1), F(2))
     assert jet(1, 2, 3).shift(2).coeffs == (F(0), F(0), F(1))
+
+
+def test_shift_keeps_the_order_past_it():
+    for order in range(4):
+        a = jet(*range(1, order + 2))
+        for places in range(order + 4):
+            shifted = a.shift(places)
+            assert shifted.order == order
+            assert shifted.coeffs[places:] == a.coeffs[: max(0, order + 1 - places)]
+            assert all(c == 0 for c in shifted.coeffs[:places])
+
+
+def test_from_coeffs_checks_what_enters():
+    with pytest.raises(ModeMismatchError):
+        Jet.from_coeffs(RAT, [F(1), 0.5])
+    ints = Jet.from_coeffs(RAT, [1, -2], order=3)
+    assert ints.coeffs == (F(1), F(-2), F(0), F(0))
+    assert all(type(c) is F for c in ints.coeffs)
+    assert all(type(c) is F for c in Jet.constant(RAT, 5, 2).coeffs)
+
+
+def test_a_negative_order_is_rejected():
+    for build in (lambda: Jet.from_coeffs(RAT, [1, 2, 3, 4], order=-2),
+                  lambda: Jet.constant(RAT, 5, -1)):
+        with pytest.raises(ValueError, match="jet order must be >= 0"):
+            build()
+
+
+@pytest.mark.parametrize("fld", [RAT, BigFloatField(50), Float64Field()], ids=lambda f: f.mode)
+@given(a=jet_coeffs, b=jet_coeffs, factor=small_fracs, places=st.integers(0, 9))
+@settings(max_examples=50)
+def test_jet_operations_stay_in_the_field(fld, a, b, factor, places):
+    ja = Jet.from_coeffs(fld, [fld.from_fraction(c) for c in a])
+    jb = Jet.from_coeffs(fld, [fld.from_fraction(c) for c in b])
+    results = [ja + jb, ja - jb, ja * jb, ja.scale(fld.from_fraction(factor)), ja.shift(places)]
+    if not fld.is_zero(jb.constant_term):
+        results.append(ja / jb)
+    for result in results:
+        assert all(type(c) is fld.kind for c in result.coeffs)
 
 
 @given(jet_coeffs, jet_coeffs, st.integers(min_value=0, max_value=6))

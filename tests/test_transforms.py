@@ -10,6 +10,8 @@ from seriaccel.prediction import leading_predictions, transformation_terms
 from seriaccel.remainders import leading_remainders, remainder_jets
 from seriaccel.series_library import builtin_series
 from seriaccel.transforms import (
+    FAMILIES,
+    SCHEMES,
     DegeneratePadeError,
     ModelSequence,
     ScalarSequence,
@@ -275,6 +277,34 @@ def test_unknown_scheme_is_rejected_with_its_message(build, scheme, message):
     with pytest.raises(ValueError) as err:
         build(log_partial_sums(7), scheme)
     assert str(err.value) == message
+
+
+SCHEME_BUILDERS = {"aitken": aitken_table, "epsilon-cross": epsilon_cross_table,
+                   "theta-iterated": iterated_theta_table}
+REGISTRY_TABLES = {name: scale for family in FAMILIES.values()
+                   for name, scale in family.tables.items()}
+
+
+def test_every_scheme_and_the_default_build_a_registry_table():
+    assert set(SCHEMES) == set(SCHEME_BUILDERS)
+    sequence = log_partial_sums(9)
+    for name, schemes in SCHEMES.items():
+        build = SCHEME_BUILDERS[name]
+        for scheme in schemes:
+            table = build(sequence, scheme)
+            assert table.family in (name, f"{name}-{scheme}")
+            assert table.scale == REGISTRY_TABLES[table.family]
+        default, first = build(sequence), build(sequence, schemes[0])
+        assert (default.family, default.entries) == (first.family, first.entries)
+
+
+def test_the_builder_variants_reach_exactly_the_registry_tables():
+    variants = [lambda s, b=build, x=scheme: b(s, x)
+                for name, build in SCHEME_BUILDERS.items() for scheme in SCHEMES[name]]
+    variants += [epsilon_table, theta_table, lambda s: theta_table(s, modified=True)]
+    names = [variant(log_partial_sums(9)).family for variant in variants]
+    assert len(names) == 9
+    assert set(names) == set(REGISTRY_TABLES) and len(REGISTRY_TABLES) == 7
 
 
 # -- Pade oracle -------------------------------------------------------------
