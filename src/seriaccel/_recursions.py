@@ -34,10 +34,12 @@ multiplication by the series variable: :class:`JetOps` over truncated power
 series (Taylor expansions), :class:`NumericOps` over plain scalars at a
 fixed point, :class:`UnitOps` at z = 1.  Every step, in these recursions and
 the textbook tables of :mod:`seriaccel.transforms` alike, has the signature
-``step(ops, g, k, n, cur, prev)``.  :class:`_Build` runs it over a triangle,
-injects ``g`` and is the one place where failures propagate: a breakdown or
-a non-finite value in one cell, seeds included, never aborts the build, and
-every cell that reads it inherits the failure.
+``step(ops, g, k, n, cur, prev)``, and every step's reads have the form
+``deps(k) -> [(level, offset)]``: each cell ``(k + 1, n)`` of a level reads
+the same levels at the same offsets from ``n``.  :class:`_Build` runs a step
+over a triangle, injects ``g`` and is the one place where failures
+propagate: a breakdown or a non-finite value in one cell, seeds included,
+never aborts the build, and every cell that reads it inherits the failure.
 Every build comes back as a :class:`TransformTable`, the one result type of
 the package: ``entries`` holds its valid cells (jets in term tables, scalars
 elsewhere), ``notes`` its failed ones; ``valid`` is a read-only view of both.
@@ -63,9 +65,11 @@ class JetOps:
         self.zero = Jet.constant(field, field.zero, order)
         self.one = Jet.constant(field, field.one, order)
         self.context = field.arithmetic
+        self._zeros = self.zero.coeffs[1:]
 
     def const(self, value: Scalar) -> Jet:
-        return Jet.constant(self.field, value, self.order)
+        """``Jet.constant(field, value, order)``, with one check of ``value``."""
+        return Jet(self.field, (self.field.ensure(value), *self._zeros))
 
     def finite(self, value: Jet) -> bool:
         return all(self.field.is_finite(c) for c in value.coeffs)
@@ -163,10 +167,12 @@ class _Build:
     """One triangular build: level 0 is ``seed``, and :meth:`run` fills the
     cells ``(k + 1, n)`` with ``n <= width(k + 1)``, level by level.
 
-    ``deps(k, n)`` names, as ``(level, n)``, the cells the step into
-    ``(k + 1, n)`` reads; every dependency in the package is on level ``k``
-    or ``k - 1``, the two live rows :meth:`run` checks.  A cell whose
-    dependency failed records ``depends on invalid entry (key, n)`` without
+    ``deps(k)`` lists, as ``(level, offset)``, the reads of every step into
+    level ``k + 1``: cell ``(k + 1, n)`` reads ``(level, n + offset)``.  Every
+    dependency in the package is on level ``k`` or ``k - 1``, the two live
+    rows :meth:`run` checks, and :meth:`run` asks for the reads once per
+    level.  A cell whose dependency failed records ``depends on invalid
+    entry (key, n)`` for the first failed read, in the listed order, without
     running the step; a step that breaks down, or a cell (seeds included)
     that is not finite, records why in ``failures``, the table's notes.
     Keys are ``(scale * level, n)``, the scale applied where a key or a note
@@ -174,7 +180,7 @@ class _Build:
     literal subscripts.  ``step`` is the number of inputs a level consumes.
     """
 
-    def __init__(self, ops, levels: int, width: Width, deps: Callable[[int, int], list],
+    def __init__(self, ops, levels: int, width: Width, deps: Callable[[int], list],
                  seed, step: int, scale: int = 1):
         self.ops = ops
         self.step = step
@@ -203,16 +209,19 @@ class _Build:
         constants, asked for once the dependencies hold (``None`` without ``coeff``)."""
         ops, step, scale = self.ops, self.step, self.scale
         entries, failures = self.entries, self.failures
-        deps, finite, const = self.deps, ops.finite, ops.const
+        finite, const = ops.finite, ops.const
         prev, cur = None, {n: value for (_, n), value in entries.items()}
         with ops.context():
             for k in range(self.levels):
                 row = {}
                 level = scale * (k + 1)
+                reads = [(cur if dep_k == k else prev, offset,
+                          f"depends on invalid entry ({scale * dep_k}, ")
+                         for dep_k, offset in self.deps(k)]
                 for n in range(self.width(k + 1) + 1):
-                    for dep_k, dep_n in deps(k, n):
-                        if dep_n not in (cur if dep_k == k else prev):
-                            note = f"depends on invalid entry {(scale * dep_k, dep_n)}"
+                    for live, offset, prefix in reads:
+                        if n + offset not in live:
+                            note = f"{prefix}{n + offset})"
                             break
                     else:
                         try:
@@ -261,21 +270,21 @@ def _shifted(ops, g, cur, n: int, count: int) -> list:
 
 # ---------------------------------------------------------------------------
 # rearranged recursion steps, shared by transformation and remainder terms,
-# and the cells each step into (k + 1, n) reads
+# and the ``(level, offset)`` reads of each step into (k + 1, n)
 
 
-def aitken_deps(k, n):
-    return [(k, n), (k, n + 1), (k, n + 2)]
+def aitken_deps(k):
+    return [(k, 0), (k, 1), (k, 2)]
 
 
-def epsilon_deps(k, n):
+def epsilon_deps(k):
     if k == 0:
-        return [(k, n), (k, n + 1), (k, n + 2)]
-    return [(k, n), (k, n + 1), (k, n + 2), (k - 1, n + 2)]
+        return [(k, 0), (k, 1), (k, 2)]
+    return [(k, 0), (k, 1), (k, 2), (k - 1, 2)]
 
 
-def theta_deps(k, n):
-    return [(k, n), (k, n + 1), (k, n + 2), (k, n + 3)]
+def theta_deps(k):
+    return [(k, 0), (k, 1), (k, 2), (k, 3)]
 
 
 def aitken_step(ops, g, k, n, cur, prev):

@@ -370,6 +370,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        raise  # the reader of stdout went away; console_main exits quietly
     except (_UsageError, ParseError, ModeMismatchError, BreakdownError, SelectionError,
             DegeneratePadeError, MissingCoefficientError, ValueError, OSError,
             ZeroDivisionError) as exc:
@@ -378,7 +380,17 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Entry point of the ``seriaccel`` script.  When the reader of stdout
+    closes it early (``seriaccel ... | head``), exit 1 with nothing on
+    stderr; stdout is pointed at ``os.devnull`` so that the interpreter's
+    final flush does not fail again (the Python docs' note on SIGPIPE)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

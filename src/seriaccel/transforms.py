@@ -132,11 +132,13 @@ class Family:
     textbook tables to their key scale: 2 where keys are literal epsilon or
     theta column subscripts, so that level ``k`` sits at key ``2k``.
     ``recursion`` is the rearranged step shared by transformation terms,
-    remainder terms and, at z = 1, the rearranged table, and ``deps`` the
-    cells it reads; ``leading`` is the scalar recursion for the z-independent
-    parts of both kinds of term.  The same record is the geometry of the
-    family's textbook tables.  ``prediction_term`` is the family's prediction
-    strategy when its transformation term has a closed form:
+    remainder terms and, at z = 1, the rearranged table, and ``deps(k)`` its
+    reads into level ``k + 1`` as ``(level, offset)`` pairs: cell
+    ``(k + 1, n)`` reads ``(level, n + offset)``.  ``leading`` is the scalar
+    recursion for the z-independent parts of both kinds of term.  The same
+    record is the geometry of the family's textbook tables.
+    ``prediction_term`` is the family's prediction strategy when its
+    transformation term has a closed form:
     ``(series, k, n, order) -> Jet`` gives the term at ``(k, n)`` through
     ``order``.  Without one, predictions expand ``recursion`` over jets.
     """
@@ -145,7 +147,7 @@ class Family:
     aliases: tuple[str, ...]
     step: int
     tables: dict[str, int]
-    deps: Callable[[int, int], list]
+    deps: Callable[[int], list]
     recursion: Callable
     leading: Callable
     prediction_term: Callable[[PowerSeries, int, int, int], Jet] | None = None
@@ -250,7 +252,7 @@ def _epsilon_column(ops, g, j, n, cur, prev):
 def epsilon_table(seq: ScalarSequence) -> TransformTable:
     """Full epsilon table; even columns approximate, odd columns are auxiliary."""
     m = seq.last_index
-    deps = lambda j, n: [(j, n), (j, n + 1), (j - 1, n + 1)] if j else [(j, n), (j, n + 1)]
+    deps = lambda j: [(j, 0), (j, 1), (j - 1, 1)] if j else [(j, 0), (j, 1)]
     return _table("epsilon", FAMILIES["epsilon"], seq, m, lambda j: m - j, deps, _epsilon_column)
 
 
@@ -296,11 +298,11 @@ def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
         dd_odd = d_odd - (cur[n + 1] - cur[n])
         return prev[n + 1] + ops.div(d_even * d_odd, dd_odd)
 
-    def deps(j, n):
+    def deps(j):
         if j % 2 == 0:
-            carry = [(j - 1, n + 1)] if j and not modified else []
-            return [(j, n), (j, n + 1)] + carry
-        return [(j - 1, n + 1), (j - 1, n + 2), (j, n), (j, n + 1), (j, n + 2)]
+            carry = [(j - 1, 1)] if j and not modified else []
+            return [(j, 0), (j, 1)] + carry
+        return [(j - 1, 1), (j - 1, 2), (j, 0), (j, 1), (j, 2)]
 
     return _table("theta", FAMILIES["theta-iterated"], seq, 2 * (m // 3) + 1,
                   lambda j: m - 3 * j // 2, deps, step)

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import seriaccel
 from seriaccel.cli import build_parser, main
 from seriaccel.transforms import FAMILIES, SCHEMES
 from seriaccel.report import rows_from_csv, rows_from_json
@@ -250,6 +255,22 @@ def test_accelerate_runs_each_scheme_as_its_table(capsys, family, scheme, table)
 def test_accelerate_modified_theta_still_runs(capsys):
     code, out, _ = run(capsys, *LOG_ACCELERATE[:4], "theta", "--z=1/2", "--modified")
     assert code == 0 and out.startswith("# builtin:log1p-over-z -> family=theta ")
+
+
+def test_console_script_exits_quietly_when_its_reader_closes_stdout():
+    # Over 1 MB of output, far more than a pipe buffers, so the writer
+    # meets the closed pipe after the reader has taken one line.
+    src = str(Path(seriaccel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "seriaccel.cli", *LOG_ACCELERATE, "--mode", "f64", "--terms", "221"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+    assert first == b"# builtin:log1p-over-z -> family=epsilon entries=221\n"
 
 
 def test_predict_use_past_a_tail_less_file_names_the_flag(capsys, tmp_path):

@@ -4,10 +4,12 @@ Each case is pinned to the sha256 of its stdout and its exit code.  The cases
 are the four ``reproduce`` experiments, every command-line example in the
 README, and ``accelerate`` on f64 and bigfloat partial sums of
 ``log1p-over-z`` for each of the five families and for the rearranged
-schemes of aitken, epsilon-cross and iterated theta; the last two groups print
-inherited-failure notes (epsilon-cross with its literal column numbers), so
-the wording and placement of those notes is pinned too.  A refactor that is
-meant to change no output must keep every digest.
+schemes of aitken, epsilon-cross and iterated theta, and for the modified
+theta table, whose odd columns drop their carry dependency; the last three
+groups print inherited-failure notes (epsilon-cross and theta with their
+literal column numbers), so the wording and placement of those notes is
+pinned too.  A refactor that is meant to change no output must keep every
+digest.
 """
 
 import contextlib
@@ -45,6 +47,12 @@ CASES = {
         for mode in ("f64", "bigfloat")
         for family in ("aitken", "epsilon-cross", "theta-iterated")
     },
+    **{
+        f"accelerate-{mode}-theta-modified": ["accelerate", "--series", LOG, "--z", "0.5",
+                                              "--terms", "60", "--mode", mode,
+                                              "--family", "theta", "--modified"]
+        for mode in ("f64", "bigfloat")
+    },
 }
 
 # (exit code, sha256 of stdout)
@@ -55,6 +63,7 @@ EXPECTED = {
     "accelerate-bigfloat-epsilon-cross": (0, "38e7cc0c628c0da3877f12b1dd313b47a206a15c9e08bcc279786313bd44a7df"),
     "accelerate-bigfloat-epsilon-cross-rearranged": (0, "38e7cc0c628c0da3877f12b1dd313b47a206a15c9e08bcc279786313bd44a7df"),
     "accelerate-bigfloat-theta": (0, "0324e001c6e0f1a5b224106dc67c608f973f03da38627f319fb223ae7b2e1839"),
+    "accelerate-bigfloat-theta-modified": (0, "3a2870783cfbaf5f94521c5685234aec53b26537d99089e6fc975f98e614ee96"),
     "accelerate-bigfloat-theta-iterated": (0, "68b6290a2b067ca48d076e6859e1a046e0bb36666952c9a33c9dbbe95b761165"),
     "accelerate-bigfloat-theta-iterated-rearranged": (0, "33cba9fc2b461c900e09d472eac2ddbe7063a7baa8e881d7ab6fa736508b3692"),
     "accelerate-f64-aitken": (0, "d7cba1fa83cfe67f6f9aeb2cb0139cb9baa7d98f92bbfdb7077f0aeba90ab31a"),
@@ -63,6 +72,7 @@ EXPECTED = {
     "accelerate-f64-epsilon-cross": (0, "1945590887b84196e82c3a84346ec5c654c8caa70de260ef42f26196a90c8fc4"),
     "accelerate-f64-epsilon-cross-rearranged": (0, "1945590887b84196e82c3a84346ec5c654c8caa70de260ef42f26196a90c8fc4"),
     "accelerate-f64-theta": (0, "025ce74061d16883724c734e7c18481fff7494596f95c3e550946ced22735239"),
+    "accelerate-f64-theta-modified": (0, "4361e27e997e6062e35aab17c90cfce85a1114a61b9a6e9da7318dbc0792c979"),
     "accelerate-f64-theta-iterated": (0, "9a70b3f418a2d0fd37b17f105386c47d7df16fd733f0122ef16ed9068f57be1e"),
     "accelerate-f64-theta-iterated-rearranged": (0, "b3c48a6acbd07007468d5581751cfa90ab9b5996aa591b92c6e2c5595a663e0a"),
     "readme-accelerate-log": (0, "872ead37ebdea5e3c267a3158a71a11cec41f093d1f9c0ceaf7f222a3e31b98d"),
