@@ -42,7 +42,7 @@ propagate: a breakdown or a non-finite value in one cell, seeds included,
 never aborts the build, and every cell that reads it inherits the failure.
 Every build comes back as a :class:`TransformTable`, the one result type of
 the package: ``entries`` holds its valid cells (jets in term tables, scalars
-elsewhere), ``notes`` its failed ones; ``valid`` is a read-only view of both.
+elsewhere), ``notes`` its failed ones.
 """
 
 from __future__ import annotations
@@ -149,10 +149,13 @@ class TransformTable:
 
     @property
     def valid(self) -> dict:
-        """``{key: key in entries}`` over every cell, in key order; rebuilt on each access."""
+        """``{key: key in entries}`` over every cell, in key order; rebuilt on each access.
+
+        The package reads ``entries`` and ``notes``; only the benchmark reads this."""
         return {key: key in self.entries for key in sorted([*self.entries, *self.notes])}
 
     def is_valid(self, k: int, n: int) -> bool:
+        """``(k, n) in entries``; like :attr:`valid`, read only by the benchmark."""
         return (k, n) in self.entries
 
     def entry(self, k: int, n: int):

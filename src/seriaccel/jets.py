@@ -74,17 +74,6 @@ class Jet:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def constant_term(self) -> Scalar:
-        return self.coeffs[0]
-
-    def truncate(self, order: int) -> "Jet":
-        if order < 0:
-            raise ValueError("jet order must be >= 0")
-        if order >= self.order:
-            return self
-        return Jet(self.field, self.coeffs[: order + 1])
-
     def _common(self, other: "Jet") -> int:
         if self.field != other.field:
             _mode_error(self, other)
@@ -178,11 +167,6 @@ class PowerSeries:
                 "and no tail rule is attached"
             )
         return self.field.ensure(self.tail(index))
-
-    def partial_sum_jet(self, n: int, order: int) -> Jet:
-        """Jet of the degree-``n`` partial sum, padded/truncated to ``order``."""
-        coeffs = [self.coefficient(i) for i in range(min(n, order) + 1)]
-        return Jet.from_coeffs(self.field, coeffs, order=order)
 
     def partial_sum(self, n: int, z: Scalar) -> Scalar:
         z = self.field.ensure(z)

@@ -153,9 +153,9 @@ def predict_coefficients(
     if fam.prediction_term is None:
         table = transformation_terms(series, family, max_level=k, order=order,
                                      last_index=last_index)
-        if not table.is_valid(k, n):
+        if (k, n) not in table.entries:
             raise PredictionBreakdownError(fam.name, k, n, table.notes[(k, n)])
-        term = table.entry(k, n)
+        term = table.entries[(k, n)]
     else:
         try:
             term = fam.prediction_term(series, k, n, order)

@@ -1,9 +1,9 @@
-"""Report rows and their CSV/JSON serialization.
+"""Report rows and their CSV/JSON writers.
 
 Rows are ordered by ``m`` then family name.  The ``value`` field is the
 rendered string (exact ``p/q`` text in rational mode, scientific notation in
-the float modes), so parsing an emitted file reproduces the rows exactly.
-Invalid cells carry an empty value.
+the float modes).  An invalid cell's value is empty in CSV and ``null`` in
+JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 
-__all__ = ["ReportRow", "rows_to_csv", "rows_from_csv", "rows_to_json", "rows_from_json"]
+__all__ = ["ReportRow", "rows_to_csv", "rows_to_json"]
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,6 @@ def rows_to_csv(rows) -> str:
     return out.getvalue()
 
 
-def rows_from_csv(text: str) -> list[ReportRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != _FIELDS:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    return [
-        ReportRow(int(m), family, int(k), int(n), value, valid == "true")
-        for m, family, k, n, value, valid in reader
-    ]
-
-
 def rows_to_json(rows) -> str:
     payload = [
         {
@@ -63,16 +52,3 @@ def rows_to_json(rows) -> str:
     ]
     return json.dumps(payload, indent=2)
 
-
-def rows_from_json(text: str) -> list[ReportRow]:
-    return [
-        ReportRow(
-            int(obj["m"]),
-            obj["family"],
-            int(obj["k"]),
-            int(obj["n"]),
-            obj["value"] if obj["value"] is not None else "",
-            bool(obj["valid"]),
-        )
-        for obj in json.loads(text)
-    ]

@@ -13,8 +13,8 @@ Builtin names:
 
 A series spec on the command line is ``builtin:NAME`` or
 ``builtin:NAME(arg,...)`` or ``file:PATH`` (a bare path also works).
-Coefficient files carry one ``p/q`` or decimal literal per line, ``#``
-comments, and an optional ``# mode: rational|bigfloat|f64`` header.
+Coefficient files carry one ``p/q`` or decimal literal per line and ``#``
+comments; the caller's field reads the literals.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .field import BigFloatField, Field, ParseError, RationalField, Scalar, field_for_mode
+from .field import BigFloatField, Field, ParseError, RationalField, Scalar
 from .jets import PowerSeries
 from .transforms import ModelSequence, ScalarSequence
 
@@ -135,38 +135,20 @@ def resolve_series_spec(spec: str, field: Field, count: int) -> ResolvedInput:
         name, params = _parse_builtin_spec(spec[len("builtin:"):], field)
         return builtin_series(name, params, count, field)
     path = spec[len("file:"):] if spec.startswith("file:") else spec
-    _, series = load_coefficient_file(path, field=field)
-    return ResolvedInput(f"file:{path}", series=series)
+    return ResolvedInput(f"file:{path}", series=load_coefficient_file(path, field))
 
 
-_MODE_HEADER = re.compile(r"^#\s*mode\s*:\s*(rational|bigfloat|f64)\s*$")
-
-
-def load_coefficient_file(path: str | Path,
-                          field: Field | None = None) -> tuple[Field, PowerSeries]:
-    """Read one coefficient per line; ``# mode:`` header picks the field.
-
-    An explicitly supplied ``field`` wins over the header; without either,
-    coefficients load in rational mode.  A header-picked bigfloat field has
-    50 digits.
-    """
+def load_coefficient_file(path: str | Path, field: Field) -> PowerSeries:
+    """Read one coefficient per line in ``field``; blank and ``#`` lines are skipped."""
     text = Path(path).read_text()
-    mode_from_header = None
     values: list[str] = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
-            continue
-        header = _MODE_HEADER.match(line)
-        if header:
-            mode_from_header = header.group(1)
             continue
         if line.startswith("#"):
             continue
         values.append(line)
     if not values:
         raise ParseError(f"{path}: no coefficients found")
-    if field is None:
-        field = field_for_mode(mode_from_header or "rational")
-    coeffs = tuple(field.parse(v) for v in values)
-    return field, PowerSeries(field, coeffs)
+    return PowerSeries(field, tuple(field.parse(v) for v in values))

@@ -364,23 +364,6 @@ class PadeRational:
     numerator: tuple[Scalar, ...]
     denominator: tuple[Scalar, ...]
 
-    def evaluate(self, z: Scalar) -> Scalar:
-        fld = self.field
-        z = fld.ensure(z)
-        with fld.arithmetic():
-            p = fld.zero
-            for c in reversed(self.numerator):
-                p = p * z + c
-            q = fld.zero
-            for c in reversed(self.denominator):
-                q = q * z + c
-        return fld.div(p, q)
-
-    def taylor_jet(self, order: int) -> Jet:
-        num = Jet.from_coeffs(self.field, self.numerator, order=order)
-        den = Jet.from_coeffs(self.field, self.denominator, order=order)
-        return num / den
-
 
 def _solve_linear(fld: Field, matrix, rhs):
     """Gaussian elimination, pivoting on the largest nonzero magnitude; None
@@ -457,8 +440,8 @@ class ConvergenceReport:
     rho: Scalar | None = None
 
 
-def classify_convergence(seq: ScalarSequence, limit: Scalar | None = None) -> ConvergenceReport:
-    """Classify by the limiting ratio of consecutive distances to the limit.
+def classify_convergence(seq: ScalarSequence) -> ConvergenceReport:
+    """Classify by the limiting ratio of consecutive distances to ``seq.limit``.
 
     The ratio is estimated as the average over the last three available
     index pairs; with ``tol = 1/100`` the classification bands are
@@ -468,7 +451,7 @@ def classify_convergence(seq: ScalarSequence, limit: Scalar | None = None) -> Co
     fld = seq.field
     if len(seq.entries) < 5:
         raise ValueError("classification needs at least 5 sequence entries")
-    s = seq.limit if limit is None else fld.ensure(limit)
+    s = seq.limit
     if s is None:
         raise ValueError("classification needs a known or estimated limit")
     m = seq.last_index

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,20 @@ import pytest
 import seriaccel
 from seriaccel.cli import build_parser, main
 from seriaccel.transforms import FAMILIES, SCHEMES
-from seriaccel.report import rows_from_csv, rows_from_json
+from seriaccel.report import ReportRow, rows_to_csv
+
+
+def rows_from_csv(text):
+    reader = csv.reader(io.StringIO(text))
+    assert next(reader) == ["m", "family", "k", "n", "value", "valid"]
+    return [ReportRow(int(m), family, int(k), int(n), value, valid == "true")
+            for m, family, k, n, value, valid in reader]
+
+
+def rows_from_json(text):
+    return [ReportRow(obj["m"], obj["family"], obj["k"], obj["n"],
+                      "" if obj["value"] is None else obj["value"], obj["valid"])
+            for obj in json.loads(text)]
 
 
 def run(capsys, *argv):
@@ -57,8 +72,6 @@ def test_error_terms_csv_round_trip(capsys):
     assert by_key[(0, "epsilon")].value == "0"
     assert all(r.valid for r in rows)
     # round trip: re-parsing reproduces the rows exactly
-    from seriaccel.report import rows_to_csv
-
     assert rows_from_csv(rows_to_csv(rows)) == rows
 
 
@@ -112,6 +125,20 @@ def test_accelerate_coefficient_file(capsys, tmp_path):
     )
     assert code == 0
     assert "m=2 k=2 n=0 2" in out
+
+
+def test_mode_option_alone_picks_the_field_of_a_coefficient_file(capsys, tmp_path):
+    # A "# mode:" line is a comment: the default --mode reads the file exactly.
+    path = tmp_path / "geo.txt"
+    path.write_text("# mode: f64\n1\n1/2\n1/4\n1/8\n1/16\n")
+    argv = ("accelerate", "--series", str(path), "--family", "aitken", "--z", "1", "--terms", "5")
+    exact = ["1", "3/2", "7/4", "15/8", "31/16", "2", "2", "2"]
+    floats = ["0.1000000000e1", "0.1500000000e1", "0.1750000000e1", "0.1875000000e1",
+              "0.1937500000e1", "0.2000000000e1", "0.2000000000e1", "0.2000000000e1"]
+    for mode, values in (((), exact), (("--mode", "f64"), floats)):
+        code, out, err = run(capsys, *argv, *mode)
+        assert (code, err) == (0, "")
+        assert [line.split()[2] for line in out.splitlines()[2:10]] == values
 
 
 @pytest.mark.parametrize("spec, z", [("builtin:geometric(1/2)", "1/2"), ("builtin:zeta(2)", "1")])

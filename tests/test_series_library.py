@@ -68,23 +68,25 @@ def test_spec_parsing_with_params():
 def test_coefficient_file_round_trip(tmp_path):
     path = tmp_path / "coeffs.txt"
     path.write_text("# mode: rational\n# a comment\n1\n-1/2\n0.25\n\n")
-    field, series = load_coefficient_file(path)
-    assert field.mode == "rational"
+    series = load_coefficient_file(path, RAT)
+    assert series.field.mode == "rational"
     assert series.coeffs == (F(1), F(-1, 2), F(1, 4))
 
 
 def test_coefficient_file_mode_override(tmp_path):
+    # A "# mode:" line is a comment: the caller's field reads the coefficients.
     path = tmp_path / "coeffs.txt"
     path.write_text("# mode: f64\n1\n0.5\n")
-    field, series = load_coefficient_file(path)
-    assert field.mode == "f64"
-    override, series = load_coefficient_file(path, field=RAT)
-    assert override.mode == "rational"
+    series = load_coefficient_file(path, RAT)
+    assert series.field.mode == "rational"
     assert series.coeffs == (F(1), F(1, 2))
+    series = load_coefficient_file(path, Float64Field())
+    assert series.field.mode == "f64"
+    assert series.coeffs == (1.0, 0.5)
 
 
 def test_coefficient_file_empty_is_an_error(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# mode: rational\n")
     with pytest.raises(ParseError):
-        load_coefficient_file(path)
+        load_coefficient_file(path, RAT)
