@@ -47,7 +47,6 @@ elsewhere), ``notes`` its failed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 from .field import BreakdownError, Field, Scalar
@@ -120,7 +119,6 @@ class SelectionError(LookupError):
         self.n = n
 
 
-@dataclass
 class TransformTable:
     """Triangular table as one build left it: its ``entries`` and ``notes``.
 
@@ -136,12 +134,21 @@ class TransformTable:
     consumes ``step`` inputs, and level ``k`` sits at key ``scale * k``.
     """
 
-    family: str
-    size: int
-    step: int
-    scale: int
-    entries: dict = dataclass_field(default_factory=dict)
-    notes: dict = dataclass_field(default_factory=dict)
+    __slots__ = ("family", "size", "step", "scale", "entries", "notes")
+
+    def __init__(self, family: str, size: int, step: int, scale: int,
+                 entries: dict | None = None, notes: dict | None = None):
+        self.family = family
+        self.size = size
+        self.step = step
+        self.scale = scale
+        self.entries = {} if entries is None else entries
+        self.notes = {} if notes is None else notes
+
+    def __eq__(self, other):
+        if type(other) is not TransformTable:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def last_index(self) -> int:

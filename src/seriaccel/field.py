@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field as dataclass_field
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -91,15 +90,50 @@ def _split_fraction_text(text: str) -> tuple[str, str] | None:
     return parts[0].strip(), parts[1].strip()
 
 
-class Field:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``__slots__`` and sets them once, in
+    ``__init__``, through ``object.__setattr__``; any later assignment raises
+    :class:`AttributeError`.  Two instances of one class are equal, and hash
+    alike, when their ``_key()`` tuples are, by default the fields in order.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class Field(_Frozen):
     """Shared behaviour of the three field modes.
 
     A mode states its value type ``kind``, its ``noun`` for messages, how an
     exact :class:`~fractions.Fraction` and an exact finite
     :class:`~decimal.Decimal` enter it, its context, its zero test and its
     finiteness test; every entry path below is written once on top of those.
+    Fields are immutable and equal by mode and precision.
     """
 
+    __slots__ = ()
     mode: str = "?"
     kind: type = object
     noun: str = "a scalar"
@@ -216,19 +250,16 @@ class Field:
     def is_finite(self, value: Scalar) -> bool:
         return True
 
-    def __repr__(self):
-        return f"{type(self).__name__}()"
-
 
 #: Largest decimal exponent a rational literal may carry: the digit limit
 #: that ``int()`` puts on the numerator and denominator of a ``p/q`` literal.
 _EXPONENT_LIMIT = 4300
 
 
-@dataclass(frozen=True, repr=False)
 class RationalField(Field):
     """Exact rationals; all field axioms hold exactly."""
 
+    __slots__ = ()
     mode = "rational"
     kind = Fraction
     noun = "a rational scalar"
@@ -280,27 +311,32 @@ def _over_common_denominator(values) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-@dataclass(frozen=True, repr=False)
 class BigFloatField(Field):
     """Decimal floats with ``digits`` significant digits (>= 50), half-even."""
 
-    digits: int = 50
+    # ``_context`` and ``near_zero`` derive from ``digits`` once; they are
+    # kept out of equality, hashing and repr.
+    __slots__ = ("digits", "_context", "near_zero")
     mode = "bigfloat"
     kind = Decimal
     noun = "a bigfloat scalar"
-    # Derived from ``digits`` once; kept out of equality, hashing and repr.
-    _context: Context = dataclass_field(init=False, repr=False, compare=False)
-    near_zero: Decimal = dataclass_field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.digits < 50:
+    def __init__(self, digits: int = 50):
+        if digits < 50:
             raise ValueError("bigfloat mode is defined for >= 50 significant digits")
+        object.__setattr__(self, "digits", digits)
         # Overflow and invalid operations give infinities and NaNs, which the
         # builders flag as ``overflow``, as f64 arithmetic does.
-        object.__setattr__(self, "_context", Context(prec=self.digits, rounding=ROUND_HALF_EVEN,
+        object.__setattr__(self, "_context", Context(prec=digits, rounding=ROUND_HALF_EVEN,
                                                      traps=[DivisionByZero]))
         # 10 guard digits of slack below the working precision.
-        object.__setattr__(self, "near_zero", Decimal(1).scaleb(10 - self.digits))
+        object.__setattr__(self, "near_zero", Decimal(1).scaleb(10 - digits))
+
+    def _key(self) -> tuple:
+        return (self.digits,)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(digits={self.digits})"
 
     def arithmetic(self):
         """Context manager that enters (and yields) a copy of the field's context."""
@@ -329,10 +365,10 @@ class BigFloatField(Field):
         return value.is_finite()
 
 
-@dataclass(frozen=True, repr=False)
 class Float64Field(Field):
     """Native double precision."""
 
+    __slots__ = ()
     mode = "f64"
     kind = float
     noun = "an f64 scalar"

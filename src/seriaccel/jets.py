@@ -19,10 +19,9 @@ coefficient once, not once per term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .field import BreakdownError, Field, ModeMismatchError, Scalar
+from .field import BreakdownError, Field, ModeMismatchError, Scalar, _Frozen
 
 __all__ = [
     "Jet",
@@ -40,20 +39,20 @@ class MissingCoefficientError(IndexError):
     """A coefficient past the stored ones of a series without a tail rule."""
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(_Frozen):
     """Coefficients ``c[0] + c[1] z + ... + c[N] z**N`` of a truncated series.
 
     :meth:`from_coeffs` and :meth:`constant` check coefficients as they enter;
     the constructor takes them unchecked, from jet arithmetic and builders
     that pass only values the field computed."""
 
-    field: Field
-    coeffs: tuple[Scalar, ...]
+    __slots__ = ("field", "coeffs")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, field: Field, coeffs: tuple[Scalar, ...]):
+        if not coeffs:
             raise ValueError("a jet needs at least its constant term")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def constant(cls, field: Field, value: Scalar, order: int) -> "Jet":
@@ -129,8 +128,7 @@ def _mode_error(a: Jet, b: Jet):
     raise ModeMismatchError(f"jets from different fields: {a.field!r} vs {b.field!r}")
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(_Frozen):
     """Finite stretch of Taylor coefficients, with an optional tail rule.
 
     ``coeffs`` holds the known coefficients (constant term first).  ``tail``
@@ -139,14 +137,16 @@ class PowerSeries:
     arbitrarily deep.
     """
 
-    field: Field
-    coeffs: tuple[Scalar, ...]
-    tail: Callable[[int], Scalar] | None = None
+    __slots__ = ("field", "coeffs", "tail")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, field: Field, coeffs: tuple[Scalar, ...],
+                 tail: Callable[[int], Scalar] | None = None):
+        coeffs = field.ensure_all(coeffs)
+        if not coeffs:
             raise ValueError("a power series needs at least one coefficient")
-        object.__setattr__(self, "coeffs", self.field.ensure_all(self.coeffs))
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "tail", tail)
 
     @property
     def known_order(self) -> int:

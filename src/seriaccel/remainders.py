@@ -29,8 +29,8 @@ Three views are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._recursions import JetOps, NumericOps, TransformTable, run_recursion
 from .field import BigFloatField, RationalField, Scalar
@@ -176,8 +176,7 @@ def series_value(series: PowerSeries, z: Scalar) -> Scalar:
         return series.coefficient(0) - z * remainder_value(series, 0, z)
 
 
-@dataclass(frozen=True)
-class TermCell:
+class TermCell(NamedTuple):
     """One table cell: the selected term for inputs ``0..m``, times z**(m+1)."""
 
     m: int

@@ -8,16 +8,13 @@ JSON.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["ReportRow", "rows_to_csv", "rows_to_json"]
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     m: int
     family: str
     k: int
@@ -26,19 +23,20 @@ class ReportRow:
     valid: bool
 
 
-_FIELDS = ["m", "family", "k", "n", "value", "valid"]
-
-
 def rows_to_csv(rows) -> str:
+    import csv  # imported by the writer, so start-up does not pay for it
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_FIELDS)
+    writer.writerow(ReportRow._fields)
     for r in rows:
         writer.writerow([r.m, r.family, r.k, r.n, r.value, "true" if r.valid else "false"])
     return out.getvalue()
 
 
 def rows_to_json(rows) -> str:
+    import json  # imported by the writer, so start-up does not pay for it
+
     payload = [
         {
             "m": r.m,

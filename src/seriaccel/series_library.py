@@ -20,9 +20,9 @@ comments; the caller's field reads the literals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .field import BigFloatField, Field, ParseError, RationalField, Scalar
 from .jets import PowerSeries
@@ -39,8 +39,7 @@ __all__ = [
 BUILTIN_NAMES = ("log1p-over-z", "zeta", "geometric", "model")
 
 
-@dataclass(frozen=True)
-class ResolvedInput:
+class ResolvedInput(NamedTuple):
     """What a series spec resolved to: a power series or a raw sequence."""
 
     label: str

@@ -31,13 +31,12 @@ failure propagates to every entry that would read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import _recursions as rec
 from ._recursions import SelectionError, TransformTable, UnitOps, _Build, run_recursion
-from .field import Field, Scalar
+from .field import Field, Scalar, _Frozen
 from .jets import Jet, PowerSeries
 
 __all__ = [
@@ -67,28 +66,25 @@ class DegeneratePadeError(ArithmeticError):
     """The Pade linear system is singular."""
 
 
-@dataclass(frozen=True)
-class ScalarSequence:
+class ScalarSequence(_Frozen):
     """Elements ``s0 ... sm`` to be transformed, with an optional known limit."""
 
-    field: Field
-    entries: tuple[Scalar, ...]
-    limit: Scalar | None = None
+    __slots__ = ("field", "entries", "limit")
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, field: Field, entries: tuple[Scalar, ...], limit: Scalar | None = None):
+        entries = field.ensure_all(entries)
+        if not entries:
             raise ValueError("a sequence needs at least one entry")
-        object.__setattr__(self, "entries", self.field.ensure_all(self.entries))
-        if self.limit is not None:
-            object.__setattr__(self, "limit", self.field.ensure(self.limit))
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "limit", None if limit is None else field.ensure(limit))
 
     @property
     def last_index(self) -> int:
         return len(self.entries) - 1
 
 
-@dataclass(frozen=True)
-class ModelSequence:
+class ModelSequence(_Frozen):
     """Geometric-remainder model ``s_n = limit + amplitude * ratio**n``.
 
     One delta-squared step recovers ``limit`` exactly from any three
@@ -96,18 +92,16 @@ class ModelSequence:
     diverges (|ratio| > 1).
     """
 
-    field: Field
-    limit: Scalar
-    amplitude: Scalar
-    ratio: Scalar
+    __slots__ = ("field", "limit", "amplitude", "ratio")
 
-    def __post_init__(self):
-        object.__setattr__(self, "limit", self.field.ensure(self.limit))
-        object.__setattr__(self, "amplitude", self.field.ensure(self.amplitude))
-        object.__setattr__(self, "ratio", self.field.ensure(self.ratio))
-        if self.amplitude == self.field.zero:
+    def __init__(self, field: Field, limit: Scalar, amplitude: Scalar, ratio: Scalar):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "limit", field.ensure(limit))
+        object.__setattr__(self, "amplitude", field.ensure(amplitude))
+        object.__setattr__(self, "ratio", field.ensure(ratio))
+        if self.amplitude == field.zero:
             raise ValueError("model amplitude must be nonzero")
-        if abs(self.ratio) == self.field.one:
+        if abs(self.ratio) == field.one:
             raise ValueError("model ratio must have |ratio| != 1")
 
     def sequence(self, count: int) -> ScalarSequence:
@@ -122,8 +116,7 @@ class ModelSequence:
         return ScalarSequence(self.field, tuple(out), limit=self.limit)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Registry record of one acceleration family.
 
     A level consumes ``step`` inputs, so the selection rule takes level
@@ -356,8 +349,7 @@ def select_approximant(table: TransformTable, m: int | None = None) -> tuple[int
 # Pade approximants: the epsilon prediction strategy and an independent oracle
 
 
-@dataclass(frozen=True)
-class PadeRational:
+class PadeRational(NamedTuple):
     """Rational function P/Q with Q normalized to unit constant term."""
 
     field: Field
@@ -434,8 +426,7 @@ def pade_linear_system(series: PowerSeries, l: int, m: int) -> PadeRational:
 # convergence classification
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     kind: str  # "linear" | "logarithmic" | "divergent" | "inconclusive"
     rho: Scalar | None = None
 

@@ -197,6 +197,16 @@ def test_from_coeffs_checks_what_enters():
     assert all(type(c) is F for c in Jet.constant(RAT, 5, 2).coeffs)
 
 
+def test_mixing_bigfloat_precisions_names_both_in_the_error():
+    a = Jet.from_coeffs(BigFloatField(50), [1, 2])
+    b = Jet.from_coeffs(BigFloatField(digits=60), [1, 2])
+    for combine in (lambda: a * b, lambda: a + b, lambda: b - a):
+        with pytest.raises(ModeMismatchError) as err:
+            combine()
+        assert "BigFloatField(digits=50)" in str(err.value)
+        assert "BigFloatField(digits=60)" in str(err.value)
+
+
 def test_a_negative_order_is_rejected():
     for build in (lambda: Jet.from_coeffs(RAT, [1, 2, 3, 4], order=-2),
                   lambda: Jet.constant(RAT, 5, -1)):
@@ -250,6 +260,13 @@ def test_partial_sums_past_the_stored_order_read_the_tail_rule(fld):
     assert series.partial_sum(6, z) == horner
     if fld is RAT:
         assert horner == sum(F((-1) ** i, i + 1) * z ** i for i in range(7))
+
+
+def test_an_empty_iterator_is_not_a_power_series():
+    for coeffs in ((), iter([]), (c for c in ())):
+        with pytest.raises(ValueError, match="a power series needs at least one coefficient"):
+            PowerSeries(RAT, coeffs)
+    assert PowerSeries(RAT, iter([1, 2])).known_order == 1
 
 
 def test_power_series_without_tail_stops():

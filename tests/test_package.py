@@ -1,7 +1,11 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import seriaccel
 
@@ -24,3 +28,17 @@ def test_the_package_imports_only_public_names():
     for node in imports:
         public = importlib.import_module(f"seriaccel.{node.module}").__all__
         assert [a.name for a in node.names if a.name not in public] == [], node.module
+
+
+def test_importing_the_cli_loads_no_dataclasses_json_or_csv():
+    # Only the modules the import adds count, not those ``site`` preloads.
+    src = str(Path(seriaccel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules); import seriaccel.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    added = set(proc.stdout.split())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "seriaccel.cli" in added
+    assert added & {"dataclasses", "json", "csv"} == set()

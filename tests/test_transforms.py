@@ -50,6 +50,13 @@ def random_sequence(rng, count=10):
     )
 
 
+def test_an_empty_iterator_is_not_a_sequence():
+    for entries in ((), iter([]), (v for v in ())):
+        with pytest.raises(ValueError, match="a sequence needs at least one entry"):
+            ScalarSequence(RAT, entries)
+    assert aitken_table(ScalarSequence(RAT, iter([2, F(3, 2), F(5, 4)]))).entry(1, 0) == 1
+
+
 # -- Aitken ------------------------------------------------------------------
 
 
