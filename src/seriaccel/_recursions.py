@@ -50,9 +50,23 @@ from __future__ import annotations
 from typing import Callable
 
 from .field import BreakdownError, Field, Scalar
-from .jets import Jet
+from .jets import Jet, PowerSeries
 
 Width = Callable[[int], int]
+
+
+def _last_index(series: PowerSeries, last_index: int | None) -> int:
+    """``last_index``, by default the last stored coefficient; ``ValueError`` past
+    the stored ones of a series without a tail rule."""
+    if last_index is None:
+        return series.known_order
+    if last_index < 0:
+        raise ValueError(f"last_index must be >= 0, got {last_index}")
+    if last_index > series.known_order and not series.has_tail:
+        raise ValueError(
+            f"last_index {last_index} exceeds the stored coefficients and no tail rule is attached"
+        )
+    return last_index
 
 
 class JetOps:
@@ -262,8 +276,12 @@ def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, table: s
     z = 1) it gets ``None`` and injects nothing.  The table is named
     ``table``, a textbook table of the family, with its key scale from
     ``family.tables``; by default it is named after the family, with scale 1.
+    Raises ``ValueError`` when ``levels < 0`` or ``top < step*levels``: the
+    one bound check of every table build.
     """
     step = family.step
+    if levels < 0 or top < step * levels:
+        raise ValueError(f"{family.name} level {levels} is out of range for inputs 0..{top}")
     scale = family.tables[table] if table else 1
     build = _Build(ops, levels, lambda k: top - step * k, family.deps, seed, step, scale)
     build.run(recursion or family.recursion, coeff)

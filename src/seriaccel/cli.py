@@ -112,6 +112,8 @@ _TABLE_BUILDERS = {
 
 def _sequence_from_input(resolved, args, field):
     if resolved.sequence is not None:
+        if args.z is not None:
+            raise _UsageError(f"--z applies to a power series; {resolved.label} is a plain sequence")
         return resolved.sequence
     series = resolved.series
     z = None
@@ -224,9 +226,10 @@ def cmd_terms(args) -> int:
 # reproduce
 
 
-def _diff_report(name, rows, diffs) -> int:
+def _diff_report(name, rows, checks) -> int:
     for line in rows:
         print(line)
+    diffs = [(where, got, want) for where, got, want in checks if got != want]
     if diffs:
         print(f"{name}: {len(diffs)} cell(s) differ from the reference:")
         for where, got, want in diffs:
@@ -254,51 +257,42 @@ def _reproduce_table(which) -> int:
     field = field_for_mode("bigfloat", digits=max(50, _env_digits()))
     series = _log_series(field, m_max + 1)
     cells = evaluate(series, field.parse(z_text), m_max)
+    got = {(r.m, r.family): r.value if r.valid else "invalid"
+           for r in _cells_to_rows(cells, field, digits)}
     rows = [f"# z = {z_text}, m = 0..{m_max}", "m " + " ".join(FAMILIES)]
-    diffs = []
-    for m in range(m_max + 1):
-        rendered = []
-        for family in FAMILIES:
-            cell = cells[family][m]
-            got = scientific_string(cell.value, digits) if cell.valid else "invalid"
-            rendered.append(got)
-            want = reference[family][m]
-            if got != want:
-                diffs.append((f"(m={m}, {family})", got, want))
-        rows.append(f"{m} " + " ".join(rendered))
-    return _diff_report(which, rows, diffs)
+    rows += [f"{m} " + " ".join(got[m, family] for family in FAMILIES) for m in range(m_max + 1)]
+    return _diff_report(which, rows, [(f"(m={m}, {family})", value, reference[family][m])
+                                       for (m, family), value in got.items()])
 
 
 def _reproduce_expansion7() -> int:
     field = RationalField()
     series = _log_series(field, 13)
     rows = ["# exact error expansions, coefficients of z^7..z^9"]
-    diffs = []
+    checks = []
     for family in FAMILIES:
         level = golden.EXPANSION7_LEVEL[family]
         jet = remainder_jets(series, family, level, order=4, n_max=0).entry(level, 0)
         got = tuple(to_fraction_string(c) for c in jet.coeffs[:3])
         rows.append(f"{family} (level {level}): " + " ".join(got))
-        for g, w, power in zip(got, golden.EXPANSION7[family], (7, 8, 9)):
-            if g != w:
-                diffs.append((f"({family}, z^{power})", g, w))
-    return _diff_report("expansion7", rows, diffs)
+        checks += [(f"({family}, z^{power})", g, w)
+                   for g, w, power in zip(got, golden.EXPANSION7[family], (7, 8, 9))]
+    return _diff_report("expansion7", rows, checks)
 
 
 def _reproduce_predict13() -> int:
     field = RationalField()
     series = _log_series(field, 13)
     rows = ["# predictions for coefficients 13..16 from coefficients 0..12"]
-    diffs = []
+    checks = []
     for family in FAMILIES:
         predictions = predict_coefficients(series, family, 12, golden.PREDICT13_COUNT)
         got = tuple(decimal_string(v, golden.PREDICT13_DIGITS) for _, v in predictions)
         rows.append(f"{family}: " + " ".join(got))
-        for (index, _), g, w in zip(predictions, got, golden.PREDICT13[family]):
-            if g != w:
-                diffs.append((f"({family}, coefficient {index})", g, w))
+        checks += [(f"({family}, coefficient {index})", g, w)
+                   for (index, _), g, w in zip(predictions, got, golden.PREDICT13[family])]
     rows.append("true: " + " ".join(golden.PREDICT13_TRUE_DECIMAL))
-    return _diff_report("predict13", rows, diffs)
+    return _diff_report("predict13", rows, checks)
 
 
 def cmd_reproduce(args) -> int:

@@ -28,16 +28,16 @@ The family names are ``"aitken"`` (iterated delta-squared), ``"epsilon"``
 :func:`transformation_terms` and :func:`leading_predictions` return a
 :class:`~seriaccel.transforms.TransformTable` named after the family, whose
 entry at ``(k, n)`` is the term jet or its leading part; the first
-coefficient it predicts has order ``n + step*k + 1``.  The argument checks
-here serve the remainder views of :mod:`seriaccel.remainders` too.
+coefficient it predicts has order ``n + step*k + 1``.  Their bounds are
+checked by :func:`~seriaccel._recursions.run_recursion`, like every table's.
 """
 
 from __future__ import annotations
 
-from ._recursions import JetOps, NumericOps, TransformTable, run_recursion
+from ._recursions import JetOps, NumericOps, TransformTable, _last_index, run_recursion
 from .field import BreakdownError, Scalar
 from .jets import PowerSeries
-from .transforms import DegeneratePadeError, Family, get_family, selection_indices
+from .transforms import DegeneratePadeError, get_family, selection_indices
 
 __all__ = [
     "PredictionBreakdownError",
@@ -57,39 +57,6 @@ class PredictionBreakdownError(BreakdownError):
         self.reason = reason
 
 
-def _last_index(series: PowerSeries, last_index: int | None) -> int:
-    """``last_index``, by default the last stored coefficient; ``ValueError`` past
-    the stored ones of a series without a tail rule."""
-    if last_index is None:
-        return series.known_order
-    if last_index < 0:
-        raise ValueError(f"last_index must be >= 0, got {last_index}")
-    if last_index > series.known_order and not series.has_tail:
-        raise ValueError(
-            f"last_index {last_index} exceeds the stored coefficients and no tail rule is attached"
-        )
-    return last_index
-
-
-def _checked(family: str, max_level: int, last: int, order: int = 0, spare: int = 0) -> Family:
-    """Registry record of ``family`` after checking the arguments of a table.
-
-    Level ``k`` at start ``n >= 0`` reads inputs through ``n + step*k + spare``,
-    so levels ``0..max_level`` need ``last >= step*max_level + spare``.
-    Raises ``ValueError`` on any argument out of range.
-    """
-    fam = get_family(family)
-    if max_level < 0:
-        raise ValueError(f"max_level must be >= 0, got {max_level}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    need = fam.step * max_level + spare
-    if last < need:
-        raise ValueError(f"{fam.name} level {max_level} needs inputs through {need}, "
-                         f"but the last index is {last}")
-    return fam
-
-
 def transformation_terms(
     series: PowerSeries,
     family: str,
@@ -106,9 +73,9 @@ def transformation_terms(
     the table.
     """
     m = _last_index(series, last_index)
-    fam = _checked(family, max_level, m, order)
     ops = JetOps(series.field, order)
-    return run_recursion(fam, ops, max_level, m, [ops.zero] * (m + 1), series.coefficient)
+    return run_recursion(get_family(family), ops, max_level, m, [ops.zero] * (m + 1),
+                         series.coefficient)
 
 
 def leading_predictions(
@@ -123,7 +90,7 @@ def leading_predictions(
     predicts the coefficient of order ``n + step*k + 1``.
     """
     m = _last_index(series, last_index)
-    fam = _checked(family, max_level, m)
+    fam = get_family(family)
     fld = series.field
     return run_recursion(fam, NumericOps(fld, fld.zero), max_level, m, [fld.zero] * (m + 1),
                          series.coefficient, recursion=fam.leading)
@@ -143,7 +110,9 @@ def predict_coefficients(
     a closed-form term (``Family.prediction_term``: epsilon, from its Pade
     denominator) expands that; the others expand their recursion over jets.
     The first prediction equals the corresponding :func:`leading_predictions`
-    entry exactly where that entry is valid.
+    entry exactly where that entry is valid.  A prediction that is not finite
+    raises :class:`PredictionBreakdownError` with the note ``overflow``, by
+    either route.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -161,4 +130,6 @@ def predict_coefficients(
             term = fam.prediction_term(series, k, n, order)
         except DegeneratePadeError as exc:
             raise PredictionBreakdownError(fam.name, k, n, str(exc)) from None
-    return tuple((last_index + 1 + j, term.coeffs[j]) for j in range(count))
+    if not all(map(series.field.is_finite, term.coeffs)):
+        raise PredictionBreakdownError(fam.name, k, n, "overflow")
+    return tuple(enumerate(term.coeffs, last_index + 1))

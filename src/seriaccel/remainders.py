@@ -32,10 +32,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._recursions import JetOps, NumericOps, TransformTable, run_recursion
+from ._recursions import JetOps, NumericOps, TransformTable, _last_index, run_recursion
 from .field import BigFloatField, RationalField, Scalar
 from .jets import Jet, PowerSeries
-from .prediction import _checked, _last_index
 from .transforms import FAMILIES, get_family, selection_indices
 
 __all__ = [
@@ -73,12 +72,11 @@ def remainder_jets(
     out of range, and ``IndexError`` if the series cannot supply the tail
     coefficients through ``n_max + step*max_level + order + 1``.
     """
-    step = get_family(family).step
-    n_max = step - 1 if n_max is None else n_max
-    top = n_max + step * max_level
-    fam = _checked(family, max_level, top, order)
-    base = _base_remainder_row(series, order, top)
-    return run_recursion(fam, JetOps(series.field, order), max_level, top, base)
+    fam = get_family(family)
+    n_max = fam.step - 1 if n_max is None else n_max
+    top = n_max + fam.step * max_level
+    ops = JetOps(series.field, order)
+    return run_recursion(fam, ops, max_level, top, _base_remainder_row(series, order, top))
 
 
 def leading_remainders(
@@ -98,7 +96,7 @@ def leading_remainders(
     kept, and the deeper entries that divide by it break down.
     """
     m = _last_index(series, last_index)
-    fam = _checked(family, max_level, m, spare=1)
+    fam = get_family(family)
     fld = series.field
     with fld.arithmetic():
         seed = [-series.coefficient(n + 1) for n in range(m)]

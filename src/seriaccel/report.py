@@ -30,23 +30,13 @@ def rows_to_csv(rows) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(ReportRow._fields)
     for r in rows:
-        writer.writerow([r.m, r.family, r.k, r.n, r.value, "true" if r.valid else "false"])
+        writer.writerow(r._replace(valid="true" if r.valid else "false"))
     return out.getvalue()
 
 
 def rows_to_json(rows) -> str:
     import json  # imported by the writer, so start-up does not pay for it
 
-    payload = [
-        {
-            "m": r.m,
-            "family": r.family,
-            "k": r.k,
-            "n": r.n,
-            "value": r.value if r.valid else None,
-            "valid": r.valid,
-        }
-        for r in rows
-    ]
+    payload = [{**r._asdict(), "value": r.value if r.valid else None} for r in rows]
     return json.dumps(payload, indent=2)
 

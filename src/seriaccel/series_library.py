@@ -73,14 +73,12 @@ def builtin_series(name: str, params: tuple, count: int, field: Field) -> Resolv
     if count < 1:
         raise ValueError("count must be >= 1")
 
+    default_z = None
     if name == "log1p-over-z":
         if params:
             raise ValueError("log1p-over-z takes no parameters")
         tail = lambda i: _log_coefficient(field, i)
-        coeffs = tuple(tail(i) for i in range(count))
-        return ResolvedInput("builtin:log1p-over-z", series=PowerSeries(field, coeffs, tail=tail))
-
-    if name == "zeta":
+    elif name == "zeta":
         if len(params) != 1:
             raise ValueError("zeta needs exactly one parameter: the exponent")
         s = field.ensure(params[0])
@@ -89,28 +87,22 @@ def builtin_series(name: str, params: tuple, count: int, field: Field) -> Resolv
         if isinstance(field, RationalField) and s.denominator != 1:
             raise ValueError("zeta in rational mode needs an integer exponent")
         tail = lambda i: _zeta_coefficient(field, s, i)
-        coeffs = tuple(tail(i) for i in range(count))
-        return ResolvedInput(
-            "builtin:zeta", series=PowerSeries(field, coeffs, tail=tail), default_z=field.one
-        )
-
-    if name == "geometric":
+        default_z = field.one
+    elif name == "geometric":
         if len(params) > 1:
             raise ValueError("geometric takes at most one parameter: the evaluation point")
         tail = lambda i: field.one
-        coeffs = tuple(field.one for _ in range(count))
         default_z = field.ensure(params[0]) if params else None
-        return ResolvedInput(
-            "builtin:geometric", series=PowerSeries(field, coeffs, tail=tail), default_z=default_z
-        )
-
-    if name == "model":
+    elif name == "model":
         if len(params) != 3:
             raise ValueError("model needs three parameters: limit, amplitude, ratio")
         model = ModelSequence(field, *params)
         return ResolvedInput("builtin:model", sequence=model.sequence(count))
-
-    raise ValueError(f"unknown builtin series {name!r}; expected one of {BUILTIN_NAMES}")
+    else:
+        raise ValueError(f"unknown builtin series {name!r}; expected one of {BUILTIN_NAMES}")
+    coeffs = tuple(tail(i) for i in range(count))
+    return ResolvedInput(f"builtin:{name}", series=PowerSeries(field, coeffs, tail=tail),
+                         default_z=default_z)
 
 
 _SPEC_RE = re.compile(r"^([a-z0-9-]+)(?:\((.*)\))?$")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import seriaccel
+from seriaccel import golden
 from seriaccel.cli import build_parser, main
 from seriaccel.transforms import FAMILIES, SCHEMES
 from seriaccel.report import ReportRow, rows_to_csv
@@ -97,6 +98,13 @@ def test_accelerate_model_sequence(capsys):
     assert code == 0
     assert "m=2 k=1 n=0 1" in out
     assert "classification: linear" in out
+
+
+def test_accelerate_rejects_z_for_a_plain_sequence(capsys):
+    code, out, err = run(capsys, "accelerate", "--series", "builtin:model(1,1,1/2)",
+                         "--family", "aitken", "--terms", "4", "--z", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: --z applies to a power series; builtin:model is a plain sequence\n"
 
 
 def test_accelerate_prints_every_digit_past_28(capsys):
@@ -321,6 +329,17 @@ def test_predict_breakdown_exits_one_with_the_cell_and_its_reason(capsys):
                    "depends on invalid entry (11, 0)\n")
 
 
+def test_f64_pade_prediction_past_the_float_range_exits_one(capsys, tmp_path):
+    # The closed-form epsilon term of these coefficients is not finite in f64.
+    path = tmp_path / "wide.txt"
+    path.write_text("2.0761462041773046e-199\n2.7262546200350954e-262\n4.4984453463009774e+26\n"
+                    "6.296479004764533e+106\n1.113623101268919e+165\n-8.676138422503308e+254\n")
+    code, out, err = run(capsys, "predict", "--series", f"file:{path}", "--mode", "f64",
+                         "--family", "epsilon", "--count", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: epsilon prediction breakdown at (k=2, n=1): overflow\n"
+
+
 def test_predict_family_choices_come_from_the_registry():
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     family = next(a for a in commands.choices["predict"]._actions if a.dest == "family")
@@ -390,6 +409,20 @@ def test_reproduce_table1_reports_the_two_known_reference_cells(capsys):
     assert "MISMATCH (m=10, aitken): computed 0.689221e-10, reference 0.689220e-10" in out
     assert "MISMATCH (m=12, aitken): computed 0.282139e-12, reference 0.282138e-12" in out
     assert out.count("MISMATCH") == 2
+
+
+@pytest.mark.parametrize("experiment, table, where, got", [
+    ("expansion7", "EXPANSION7", "(aitken, z^7)", "421/16537500"),
+    ("predict13", "PREDICT13", "(aitken, coefficient 13)", "-0.07142857137"),
+])
+def test_reproduce_reports_a_changed_reference_cell(capsys, monkeypatch, experiment, table,
+                                                    where, got):
+    reference = getattr(golden, table)
+    monkeypatch.setitem(reference, "aitken", ("0", *reference["aitken"][1:]))
+    code, out, _ = run(capsys, "reproduce", "--experiment", experiment)
+    assert code == 2
+    assert out.endswith(f"{experiment}: 1 cell(s) differ from the reference:\n"
+                        f"MISMATCH {where}: computed {got}, reference 0\n")
 
 
 def test_reproduce_runs_are_deterministic(capsys):

@@ -18,7 +18,7 @@ from seriaccel.remainders import (
     series_value,
 )
 from seriaccel.series_library import builtin_series
-from seriaccel.transforms import SelectionError
+from seriaccel.transforms import FAMILIES, SelectionError
 
 RAT = RationalField()
 BF = BigFloatField(50)
@@ -275,10 +275,43 @@ def tail_less_nine():
                  id="leading_remainders-past-stored"),
     pytest.param(lambda: leading_predictions(tail_less_nine(), "aitken", 1, last_index=20),
                  id="leading_predictions-past-stored"),
+    pytest.param(lambda: transformation_terms(log_series_rational(), "aitken", -1, order=2),
+                 id="transformation_terms-negative-max_level"),
+    pytest.param(lambda: leading_predictions(log_series_rational(), "epsilon", -1),
+                 id="leading_predictions-negative-max_level"),
+    pytest.param(lambda: leading_predictions(log_series_rational(), "theta", 2, last_index=5),
+                 id="leading_predictions-last_index"),
+    pytest.param(lambda: leading_remainders(log_series_rational(), "aitken", 2, last_index=4),
+                 id="leading_remainders-last_index"),
+    pytest.param(lambda: remainder_jets(log_series_rational(), "theta", -1, order=2, n_max=5),
+                 id="remainder_jets-negative-max_level-wide-n_max"),
+    pytest.param(lambda: evaluate_error_terms(log_series_bigfloat(), BF.parse("0.5"), -1),
+                 id="evaluate_error_terms-m_max"),
+    pytest.param(lambda: evaluate_transformation_terms(log_series_bigfloat(), BF.parse("0.5"), -1),
+                 id="evaluate_transformation_terms-m_max"),
 ])
 def test_table_entry_points_reject_out_of_range_arguments(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("family", ["aitken", "epsilon", "theta-iterated"])
+def test_table_entry_points_build_the_deepest_level_their_inputs_reach(family):
+    # 13 coefficients: a term level consumes ``step`` of them; a leading
+    # remainder reads one more, so its table ends one index earlier.
+    series = log_series_rational()
+    step = FAMILIES[family].step
+    for build, top in (
+        (lambda k: transformation_terms(series, family, k, order=1), 12),
+        (lambda k: leading_predictions(series, family, k), 12),
+        (lambda k: leading_remainders(series, family, k), 11),
+    ):
+        deepest = top // step
+        table = build(deepest)
+        assert (deepest, top - step * deepest) in {**table.entries, **table.notes}
+        with pytest.raises(ValueError, match=f"{family} level {deepest + 1} "):
+            build(deepest + 1)
+    assert remainder_jets(series, family, 3, order=1, n_max=0).entry(3, 0) is not None
 
 
 @pytest.mark.parametrize("fld", [RAT, BF, F64], ids=["rational", "bigfloat", "f64"])

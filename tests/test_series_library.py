@@ -56,6 +56,27 @@ def test_unknown_builtin():
         builtin_series("log", (), 3, RAT)
 
 
+@pytest.mark.parametrize("spec, count, message", [
+    ("zeta", 3, "zeta needs exactly one parameter: the exponent"),
+    ("zeta(2,3)", 3, "zeta needs exactly one parameter: the exponent"),
+    ("geometric(1/2,1/3)", 3, "geometric takes at most one parameter: the evaluation point"),
+    ("model(1,1)", 3, "model needs three parameters: limit, amplitude, ratio"),
+    ("log1p-over-z(", 3, "malformed builtin spec 'log1p-over-z('"),
+    ("log1p-over-z", 0, "count must be >= 1"),
+])
+def test_builtin_spec_errors_name_the_rule(spec, count, message):
+    with pytest.raises(ValueError) as err:
+        resolve_series_spec(f"builtin:{spec}", RAT, count)
+    assert str(err.value) == message
+
+
+def test_geometric_without_a_point_has_no_default_z():
+    resolved = builtin_series("geometric", (), 2, BigFloatField(50))
+    assert resolved.label == "builtin:geometric"
+    assert resolved.default_z is None
+    assert resolved.series.coefficient(7) == resolved.series.coeffs[0] == BigFloatField(50).one
+
+
 def test_spec_parsing_with_params():
     resolved = resolve_series_spec("builtin:model(1,1,1/2)", RAT, 3)
     assert resolved.sequence.entries == (F(2), F(3, 2), F(5, 4))

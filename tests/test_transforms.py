@@ -356,6 +356,13 @@ def test_pade_singular_system():
         pade_linear_system(series, 1, 1)
 
 
+@pytest.mark.parametrize("l, m", [(-1, 1), (1, -1)])
+def test_pade_negative_degree_is_rejected(l, m):
+    series = PowerSeries(RAT, (F(1), F(1), F(1)))
+    with pytest.raises(ValueError, match="numerator and denominator degrees must be >= 0"):
+        pade_linear_system(series, l, m)
+
+
 # -- classification ----------------------------------------------------------
 
 
@@ -376,6 +383,17 @@ def test_classify_divergent():
 def test_classify_exact_limit_hit_is_inconclusive():
     s = ScalarSequence(RAT, (F(1), F(2), F(2), F(3), F(4)), limit=F(2))
     assert classify_convergence(s).kind == "inconclusive"
+
+
+@pytest.mark.parametrize("seq, message", [
+    (ScalarSequence(RAT, (F(1), F(1, 2), F(1, 4), F(1, 8)), limit=F(0)),
+     "classification needs at least 5 sequence entries"),
+    (ScalarSequence(RAT, (F(1), F(1, 2), F(1, 4), F(1, 8), F(1, 16))),
+     "classification needs a known or estimated limit"),
+])
+def test_classify_needs_five_entries_and_a_limit(seq, message):
+    with pytest.raises(ValueError, match=message):
+        classify_convergence(seq)
 
 
 def _zeta_em(s, terms=200):
