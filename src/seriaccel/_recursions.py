@@ -47,7 +47,7 @@ elsewhere), ``notes`` its failed ones.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .field import BreakdownError, Field, Scalar
 from .jets import Jet, PowerSeries
@@ -57,15 +57,15 @@ Width = Callable[[int], int]
 
 def _last_index(series: PowerSeries, last_index: int | None) -> int:
     """``last_index``, by default the last stored coefficient; ``ValueError`` past
-    the stored ones of a series without a tail rule."""
+    the stored ones of a series without a tail rule, worded as the series'
+    own :class:`~seriaccel.jets.MissingCoefficientError`."""
     if last_index is None:
         return series.known_order
     if last_index < 0:
         raise ValueError(f"last_index must be >= 0, got {last_index}")
     if last_index > series.known_order and not series.has_tail:
-        raise ValueError(
-            f"last_index {last_index} exceeds the stored coefficients and no tail rule is attached"
-        )
+        raise ValueError(f"coefficient {last_index} is past the stored order "
+                         f"{series.known_order} and no tail rule is attached")
     return last_index
 
 
@@ -75,13 +75,13 @@ class JetOps:
     def __init__(self, field: Field, order: int):
         self.field = field
         self.order = order
-        self.zero = Jet.constant(field, field.zero, order)
-        self.one = Jet.constant(field, field.one, order)
-        self.context = field.arithmetic
+        self.zero = Jet.from_coeffs(field, (), order)  # the one check of ``order``
         self._zeros = self.zero.coeffs[1:]
+        self.one = self.const(field.one)
+        self.context = field.arithmetic
 
     def const(self, value: Scalar) -> Jet:
-        """``Jet.constant(field, value, order)``, with one check of ``value``."""
+        """The constant jet ``value`` of this order, with one check of ``value``."""
         return Jet(self.field, (self.field.ensure(value), *self._zeros))
 
     def finite(self, value: Jet) -> bool:
@@ -133,7 +133,7 @@ class SelectionError(LookupError):
         self.n = n
 
 
-class TransformTable:
+class TransformTable(NamedTuple):
     """Triangular table as one build left it: its ``entries`` and ``notes``.
 
     Keys are ``(k, n)``.  For the epsilon and theta algorithms ``k`` is the
@@ -148,21 +148,12 @@ class TransformTable:
     consumes ``step`` inputs, and level ``k`` sits at key ``scale * k``.
     """
 
-    __slots__ = ("family", "size", "step", "scale", "entries", "notes")
-
-    def __init__(self, family: str, size: int, step: int, scale: int,
-                 entries: dict | None = None, notes: dict | None = None):
-        self.family = family
-        self.size = size
-        self.step = step
-        self.scale = scale
-        self.entries = {} if entries is None else entries
-        self.notes = {} if notes is None else notes
-
-    def __eq__(self, other):
-        if type(other) is not TransformTable:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+    family: str
+    size: int
+    step: int
+    scale: int
+    entries: dict
+    notes: dict
 
     @property
     def last_index(self) -> int:

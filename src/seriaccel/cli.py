@@ -179,9 +179,6 @@ def cmd_predict(args) -> int:
     resolved = resolve_series_spec(args.series, field, count=count_needed)
     series = resolved.require_series()
     use = args.use if args.use is not None else series.known_order
-    if use > series.known_order and not series.has_tail:
-        raise _UsageError(f"--use {use} is past the stored coefficients 0..{series.known_order} "
-                          "and the series has no tail rule")
     predictions = predict_coefficients(series, args.family, use, args.count)
     print(f"# {resolved.label} family={args.family} using coefficients 0..{use}")
     print("index prediction decimal")
@@ -334,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "rational")
     p.add_argument("--family", required=True, choices=sorted(
         name for family in FAMILIES.values() for name in (family.name, *family.aliases)))
-    p.add_argument("--use", type=_NONNEGATIVE, default=None, help="last coefficient index to use")
+    p.add_argument("--use", type=_NONNEGATIVE, default=None,
+                   help="last coefficient index to use (default: the last resolved coefficient, "
+                        "count + 15 for a builtin, the last line of a file)")
     p.add_argument("--count", type=_POSITIVE, default=4)
     p.add_argument("--digits", type=_POSITIVE, default=10)
     p.set_defaults(func=cmd_predict)

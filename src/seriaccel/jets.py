@@ -42,9 +42,9 @@ class MissingCoefficientError(IndexError):
 class Jet(_Frozen):
     """Coefficients ``c[0] + c[1] z + ... + c[N] z**N`` of a truncated series.
 
-    :meth:`from_coeffs` and :meth:`constant` check coefficients as they enter;
-    the constructor takes them unchecked, from jet arithmetic and builders
-    that pass only values the field computed."""
+    :meth:`from_coeffs` checks coefficients as they enter; the constructor
+    takes them unchecked, from jet arithmetic and builders that pass only
+    values the field computed."""
 
     __slots__ = ("field", "coeffs")
 
@@ -53,10 +53,6 @@ class Jet(_Frozen):
             raise ValueError("a jet needs at least its constant term")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def constant(cls, field: Field, value: Scalar, order: int) -> "Jet":
-        return cls.from_coeffs(field, (value,), order)
 
     @classmethod
     def from_coeffs(cls, field: Field, values, order: int | None = None) -> "Jet":

@@ -12,10 +12,11 @@ Implemented here:
   rules, recursion steps and prediction strategies), a Pade solver, and a
   convergence-type classifier.
 
-:data:`SCHEMES` lists the forms of each table that has two, the default
-first.  The rearranged forms are the family steps of :mod:`seriaccel._recursions`
-at z = 1, where the shifted difference ``z * X(n+1) - X(n)`` is the forward
-difference; the classic and plain forms stay as independent references.
+:data:`SCHEMES` maps the forms of each table that has two to their steps,
+the default first.  The rearranged forms are the family steps of
+:mod:`seriaccel._recursions` at z = 1, where the shifted difference
+``z * X(n+1) - X(n)`` is the forward difference; the classic and plain forms
+stay as independent references.
 Every step here takes the same arguments as the family and leading steps.
 The tables of the Aitken, epsilon-cross and iterated theta schemes run theirs
 by :func:`~seriaccel._recursions.run_recursion` on the family's registry
@@ -178,25 +179,6 @@ FAMILIES = {
     )
 }
 
-#: The forms of each table builder with two, by table name, the default (the
-#: textbook update) first, then the family step at z = 1.
-SCHEMES = {
-    "aitken": ("classic", "rearranged"),
-    "epsilon-cross": ("plain", "rearranged"),
-    "theta-iterated": ("classic", "rearranged"),
-}
-
-
-def _scheme(table: str, scheme: str | None, noun: str = "scheme") -> str:
-    """``scheme`` of :data:`SCHEMES` ``[table]``, by default its first; else ``ValueError``."""
-    schemes = SCHEMES[table]
-    if scheme is None:
-        return schemes[0]
-    if scheme not in schemes:
-        raise ValueError(f"{noun} must be {' or '.join(map(repr, schemes))}")
-    return scheme
-
-
 def get_family(name: str) -> Family:
     """Registry record for a family name or alias; ``ValueError`` if unknown."""
     for family in FAMILIES.values():
@@ -214,39 +196,11 @@ def _table(table: str, fam: Family, seq: ScalarSequence, levels: int, width, dep
     return build.table(table, scale=fam.tables[table])
 
 
-def _family_table(table: str, fam: Family, seq: ScalarSequence, recursion=None) -> TransformTable:
-    """Textbook table ``table`` in its family's geometry: ``recursion``, by
-    default the family's rearranged step, over the levels the sequence
-    reaches, at z = 1."""
-    m = seq.last_index
-    return run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries, table=table,
-                         recursion=recursion)
-
-
 def _aitken_classic(ops, g, k, n, cur, prev):
     d0 = cur[n + 1] - cur[n]
     d1 = cur[n + 2] - cur[n + 1]
     dd = d1 - d0
     return cur[n] - ops.div(d0 * d0, dd)
-
-
-def aitken_table(seq: ScalarSequence, scheme: str | None = None) -> TransformTable:
-    """Iterated delta-squared table, ``classic`` by default; the two schemes agree."""
-    scheme = _scheme("aitken", scheme)
-    return _family_table(f"aitken-{scheme}", FAMILIES["aitken"], seq,
-                         _aitken_classic if scheme == "classic" else None)
-
-
-def _epsilon_column(ops, g, j, n, cur, prev):
-    base = prev[n + 1] if j >= 1 else ops.zero
-    return base + ops.div(ops.one, cur[n + 1] - cur[n])
-
-
-def epsilon_table(seq: ScalarSequence) -> TransformTable:
-    """Full epsilon table; even columns approximate, odd columns are auxiliary."""
-    m = seq.last_index
-    deps = lambda j: [(j, 0), (j, 1), (j - 1, 1)] if j else [(j, 0), (j, 1)]
-    return _table("epsilon", FAMILIES["epsilon"], seq, m, lambda j: m - j, deps, _epsilon_column)
 
 
 def _epsilon_cross_plain(ops, g, k, n, cur, prev):
@@ -259,48 +213,6 @@ def _epsilon_cross_plain(ops, g, k, n, cur, prev):
     return cur[n + 1] + ops.div(ops.one, denom)
 
 
-def epsilon_cross_table(seq: ScalarSequence, form: str | None = None) -> TransformTable:
-    """Even epsilon columns via the five-point cross rule (no odd columns).
-
-    ``plain``, the default, keeps the rule as a direct rearrangement anchored
-    at entry ``(2k, n + 1)``; ``rearranged`` is the variant anchored at ``(2k, n + 2)``.
-    The undefined column below the table is handled by a dedicated k = 0
-    branch instead of a stored infinity.  Keys are the literal column
-    subscripts ``2k``.
-    """
-    form = _scheme("epsilon-cross", form, "form")
-    return _family_table("epsilon-cross", FAMILIES["epsilon"], seq,
-                         _epsilon_cross_plain if form == "plain" else None)
-
-
-def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
-    """Theta algorithm table.
-
-    With ``modified=True`` the odd-column update drops its carry-over term,
-    which makes the even columns reproduce the iterated theta transformation.
-    Column ``j`` has ``m + 1 - 3j // 2`` entries.
-    """
-    m = seq.last_index
-
-    def step(ops, g, j, n, cur, prev):
-        if j % 2 == 0:  # odd column j + 1
-            base = ops.zero if modified or j == 0 else prev[n + 1]
-            return base + ops.div(ops.one, cur[n + 1] - cur[n])
-        d_even = prev[n + 2] - prev[n + 1]
-        d_odd = cur[n + 2] - cur[n + 1]
-        dd_odd = d_odd - (cur[n + 1] - cur[n])
-        return prev[n + 1] + ops.div(d_even * d_odd, dd_odd)
-
-    def deps(j):
-        if j % 2 == 0:
-            carry = [(j - 1, 1)] if j and not modified else []
-            return [(j, 0), (j, 1)] + carry
-        return [(j - 1, 1), (j - 1, 2), (j, 0), (j, 1), (j, 2)]
-
-    return _table("theta", FAMILIES["theta-iterated"], seq, 2 * (m // 3) + 1,
-                  lambda j: m - 3 * j // 2, deps, step)
-
-
 def _theta_classic(ops, g, k, n, cur, prev):
     d0 = cur[n + 1] - cur[n]
     d1 = cur[n + 2] - cur[n + 1]
@@ -311,11 +223,99 @@ def _theta_classic(ops, g, k, n, cur, prev):
     return cur[n + 1] - ops.div(d0 * d1 * dd1, den)
 
 
+#: The forms of each table builder with two, by table name, each mapped to
+#: its step: the textbook update first, the default, then ``None``, the
+#: family step at z = 1.
+SCHEMES = {
+    "aitken": {"classic": _aitken_classic, "rearranged": None},
+    "epsilon-cross": {"plain": _epsilon_cross_plain, "rearranged": None},
+    "theta-iterated": {"classic": _theta_classic, "rearranged": None},
+}
+
+
+def _family_table(table: str, fam: Family, seq: ScalarSequence,
+                  scheme: str | None) -> TransformTable:
+    """Textbook table ``table`` of ``fam`` in the form ``scheme`` of
+    :data:`SCHEMES` (by default its first), over the levels the sequence
+    reaches, at z = 1; ``ValueError`` for a form the table does not have.
+    The table is named after its form where the family registers one name
+    per form."""
+    forms = SCHEMES[table]
+    if scheme is None:
+        scheme = next(iter(forms))
+    elif scheme not in forms:
+        raise ValueError(f"scheme must be {' or '.join(map(repr, forms))}")
+    name = f"{table}-{scheme}"
+    m = seq.last_index
+    return run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries,
+                         table=name if name in fam.tables else table, recursion=forms[scheme])
+
+
+def aitken_table(seq: ScalarSequence, scheme: str | None = None) -> TransformTable:
+    """Iterated delta-squared table, ``classic`` by default; the two schemes agree."""
+    return _family_table("aitken", FAMILIES["aitken"], seq, scheme)
+
+
+def _epsilon_column(ops, g, j, n, cur, prev):
+    """Wynn's rule into column ``j + 1``; ``prev``, column ``j - 1``, is
+    ``None`` at the first column, where the carry is zero."""
+    base = ops.zero if prev is None else prev[n + 1]
+    return base + ops.div(ops.one, cur[n + 1] - cur[n])
+
+
+def _epsilon_deps(j):
+    """The reads of :func:`_epsilon_column`: the difference, then the carry."""
+    return [(j, 0), (j, 1), (j - 1, 1)] if j else [(j, 0), (j, 1)]
+
+
+def epsilon_table(seq: ScalarSequence) -> TransformTable:
+    """Full epsilon table; even columns approximate, odd columns are auxiliary."""
+    m = seq.last_index
+    return _table("epsilon", FAMILIES["epsilon"], seq, m, lambda j: m - j, _epsilon_deps,
+                  _epsilon_column)
+
+
+def epsilon_cross_table(seq: ScalarSequence, scheme: str | None = None) -> TransformTable:
+    """Even epsilon columns via the five-point cross rule (no odd columns).
+
+    ``plain``, the default, keeps the rule as a direct rearrangement anchored
+    at entry ``(2k, n + 1)``; ``rearranged`` is the variant anchored at ``(2k, n + 2)``.
+    The undefined column below the table is handled by a dedicated k = 0
+    branch instead of a stored infinity.  Keys are the literal column
+    subscripts ``2k``.
+    """
+    return _family_table("epsilon-cross", FAMILIES["epsilon"], seq, scheme)
+
+
+def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
+    """Theta algorithm table.
+
+    The odd columns are Wynn's epsilon rule.  With ``modified=True`` they drop
+    its carry-over term, which makes the even columns reproduce the iterated
+    theta transformation.  Column ``j`` has ``m + 1 - 3j // 2`` entries.
+    """
+    m = seq.last_index
+
+    def step(ops, g, j, n, cur, prev):
+        if j % 2 == 0:  # odd column j + 1
+            return _epsilon_column(ops, g, j, n, cur, None if modified else prev)
+        d_even = prev[n + 2] - prev[n + 1]
+        d_odd = cur[n + 2] - cur[n + 1]
+        dd_odd = d_odd - (cur[n + 1] - cur[n])
+        return prev[n + 1] + ops.div(d_even * d_odd, dd_odd)
+
+    def deps(j):
+        if j % 2 == 0:
+            return _epsilon_deps(j)[:2] if modified else _epsilon_deps(j)
+        return [(j - 1, 1), (j - 1, 2), (j, 0), (j, 1), (j, 2)]
+
+    return _table("theta", FAMILIES["theta-iterated"], seq, 2 * (m // 3) + 1,
+                  lambda j: m - 3 * j // 2, deps, step)
+
+
 def iterated_theta_table(seq: ScalarSequence, scheme: str | None = None) -> TransformTable:
     """Iterated theta transformation, ``classic`` by default; the two schemes agree."""
-    scheme = _scheme("theta-iterated", scheme)
-    return _family_table(f"theta-iterated-{scheme}", FAMILIES["theta-iterated"], seq,
-                         _theta_classic if scheme == "classic" else None)
+    return _family_table("theta-iterated", FAMILIES["theta-iterated"], seq, scheme)
 
 
 def selection_indices(step: int, m: int) -> tuple[int, int]:

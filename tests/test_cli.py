@@ -308,7 +308,7 @@ def test_console_script_exits_quietly_when_its_reader_closes_stdout():
     assert first == b"# builtin:log1p-over-z -> family=epsilon entries=221\n"
 
 
-def test_predict_use_past_a_tail_less_file_names_the_flag(capsys, tmp_path):
+def test_predict_use_past_a_tail_less_file_names_the_coefficient(capsys, tmp_path):
     path = tmp_path / "c5.txt"
     path.write_text("1\n1/2\n1/3\n1/4\n1/5\n")
     code, _, _ = run(capsys, "predict", "--series", f"file:{path}", "--family", "aitken",
@@ -317,8 +317,7 @@ def test_predict_use_past_a_tail_less_file_names_the_flag(capsys, tmp_path):
     code, out, err = run(capsys, "predict", "--series", f"file:{path}", "--family", "aitken",
                          "--use", "8")
     assert (code, out) == (1, "")
-    assert err == ("error: --use 8 is past the stored coefficients 0..4 "
-                   "and the series has no tail rule\n")
+    assert err == "error: coefficient 8 is past the stored order 4 and no tail rule is attached\n"
 
 
 def test_predict_breakdown_exits_one_with_the_cell_and_its_reason(capsys):

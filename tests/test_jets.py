@@ -194,7 +194,7 @@ def test_from_coeffs_checks_what_enters():
     ints = Jet.from_coeffs(RAT, [1, -2], order=3)
     assert ints.coeffs == (F(1), F(-2), F(0), F(0))
     assert all(type(c) is F for c in ints.coeffs)
-    assert all(type(c) is F for c in Jet.constant(RAT, 5, 2).coeffs)
+    assert all(type(c) is F for c in Jet.from_coeffs(RAT, [5], 2).coeffs)
 
 
 def test_mixing_bigfloat_precisions_names_both_in_the_error():
@@ -209,7 +209,7 @@ def test_mixing_bigfloat_precisions_names_both_in_the_error():
 
 def test_a_negative_order_is_rejected():
     for build in (lambda: Jet.from_coeffs(RAT, [1, 2, 3, 4], order=-2),
-                  lambda: Jet.constant(RAT, 5, -1)):
+                  lambda: Jet.from_coeffs(RAT, [5], -1)):
         with pytest.raises(ValueError, match="jet order must be >= 0"):
             build()
 

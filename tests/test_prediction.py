@@ -62,7 +62,7 @@ def test_first_aitken_term_matches_closed_form():
     table = transformation_terms(series, "aitken", 1, order=5)
     for n in range(5):
         g1, g2 = series.coefficient(n + 1), series.coefficient(n + 2)
-        numerator = Jet.constant(RAT, g2 * g2, 5)
+        numerator = Jet.from_coeffs(RAT, [g2 * g2], 5)
         denominator = Jet.from_coeffs(RAT, (g1, -g2), order=5)
         assert table.entry(1, n) == numerator / denominator
 

@@ -267,6 +267,6 @@ def test_jet_constants_of_the_carrier_are_jet_constants():
     for field, pool in POOLS.values():
         ops = JetOps(field, 3)
         for value in pool:
-            assert ops.const(value) == Jet.constant(field, value, 3)
-        assert ops.const(2) == Jet.constant(field, 2, 3)
+            assert ops.const(value) == Jet.from_coeffs(field, [value], 3)
+        assert ops.const(2) == Jet.from_coeffs(field, [2], 3)
     assert JetOps(RAT, 0).const(F(1, 3)).coeffs == (F(1, 3),)

@@ -103,6 +103,30 @@ def test_epsilon_column_two_equals_one_aitken_step():
         assert eps.entry(2, n) == ait.entry(1, n)
 
 
+@pytest.mark.parametrize("spec, params, z, count, cells", [
+    ("log1p-over-z", (), F(1, 2), 13, 78),
+    ("zeta", (F(2),), F(1), 12, 55),
+], ids=["log1p-over-z", "zeta2"])
+def test_every_epsilon_column_matches_mpmath_shanks(spec, params, z, count, cells):
+    """Wynn's rule, odd columns included, against mpmath's own epsilon table
+    at 60 digits: its row ``n + k - 1``, column ``k - 1`` is our ``(k, n)``.
+    ``shanks`` stops one input short of an even count, so for 12 inputs it
+    lacks our last anti-diagonal; ``cells`` counts its entries."""
+    import mpmath
+
+    series = builtin_series(spec, params, count, RAT).series
+    sums = [series.partial_sum(n, z) for n in range(count)]
+    table = epsilon_table(ScalarSequence(RAT, tuple(sums)))
+    with mpmath.workdps(60):
+        oracle = mpmath.shanks([mpmath.mpf(s.numerator) / s.denominator for s in sums])
+        for i, row in enumerate(oracle):
+            for j, want in enumerate(row):
+                value = table.entry(j + 1, i - j)
+                got = mpmath.mpf(value.numerator) / value.denominator
+                assert abs(got - want) <= mpmath.mpf(10) ** -45 * max(1, abs(want)), (j + 1, i - j)
+    assert sum(map(len, oracle)) == cells
+
+
 @pytest.mark.parametrize("form", ["plain", "rearranged"])
 def test_cross_rule_matches_epsilon_even_columns(form):
     rng = random.Random(13)
@@ -278,7 +302,7 @@ def test_selection_of_invalid_entry_raises_with_location():
     pytest.param(aitken_table, "plain", "scheme must be 'classic' or 'rearranged'", id="aitken"),
     pytest.param(iterated_theta_table, "plain", "scheme must be 'classic' or 'rearranged'",
                  id="theta-iterated"),
-    pytest.param(epsilon_cross_table, "classic", "form must be 'plain' or 'rearranged'",
+    pytest.param(epsilon_cross_table, "classic", "scheme must be 'plain' or 'rearranged'",
                  id="epsilon-cross"),
 ])
 def test_unknown_scheme_is_rejected_with_its_message(build, scheme, message):
@@ -302,7 +326,7 @@ def test_every_scheme_and_the_default_build_a_registry_table():
             table = build(sequence, scheme)
             assert table.family in (name, f"{name}-{scheme}")
             assert table.scale == REGISTRY_TABLES[table.family]
-        default, first = build(sequence), build(sequence, schemes[0])
+        default, first = build(sequence), build(sequence, next(iter(schemes)))
         assert (default.family, default.entries) == (first.family, first.entries)
 
 

@@ -55,6 +55,7 @@ def test_jets_compare_and_hash_by_field_and_coefficients():
     (ModelSequence(RAT, F(1), F(1), F(1, 2)), "ratio"),
     (TermCell(0, "aitken", 0, 0, F(0), True), "value"),
     (ReportRow(0, "aitken", 0, 0, "0", True), "valid"),
+    (TransformTable("aitken", 1, 2, 1, {}, {}), "notes"),
 ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
 def test_the_value_types_are_immutable(value, name):
     with pytest.raises(AttributeError):
@@ -108,8 +109,6 @@ def test_the_optional_fields_keep_their_defaults():
     assert BigFloatField().digits == 50
     assert PowerSeries(RAT, (F(1),)).tail is None
     assert ScalarSequence(RAT, (F(1),)).limit is None
-    table = TransformTable("aitken", 1, 2, 1)
-    assert (table.entries, table.notes) == ({}, {})
     assert TermCell(0, "aitken", 0, 0, F(0), True).note == ""
     assert ConvergenceReport("inconclusive").rho is None
     resolved = ResolvedInput("x")
