@@ -188,8 +188,10 @@ class _Build:
     rows :meth:`run` checks, and :meth:`run` asks for the reads once per
     level.  A cell whose dependency failed records ``depends on invalid
     entry (key, n)`` for the first failed read, in the listed order, without
-    running the step; a step that breaks down, or a cell (seeds included)
-    that is not finite, records why in ``failures``, the table's notes.
+    running the step; when the first listed read is of a row with no valid
+    cell, the whole level is written so at once.  A step that breaks down, or
+    a cell (seeds included) that is not finite, records why in ``failures``,
+    the table's notes.
     Keys are ``(scale * level, n)``, the scale applied where a key or a note
     is written, so a table that holds only the even columns keeps their
     literal subscripts.  ``step`` is the number of inputs a level consumes.
@@ -230,10 +232,15 @@ class _Build:
             for k in range(self.levels):
                 row = {}
                 level = scale * (k + 1)
+                cells = range(self.width(k + 1) + 1)
                 reads = [(cur if dep_k == k else prev, offset,
                           f"depends on invalid entry ({scale * dep_k}, ")
                          for dep_k, offset in self.deps(k)]
-                for n in range(self.width(k + 1) + 1):
+                live, offset, prefix = reads[0]
+                if not live:  # every cell fails on its first read; the row stays empty
+                    failures.update({(level, n): f"{prefix}{n + offset})" for n in cells})
+                    cells = ()
+                for n in cells:
                     for live, offset, prefix in reads:
                         if n + offset not in live:
                             note = f"{prefix}{n + offset})"

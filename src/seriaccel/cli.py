@@ -140,33 +140,53 @@ def cmd_accelerate(args) -> int:
     resolved = resolve_series_spec(args.series, field, count=args.terms)
     seq = _sequence_from_input(resolved, args, field)
     table = _TABLE_BUILDERS[args.family](seq, args.scheme, args.modified)
-    sys.stdout.writelines(_accelerate_lines(resolved, seq, table, field, args.digits))
+    _write_accelerate(sys.stdout.write, resolved, seq, table, field, args.digits)
     return 0
 
 
-def _accelerate_lines(resolved, seq, table, field, digits):
-    """The lines of ``accelerate``, each with its newline, one at a time, so
-    that the lines before a rendering error still reach stdout."""
-    yield f"# {resolved.label} -> family={table.family} entries={table.size}\n"
-    yield "k n value\n"
+#: Table lines per ``write`` of ``accelerate``: a block is held, never a whole table.
+_BLOCK_LINES = 256
+
+
+def _write_accelerate(write, resolved, seq, table, field, digits) -> None:
+    """``write`` the lines of ``accelerate``: the table in blocks of
+    :data:`_BLOCK_LINES` lines, then the selected approximants.  The renderer
+    of the values is picked once per table.  When a line cannot be made, a
+    value that cannot be rendered included, the lines before it are written
+    before the error propagates."""
+    if isinstance(field, RationalField):
+        render = to_fraction_string
+    else:
+        render = functools.partial(scientific_string, digits=digits)
     entries, notes = table.entries, table.notes
-    for key in sorted([*entries, *notes]):  # each in key order: the sort is one merge
-        k, n = key
-        if key in entries:
-            yield f"{k} {n} {_render(field, entries[key], digits)}\n"
-        else:
-            yield f"{k} {n} invalid ({notes[key]})\n"
-    yield "selected approximant per m:\n"
-    for m in range(table.size):
-        try:
-            k, n, value = select_approximant(table, m)
-            yield f"m={m} k={k} n={n} {_render(field, value, digits)}\n"
-        except SelectionError as exc:
-            yield f"m={m} unavailable ({exc})\n"
-    if seq.limit is not None and len(seq.entries) >= 5:
-        report = classify_convergence(seq)
-        rho = "" if report.rho is None else f" rho~{_render(field, report.rho, 6)}"
-        yield f"classification: {report.kind}{rho}\n"
+    keys = sorted([*entries, *notes])  # each in key order: the sort is one merge
+    lines = [f"# {resolved.label} -> family={table.family} entries={table.size}\n", "k n value\n"]
+    add = lines.append
+    try:
+        for start in range(0, len(keys), _BLOCK_LINES):
+            for key in keys[start:start + _BLOCK_LINES]:
+                k, n = key
+                if key in entries:
+                    add(f"{k} {n} {render(entries[key])}\n")
+                else:
+                    add(f"{k} {n} invalid ({notes[key]})\n")
+            text = "".join(lines)
+            lines.clear()
+            write(text)
+        add("selected approximant per m:\n")
+        for m in range(table.size):
+            try:
+                k, n, value = select_approximant(table, m)
+                add(f"m={m} k={k} n={n} {render(value)}\n")
+            except SelectionError as exc:
+                add(f"m={m} unavailable ({exc})\n")
+        if seq.limit is not None and len(seq.entries) >= 5:
+            report = classify_convergence(seq)
+            rho = "" if report.rho is None else f" rho~{_render(field, report.rho, 6)}"
+            add(f"classification: {report.kind}{rho}\n")
+    finally:  # the last lines, or the lines made before an error
+        if lines:
+            write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ neither route depends on the ambient decimal context.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import nullcontext
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, localcontext
 from fractions import Fraction
@@ -199,23 +200,45 @@ class Field(_Frozen):
         """Context manager establishing this field's working precision."""
         return nullcontext()
 
+    # The zero guard and the quotient, set once per mode: ``near_zero`` is
+    # ``None`` where the guard is the exact zero test (rational mode), else the
+    # bound ``eps``, which ``_times(eps, |scale|)`` widens for |scale| > 1;
+    # ``_divide`` is the rounded quotient.
+    near_zero = None
+    _times = operator.mul
+    _divide = operator.truediv
+
     def is_zero(self, value: Scalar, scale: Scalar | None = None) -> bool:
-        """True when ``value`` counts as zero (relative to ``scale`` if given)."""
-        raise NotImplementedError
+        """True when ``value`` counts as zero (relative to ``scale`` if given):
+        the guard that :meth:`div` applies to its denominator."""
+        bound = self.near_zero
+        if bound is None:
+            return value == 0
+        if scale is not None:
+            mag = abs(scale)
+            if mag > 1:
+                bound = self._times(bound, mag)
+        return abs(value) <= bound
 
     def div(self, numerator: Scalar, denominator: Scalar) -> Scalar:
-        """Checked division; raises :class:`BreakdownError` on (near-)zero."""
-        if self.is_zero(denominator, scale=numerator):
+        """Checked division; raises :class:`BreakdownError` when the denominator
+        counts as zero relative to the numerator (:meth:`is_zero`).  The guard
+        is written out here, not called: this runs once per division of every
+        nonlinear recursion.  In rational mode it is the bare zero test and
+        reads nothing of the numerator."""
+        bound = self.near_zero
+        if bound is None:
+            zero = denominator == 0
+        else:
+            mag = abs(numerator)
+            zero = abs(denominator) <= (self._times(bound, mag) if mag > 1 else bound)
+        if zero:
             raise BreakdownError(
                 f"{self.mode}: division by (near-)zero denominator",
                 numerator=numerator,
                 denominator=denominator,
             )
-        return self._quotient(numerator, denominator)
-
-    def _quotient(self, numerator: Scalar, denominator: Scalar) -> Scalar:
-        """The rounded quotient, once :meth:`div` has checked the denominator."""
-        return numerator / denominator
+        return self._divide(numerator, denominator)
 
     # -- truncated power series: the coefficient work of jets ----------------
 
@@ -273,9 +296,6 @@ class RationalField(Field):
             raise OverflowError(f"decimal exponent past {_EXPONENT_LIMIT}")
         return Fraction(value)
 
-    def is_zero(self, value, scale=None) -> bool:
-        return value == 0
-
     # Both series kernels run in integers: the operand is written once over
     # the least common denominator of its coefficients, and each result
     # coefficient is normalised by one gcd, not one per term.
@@ -314,9 +334,10 @@ def _over_common_denominator(values) -> tuple[int, list[int]]:
 class BigFloatField(Field):
     """Decimal floats with ``digits`` significant digits (>= 50), half-even."""
 
-    # ``_context`` and ``near_zero`` derive from ``digits`` once; they are
-    # kept out of equality, hashing and repr.
-    __slots__ = ("digits", "_context", "near_zero")
+    # ``_context``, ``near_zero`` and the context's ``multiply`` and ``divide``
+    # (the ``_times`` and ``_divide`` of :meth:`Field.div`) derive from
+    # ``digits`` once; they are kept out of equality, hashing and repr.
+    __slots__ = ("digits", "_context", "near_zero", "_times", "_divide")
     mode = "bigfloat"
     kind = Decimal
     noun = "a bigfloat scalar"
@@ -327,10 +348,12 @@ class BigFloatField(Field):
         object.__setattr__(self, "digits", digits)
         # Overflow and invalid operations give infinities and NaNs, which the
         # builders flag as ``overflow``, as f64 arithmetic does.
-        object.__setattr__(self, "_context", Context(prec=digits, rounding=ROUND_HALF_EVEN,
-                                                     traps=[DivisionByZero]))
+        context = Context(prec=digits, rounding=ROUND_HALF_EVEN, traps=[DivisionByZero])
+        object.__setattr__(self, "_context", context)
         # 10 guard digits of slack below the working precision.
         object.__setattr__(self, "near_zero", Decimal(1).scaleb(10 - digits))
+        object.__setattr__(self, "_times", context.multiply)
+        object.__setattr__(self, "_divide", context.divide)
 
     def _key(self) -> tuple:
         return (self.digits,)
@@ -346,20 +369,9 @@ class BigFloatField(Field):
         with self.arithmetic():
             return Decimal(value.numerator) / Decimal(value.denominator)
 
-    def _quotient(self, numerator, denominator):
-        return self._context.divide(numerator, denominator)
-
     def _from_decimal(self, value: Decimal) -> Decimal:
         with self.arithmetic():  # infinite past the context's exponent range
             return +value
-
-    def is_zero(self, value, scale=None) -> bool:
-        bound = self.near_zero
-        if scale is not None:
-            mag = abs(scale)
-            if mag > 1:
-                bound = self._context.multiply(bound, mag)
-        return abs(value) <= bound
 
     def is_finite(self, value) -> bool:
         return value.is_finite()
@@ -372,18 +384,13 @@ class Float64Field(Field):
     mode = "f64"
     kind = float
     noun = "an f64 scalar"
+    near_zero = NEAR_ZERO
 
     def from_fraction(self, value: Fraction) -> float:
         return value.numerator / value.denominator
 
     def _from_decimal(self, value: Decimal) -> float:
         return float(value)
-
-    def is_zero(self, value, scale=None) -> bool:
-        bound = NEAR_ZERO
-        if scale is not None:
-            bound *= max(1.0, abs(scale))
-        return abs(value) <= bound
 
     def is_finite(self, value) -> bool:
         return math.isfinite(value)
@@ -439,9 +446,19 @@ def decimal_string(value: Scalar, digits: int) -> str:
 
 
 @lru_cache(maxsize=64)
-def _rounder(digits: int):
-    """Round a Decimal half-to-even to ``digits`` significant digits."""
-    return Context(prec=digits, rounding=ROUND_HALF_EVEN).plus
+def _scientific_format(digits: int) -> tuple:
+    """``(spec, rounder, cut)`` for ``digits`` significant digits: the ``e``
+    format spec, a half-even Decimal rounder to ``digits``, and the index of
+    the ``e`` in an unsigned value formatted by ``spec``."""
+    rounder = Context(prec=digits, rounding=ROUND_HALF_EVEN).plus
+    return f".{digits - 1}e", rounder, digits + 1 if digits > 1 else 1
+
+
+#: Exponent text of the ``e`` format, as a float writes it (``+05``) and as a
+#: Decimal does (``+5``), mapped to the exponent of the mantissa in [0.1, 1):
+#: one more.  Filled as exponents are rendered, up to three digits: that
+#: covers every float in a few thousand entries at most.
+_EXPONENTS: dict[str, str] = {}
 
 
 def scientific_string(value: Scalar, digits: int) -> str:
@@ -451,21 +468,29 @@ def scientific_string(value: Scalar, digits: int) -> str:
     ``0.620539e-2`` for 6 significant digits of 0.00620539.  Exact zero
     renders as ``"0"``.
     """
+    spec, rounder, cut = _scientific_format(digits)
     if isinstance(value, float) and math.isfinite(value):
         if value == 0:
             return "0"
-        text = format(value, f".{digits - 1}e")
+        text = format(value, spec)
     elif isinstance(value, Decimal) and value.is_finite():
         if not value:
             return "0"
         # Rounded first: ``Decimal.__format__`` rounds by the ambient context.
-        text = format(_rounder(digits)(value), f".{digits - 1}e")
+        text = format(rounder(value), spec)
     else:
         return _scientific_reference(value, digits)
-    # d.ddde+X -> 0.dddde(X+1)
-    mantissa, _, exponent = text.partition("e")
-    sign = "-" if mantissa[0] == "-" else ""
-    return f"{sign}0.{mantissa.lstrip('-').replace('.', '')}e{int(exponent) + 1}"
+    # [-]d.ddde+X -> [-]0.dddde(X+1)
+    sign = ""
+    if text[0] == "-":
+        sign, text = "-", text[1:]
+    exponent = text[cut + 1:]
+    shifted = _EXPONENTS.get(exponent)
+    if shifted is None:
+        shifted = str(int(exponent) + 1)
+        if len(exponent) <= 4:
+            _EXPONENTS[exponent] = shifted
+    return f"{sign}0.{text[0]}{text[2:cut]}e{shifted}"
 
 
 def _scientific_reference(value: Scalar, digits: int) -> str:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import seriaccel
-from seriaccel import golden
+from seriaccel import cli, golden
 from seriaccel.cli import build_parser, main
 from seriaccel.transforms import FAMILIES, SCHEMES
 from seriaccel.report import ReportRow, rows_to_csv
@@ -306,6 +306,50 @@ def test_console_script_exits_quietly_when_its_reader_closes_stdout():
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, b"")
     assert first == b"# builtin:log1p-over-z -> family=epsilon entries=221\n"
+
+
+# One table per renderer, each with more valid table values than a block
+# of lines and one rendered value per valid cell or selection.
+RENDER_ERROR_RUNS = {
+    "scientific_string": ("accelerate", "--series", "builtin:log1p-over-z", "--family", "epsilon",
+                          "--z=-9/10", "--mode", "f64", "--terms", "30"),
+    "to_fraction_string": ("accelerate", "--series", "builtin:geometric(1/3)", "--family", "epsilon",
+                           "--terms", "100"),
+}
+
+
+def _value_lines(lines):
+    """Indices of the ``accelerate`` output ``lines`` that hold a rendered value."""
+    return [i for i, line in enumerate(lines)
+            if i >= 2 and not line.startswith("selected approximant")
+            and " invalid (" not in line and " unavailable (" not in line]
+
+
+@pytest.mark.parametrize("renderer", sorted(RENDER_ERROR_RUNS))
+@pytest.mark.parametrize("at", ["first", "block", "block+1", "first selected"])
+def test_lines_before_a_rendering_error_are_written(capsys, monkeypatch, renderer, at):
+    argv = RENDER_ERROR_RUNS[renderer]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines(keepends=True)
+    values = _value_lines(lines)
+    table_values = sum(not lines[i].startswith("m=") for i in values)
+    assert table_values > cli._BLOCK_LINES + 1
+    i = {"first": 1, "block": cli._BLOCK_LINES, "block+1": cli._BLOCK_LINES + 1,
+         "first selected": table_values + 1}[at]
+    assert lines[values[i - 1]].startswith("m=") == (at == "first selected")
+    render, calls = getattr(cli, renderer), []
+
+    def failing(value, *args, **kwargs):
+        calls.append(value)
+        if len(calls) == i:
+            raise ValueError(f"cannot render value {i}")
+        return render(value, *args, **kwargs)
+
+    monkeypatch.setattr(cli, renderer, failing)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, f"error: cannot render value {i}\n")
+    assert out == "".join(lines[:values[i - 1]])
 
 
 def test_predict_use_past_a_tail_less_file_names_the_coefficient(capsys, tmp_path):

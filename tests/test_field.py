@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 from seriaccel.field import (
     BigFloatField,
     BreakdownError,
+    Field,
     Float64Field,
     ModeMismatchError,
     ParseError,
@@ -15,6 +16,7 @@ from seriaccel.field import (
     decimal_string,
     field_for_mode,
     scientific_string,
+    _scientific_reference,
     to_fraction_string,
 )
 
@@ -111,6 +113,13 @@ finite_decimals = st.builds(
 @example(-0.0, 6)
 @example(5e-324, 17)
 @example(Decimal("-9.99999999999999999999999999999999999999995"), 40)
+# three-digit exponents, one rounded up past the exponents of every float
+@example(1e-300, 6)
+@example(-1.5e300, 6)
+@example(Decimal("9.99999E+399"), 6)
+@example(Decimal("9.99999E+399"), 1)
+@example(Decimal("9.99999E+399"), 2)
+@example(Decimal("-1.5E+12345"), 3)  # an exponent past the cached ones
 def test_fast_rendering_equals_the_exact_route(value, digits):
     # Floats and Decimals take the fast path; a Fraction takes the exact
     # Decimal route, which is the reference.
@@ -120,6 +129,14 @@ def test_fast_rendering_equals_the_exact_route(value, digits):
         ctx.prec, ctx.rounding = 3, ROUND_HALF_UP
         assert scientific_string(value, digits) == text
         assert scientific_string(Fraction(value), digits) == text
+
+
+def test_rendering_at_one_digit_count_does_not_leak_into_another():
+    values = [0.125, -1.5e300, 5e-324, 9.5, Decimal("-24.67105263157"), Decimal("9.99999E+399"),
+              Decimal("1.234565"), BF.from_fraction(Fraction(-2, 3))]
+    for digits in (6, 10, 6):
+        assert [scientific_string(v, digits) for v in values] == [
+            _scientific_reference(v, digits) for v in values]
 
 
 def test_rendering_rounds_half_to_even():
@@ -144,6 +161,12 @@ def test_checked_division_rational():
     with pytest.raises(BreakdownError):
         RAT.div(Fraction(1), Fraction(0))
     assert RAT.div(Fraction(1), Fraction(3)) == Fraction(1, 3)
+
+
+def test_every_mode_divides_through_the_one_checked_division():
+    # The benchmark's tracer counts divisions by wrapping Field.div.
+    for fld in (RAT, BF, F64):
+        assert [cls for cls in type(fld).__mro__ if "div" in vars(cls)] == [Field]
 
 
 def test_near_zero_threshold_is_relative_f64():

@@ -242,25 +242,62 @@ def _textbook_builds(field, values):
     ]
 
 
+def _levels_after_an_empty_level(table) -> int:
+    """How many levels of ``table`` come after its first level with no valid cell."""
+    levels = sorted({k for k, _ in [*table.entries, *table.notes]})
+    valid = {k for k, _ in table.entries}
+    empty = [i for i, k in enumerate(levels) if k not in valid]
+    return len(levels) - 1 - empty[0] if empty else 0
+
+
+# Inputs under which, in every build of each field, a level has no valid cell
+# and at least two levels follow it, so that a later level's first read is of
+# an empty row and the builder writes that whole level at once: constant runs
+# at z = 1, whose first differences are exactly zero, and f64 ``inf`` seeds.
+# Thirteen inputs give the term tables of every family four levels or more.
+WHOLE_ROW_DRAWS = [
+    (RAT, [F(1)] * 13, F(1)),
+    (BF, [Decimal(1)] * 13, Decimal(1)),
+    (F64, [1.0] * 13, 1.0),
+    (F64, [1.0, 2.0, 0.5, float("inf"), 1.0, -1.0, float("inf"), 2.0, 0.5, float("inf"), 1.0, 2.0,
+           -1.0], 0.5),
+]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_draws())
 @example((F64, [1.0, 1.0, 2.0, 2.0, 1e308, 0.0, 3.0, -1e308, float("inf"), 1.0], 0.5))
 @example((RAT, [F(1), F(1), F(1), F(0), F(2), F(2), F(3), F(0), F(1)], F(1)))
+@example(WHOLE_ROW_DRAWS[0])
+@example(WHOLE_ROW_DRAWS[1])
+@example(WHOLE_ROW_DRAWS[2])
+@example(WHOLE_ROW_DRAWS[3])
 def test_builder_matches_the_per_cell_reference(draw):
     field, values, z = draw
     for build in _term_builds(field, values, z) + _textbook_builds(field, values):
         _same_as_per_cell(build)
 
 
+@pytest.mark.parametrize("draw", WHOLE_ROW_DRAWS, ids=lambda d: d[0].mode)
+def test_whole_row_draws_empty_a_level_of_every_build(draw):
+    field, values, z = draw
+    builds = _term_builds(field, values, z) + _textbook_builds(field, values)
+    assert len(builds) == 24
+    for build in builds:
+        assert _levels_after_an_empty_level(build()) >= 2, build
+
+
 @pytest.mark.parametrize("mode", sorted(POOLS))
 def test_per_cell_reference_sees_inherited_failures(mode):
     field, pool = POOLS[mode]
     values = [pool[1], pool[1], pool[3], pool[3], pool[4], pool[1], pool[2], pool[1], pool[3]]
-    inherited = 0
+    inherited = after_empty = 0
     for build in _term_builds(field, values, pool[4]) + _textbook_builds(field, values):
-        notes = _same_as_per_cell(build).notes.values()
-        inherited += sum(note.startswith("depends on invalid entry (") for note in notes)
+        table = _same_as_per_cell(build)
+        inherited += sum(note.startswith("depends on invalid entry (") for note in table.notes.values())
+        after_empty += _levels_after_an_empty_level(table)
     assert inherited > 0
+    assert after_empty > 0
 
 
 def test_jet_constants_of_the_carrier_are_jet_constants():
