@@ -25,7 +25,6 @@ from .field import (
     BreakdownError,
     Field,
     ModeMismatchError,
-    ParseError,
     RationalField,
     decimal_string,
     field_for_mode,
@@ -40,7 +39,6 @@ from .series_library import builtin_series, resolve_series_spec
 from .transforms import (
     FAMILIES,
     SCHEMES,
-    DegeneratePadeError,
     ScalarSequence,
     SelectionError,
     aitken_table,
@@ -92,10 +90,13 @@ def _field(mode: str) -> Field:
     return field_for_mode(mode, digits=_env_digits())
 
 
-def _render(field: Field, value, digits: int) -> str:
+def _renderer(field: Field, digits: int):
+    """The renderer of the values of one table or command: the ``cli`` global
+    ``to_fraction_string`` in rational mode, else ``scientific_string`` at
+    ``digits``, each looked up when picked."""
     if isinstance(field, RationalField):
-        return to_fraction_string(value)
-    return scientific_string(value, digits)
+        return to_fraction_string
+    return functools.partial(scientific_string, digits=digits)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +155,7 @@ def _write_accelerate(write, resolved, seq, table, field, digits) -> None:
     of the values is picked once per table.  When a line cannot be made, a
     value that cannot be rendered included, the lines before it are written
     before the error propagates."""
-    if isinstance(field, RationalField):
-        render = to_fraction_string
-    else:
-        render = functools.partial(scientific_string, digits=digits)
+    render = _renderer(field, digits)
     entries, notes = table.entries, table.notes
     keys = sorted([*entries, *notes])  # each in key order: the sort is one merge
     lines = [f"# {resolved.label} -> family={table.family} entries={table.size}\n", "k n value\n"]
@@ -182,7 +180,7 @@ def _write_accelerate(write, resolved, seq, table, field, digits) -> None:
                 add(f"m={m} unavailable ({exc})\n")
         if seq.limit is not None and len(seq.entries) >= 5:
             report = classify_convergence(seq)
-            rho = "" if report.rho is None else f" rho~{_render(field, report.rho, 6)}"
+            rho = "" if report.rho is None else f" rho~{_renderer(field, 6)(report.rho)}"
             add(f"classification: {report.kind}{rho}\n")
     finally:  # the last lines, or the lines made before an error
         if lines:
@@ -202,8 +200,9 @@ def cmd_predict(args) -> int:
     predictions = predict_coefficients(series, args.family, use, args.count)
     print(f"# {resolved.label} family={args.family} using coefficients 0..{use}")
     print("index prediction decimal")
+    render = _renderer(field, args.digits)
     for index, value in predictions:
-        print(f"{index} {_render(field, value, args.digits)} {decimal_string(value, args.digits)}")
+        print(f"{index} {render(value)} {decimal_string(value, args.digits)}")
     return 0
 
 
@@ -211,13 +210,13 @@ def cmd_predict(args) -> int:
 # error-terms / transform-terms
 
 
-def _cells_to_rows(cell_map, field, digits) -> list[ReportRow]:
+def _cells_to_rows(cell_map, render) -> list[ReportRow]:
     rows = []
     m_count = len(next(iter(cell_map.values())))
     for m in range(m_count):
         for family in sorted(cell_map):
             cell = cell_map[family][m]
-            value = _render(field, cell.value, digits) if cell.valid else ""
+            value = render(cell.value) if cell.valid else ""
             rows.append(ReportRow(m, family, cell.level, cell.n, value, cell.valid))
     return rows
 
@@ -235,7 +234,7 @@ def cmd_terms(args) -> int:
     resolved = resolve_series_spec(args.series, field, count=args.max_m + 1)
     series = resolved.require_series()
     cells = args.evaluate(series, field.parse(args.z), args.max_m)
-    _emit_rows(_cells_to_rows(cells, field, args.digits), args.format)
+    _emit_rows(_cells_to_rows(cells, _renderer(field, args.digits)), args.format)
     return 0
 
 
@@ -275,7 +274,7 @@ def _reproduce_table(which) -> int:
     series = _log_series(field, m_max + 1)
     cells = evaluate(series, field.parse(z_text), m_max)
     got = {(r.m, r.family): r.value if r.valid else "invalid"
-           for r in _cells_to_rows(cells, field, digits)}
+           for r in _cells_to_rows(cells, _renderer(field, digits))}
     rows = [f"# z = {z_text}, m = 0..{m_max}", "m " + " ".join(FAMILIES)]
     rows += [f"{m} " + " ".join(got[m, family] for family in FAMILIES) for m in range(m_max + 1)]
     return _diff_report(which, rows, [(f"(m={m}, {family})", value, reference[family][m])
@@ -385,9 +384,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         raise  # the reader of stdout went away; console_main exits quietly
-    except (_UsageError, ParseError, ModeMismatchError, BreakdownError, SelectionError,
-            DegeneratePadeError, MissingCoefficientError, ValueError, OSError,
-            ZeroDivisionError) as exc:
+    except (_UsageError, ModeMismatchError, BreakdownError, SelectionError,
+            MissingCoefficientError, ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

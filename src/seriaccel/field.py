@@ -15,13 +15,15 @@ where values enter the system (parsing, constructors, :meth:`Field.ensure`);
 mixing modes is an error there, never a silent coercion.
 
 Division inside the nonlinear recursions must go through :meth:`Field.div`,
-which raises :class:`BreakdownError` on an exactly-zero denominator in
-rational mode and on a near-zero denominator in the float modes.  The
-near-zero rule is relative: a denominator ``d`` counts as zero when
+the relative guard: it raises :class:`BreakdownError`, which carries only its
+message, on an exactly-zero denominator in rational mode and on a near-zero
+denominator in the float modes.  A denominator ``d`` counts as near zero when
 ``|d| <= eps * max(1, |numerator|)`` with ``eps = 2**-40`` for machine
 doubles and ``eps = 10**(10 - digits)`` for bigfloats, so the guard scales
 with the working precision instead of strangling deep high-precision tables.
 It stops overflow cascades without flagging legitimately small values.
+:meth:`Field.is_zero` is the absolute test ``|value| <= eps``, exact zero in
+rational mode.
 
 :func:`scientific_string` renders a finite ``float`` or ``Decimal`` by one
 half-even rounding to the requested digits (exact for a ``float``, through a
@@ -71,15 +73,7 @@ class ModeMismatchError(TypeError):
 
 
 class BreakdownError(ArithmeticError):
-    """(Near-)zero denominator in a nonlinear recursion step.
-
-    Carries the offending operands so table builders can record what broke.
-    """
-
-    def __init__(self, message: str, numerator=None, denominator=None):
-        super().__init__(message)
-        self.numerator = numerator
-        self.denominator = denominator
+    """(Near-)zero denominator in a nonlinear recursion step; carries its message."""
 
 
 def _split_fraction_text(text: str) -> tuple[str, str] | None:
@@ -200,32 +194,24 @@ class Field(_Frozen):
         """Context manager establishing this field's working precision."""
         return nullcontext()
 
-    # The zero guard and the quotient, set once per mode: ``near_zero`` is
-    # ``None`` where the guard is the exact zero test (rational mode), else the
-    # bound ``eps``, which ``_times(eps, |scale|)`` widens for |scale| > 1;
-    # ``_divide`` is the rounded quotient.
+    # The zero bound and the quotient, set once per mode: ``near_zero`` is
+    # ``None`` where zero is exact (rational mode), else the bound ``eps``,
+    # which :meth:`div` widens by ``_times(eps, |numerator|)`` for
+    # |numerator| > 1; ``_divide`` is the rounded quotient.
     near_zero = None
     _times = operator.mul
     _divide = operator.truediv
 
-    def is_zero(self, value: Scalar, scale: Scalar | None = None) -> bool:
-        """True when ``value`` counts as zero (relative to ``scale`` if given):
-        the guard that :meth:`div` applies to its denominator."""
+    def is_zero(self, value: Scalar) -> bool:
+        """The absolute zero test: ``|value| <= eps``, exact zero in rational mode."""
         bound = self.near_zero
-        if bound is None:
-            return value == 0
-        if scale is not None:
-            mag = abs(scale)
-            if mag > 1:
-                bound = self._times(bound, mag)
-        return abs(value) <= bound
+        return value == 0 if bound is None else abs(value) <= bound
 
     def div(self, numerator: Scalar, denominator: Scalar) -> Scalar:
-        """Checked division; raises :class:`BreakdownError` when the denominator
-        counts as zero relative to the numerator (:meth:`is_zero`).  The guard
-        is written out here, not called: this runs once per division of every
-        nonlinear recursion.  In rational mode it is the bare zero test and
-        reads nothing of the numerator."""
+        """Checked division, the relative guard: raises :class:`BreakdownError`
+        when ``|denominator| <= eps * max(1, |numerator|)``.  This runs once per
+        division of every nonlinear recursion.  In rational mode it is the
+        bare zero test and reads nothing of the numerator."""
         bound = self.near_zero
         if bound is None:
             zero = denominator == 0
@@ -233,11 +219,7 @@ class Field(_Frozen):
             mag = abs(numerator)
             zero = abs(denominator) <= (self._times(bound, mag) if mag > 1 else bound)
         if zero:
-            raise BreakdownError(
-                f"{self.mode}: division by (near-)zero denominator",
-                numerator=numerator,
-                denominator=denominator,
-            )
+            raise BreakdownError(f"{self.mode}: division by (near-)zero denominator")
         return self._divide(numerator, denominator)
 
     # -- truncated power series: the coefficient work of jets ----------------

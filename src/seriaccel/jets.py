@@ -101,10 +101,7 @@ class Jet(_Frozen):
         """
         a0 = self.coeffs[0]
         if self.field.is_zero(a0):
-            raise JetBreakdownError(
-                "jet breakdown: reciprocal of a jet with zero constant term",
-                denominator=a0,
-            )
+            raise JetBreakdownError("jet breakdown: reciprocal of a jet with zero constant term")
         return Jet(self.field, self.field.series_reciprocal(self.coeffs))
 
     def __truediv__(self, other: "Jet") -> "Jet":

@@ -54,7 +54,6 @@ class PredictionBreakdownError(BreakdownError):
         self.family = family
         self.k = k
         self.n = n
-        self.reason = reason
 
 
 def transformation_terms(

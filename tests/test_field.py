@@ -139,6 +139,15 @@ def test_rendering_at_one_digit_count_does_not_leak_into_another():
             _scientific_reference(v, digits) for v in values]
 
 
+@pytest.mark.parametrize("value, text", [
+    (float("inf"), "Infinity"), (float("-inf"), "-Infinity"), (float("nan"), "NaN"),
+    (Decimal("Infinity"), "Infinity"), (Decimal("NaN"), "NaN"),
+])
+def test_values_that_are_not_finite_render_by_name(value, text):
+    assert scientific_string(value, 6) == text
+    assert decimal_string(value, 6) == text
+
+
 def test_rendering_rounds_half_to_even():
     assert decimal_string(Fraction(25, 1000), 1) == "0.02"
     assert decimal_string(Fraction(35, 1000), 1) == "0.04"
@@ -215,8 +224,6 @@ def _reference_is_zero(digits, value, scale):
 @given(a=long_decimals, b=long_decimals)
 def test_bigfloat_cached_context_changes_no_digit(digits, a, b):
     fld = BigFloatField(digits)
-    assert fld.is_zero(b, scale=a) == _reference_is_zero(digits, b, a)
-    assert fld.is_zero(a, scale=b) == _reference_is_zero(digits, a, b)
     with _per_call_context(digits):
         plus = +a
         quotient = None if _reference_is_zero(digits, b, a) else a / b
@@ -261,6 +268,10 @@ def test_mode_mixing_is_an_error():
         BF.ensure(Fraction(1, 2))
     with pytest.raises(ModeMismatchError):
         F64.ensure(Decimal("1"))
+    with pytest.raises(ModeMismatchError):
+        to_fraction_string(0.5)
+    with pytest.raises(ModeMismatchError):
+        decimal_string("x", 5)
 
 
 def test_field_for_mode():

@@ -214,6 +214,17 @@ def test_a_negative_order_is_rejected():
             build()
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Jet(RAT, ()), ValueError, "a jet needs at least its constant term"),
+    (lambda: jet(1, 2).shift(-1), ValueError, "shift must be by a nonnegative power"),
+    (lambda: PowerSeries(RAT, (F(1),)).coefficient(-1), IndexError,
+     "coefficient index must be >= 0"),
+], ids=["empty-jet", "negative-shift", "negative-index"])
+def test_jet_and_series_guards_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("fld", [RAT, BigFloatField(50), Float64Field()], ids=lambda f: f.mode)
 @given(a=jet_coeffs, b=jet_coeffs, factor=small_fracs, places=st.integers(0, 9))
 @settings(max_examples=50)

@@ -212,6 +212,11 @@ def test_negative_last_index_is_rejected_with_one_message(family):
         leading_remainders(log_series(), family, 0, last_index=-1)
 
 
+def test_a_count_below_one_is_rejected():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        predict_coefficients(log_series(), "aitken", 12, count=0)
+
+
 def test_selected_breakdown_propagates_as_typed_error():
     series = PowerSeries(RAT, (F(1), F(1), F(1), F(1), F(1)))
     # constant coefficients: the level-2 divided differences vanish

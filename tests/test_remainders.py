@@ -124,6 +124,10 @@ def test_remainder_value_needs_float_mode_and_small_z():
         remainder_value(log_series_rational(), 0, F(1, 2))
     with pytest.raises(ValueError):
         remainder_value(log_series_bigfloat(), 0, BF.parse("1.05"))
+    # constant coefficients: the terms near |z| = 1 shrink too slowly to settle
+    ones = PowerSeries(F64, (1.0,), tail=lambda i: 1.0)
+    with pytest.raises(ValueError, match="did not settle"):
+        remainder_value(ones, 0, 0.999999)
 
 
 def builtin(name, fld):

@@ -404,6 +404,13 @@ def test_classify_divergent():
     assert report.rho == F(5)
 
 
+@pytest.mark.parametrize("ratio", [F(99, 100), F(-199, 200)])
+def test_classify_between_the_bands_is_inconclusive_with_its_rho(ratio):
+    # |rho| = 1 - tol is neither linear nor logarithmic; 0.995 is in no band
+    report = classify_convergence(ModelSequence(RAT, F(1), F(1), ratio).sequence(8))
+    assert report == ("inconclusive", ratio)
+
+
 def test_classify_exact_limit_hit_is_inconclusive():
     s = ScalarSequence(RAT, (F(1), F(2), F(2), F(3), F(4)), limit=F(2))
     assert classify_convergence(s).kind == "inconclusive"
@@ -456,3 +463,5 @@ def test_model_sequence_rejects_unit_ratio():
         ModelSequence(RAT, F(0), F(1), F(-1))
     with pytest.raises(ValueError):
         ModelSequence(RAT, F(0), F(0), F(1, 2))
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        ModelSequence(RAT, F(1), F(1), F(1, 2)).sequence(0)
