@@ -59,7 +59,6 @@ from .transforms import (
     iterated_theta_table,
     pade_linear_system,
     select_approximant,
-    selection_indices,
     theta_table,
 )
 

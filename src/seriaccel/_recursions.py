@@ -63,7 +63,7 @@ def _last_index(series: PowerSeries, last_index: int | None) -> int:
         return series.known_order
     if last_index < 0:
         raise ValueError(f"last_index must be >= 0, got {last_index}")
-    if last_index > series.known_order and not series.has_tail:
+    if last_index > series.known_order and series.tail is None:
         raise ValueError(f"coefficient {last_index} is past the stored order "
                          f"{series.known_order} and no tail rule is attached")
     return last_index
@@ -74,7 +74,6 @@ class JetOps:
 
     def __init__(self, field: Field, order: int):
         self.field = field
-        self.order = order
         self.zero = Jet.from_coeffs(field, (), order)  # the one check of ``order``
         self._zeros = self.zero.coeffs[1:]
         self.one = self.const(field.one)

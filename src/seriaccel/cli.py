@@ -34,7 +34,7 @@ from .field import (
 from .jets import MissingCoefficientError
 from .prediction import predict_coefficients
 from .remainders import evaluate_error_terms, evaluate_transformation_terms, remainder_jets
-from .report import ReportRow, rows_to_csv, rows_to_json
+from .report import rows_to_csv, rows_to_json, term_rows
 from .series_library import builtin_series, resolve_series_spec
 from .transforms import (
     FAMILIES,
@@ -87,6 +87,9 @@ def _env_digits() -> int:
 
 
 def _field(mode: str) -> Field:
+    """The field of ``mode``; only bigfloat reads ``SERIACCEL_PRECISION``."""
+    if mode != "bigfloat":
+        return field_for_mode(mode)
     return field_for_mode(mode, digits=_env_digits())
 
 
@@ -141,7 +144,7 @@ def cmd_accelerate(args) -> int:
     resolved = resolve_series_spec(args.series, field, count=args.terms)
     seq = _sequence_from_input(resolved, args, field)
     table = _TABLE_BUILDERS[args.family](seq, args.scheme, args.modified)
-    _write_accelerate(sys.stdout.write, resolved, seq, table, field, args.digits)
+    _write_accelerate(resolved, seq, table, field, args.digits)
     return 0
 
 
@@ -149,12 +152,13 @@ def cmd_accelerate(args) -> int:
 _BLOCK_LINES = 256
 
 
-def _write_accelerate(write, resolved, seq, table, field, digits) -> None:
-    """``write`` the lines of ``accelerate``: the table in blocks of
-    :data:`_BLOCK_LINES` lines, then the selected approximants.  The renderer
-    of the values is picked once per table.  When a line cannot be made, a
-    value that cannot be rendered included, the lines before it are written
-    before the error propagates."""
+def _write_accelerate(resolved, seq, table, field, digits) -> None:
+    """Write the lines of ``accelerate`` to ``sys.stdout`` as it is at the
+    call: the table in blocks of :data:`_BLOCK_LINES` lines, then the selected
+    approximants.  The renderer of the values is picked once per table.  When
+    a line cannot be made, a value that cannot be rendered included, the
+    lines before it are written before the error propagates."""
+    write = sys.stdout.write
     render = _renderer(field, digits)
     entries, notes = table.entries, table.notes
     keys = sorted([*entries, *notes])  # each in key order: the sort is one merge
@@ -210,31 +214,17 @@ def cmd_predict(args) -> int:
 # error-terms / transform-terms
 
 
-def _cells_to_rows(cell_map, render) -> list[ReportRow]:
-    rows = []
-    m_count = len(next(iter(cell_map.values())))
-    for m in range(m_count):
-        for family in sorted(cell_map):
-            cell = cell_map[family][m]
-            value = render(cell.value) if cell.valid else ""
-            rows.append(ReportRow(m, family, cell.level, cell.n, value, cell.valid))
-    return rows
-
-
-def _emit_rows(rows, fmt: str) -> None:
-    if fmt == "json":
-        print(rows_to_json(rows))
-    else:
-        print(rows_to_csv(rows), end="")
-
-
 def cmd_terms(args) -> int:
     """``error-terms`` and ``transform-terms``: ``args.evaluate`` is the table kind."""
     field = _field(args.mode)
     resolved = resolve_series_spec(args.series, field, count=args.max_m + 1)
     series = resolved.require_series()
     cells = args.evaluate(series, field.parse(args.z), args.max_m)
-    _emit_rows(_cells_to_rows(cells, _renderer(field, args.digits)), args.format)
+    rows = term_rows(cells, _renderer(field, args.digits))
+    if args.format == "json":
+        print(rows_to_json(rows))
+    else:
+        print(rows_to_csv(rows), end="")
     return 0
 
 
@@ -273,8 +263,8 @@ def _reproduce_table(which) -> int:
     field = field_for_mode("bigfloat", digits=max(50, _env_digits()))
     series = _log_series(field, m_max + 1)
     cells = evaluate(series, field.parse(z_text), m_max)
-    got = {(r.m, r.family): r.value if r.valid else "invalid"
-           for r in _cells_to_rows(cells, _renderer(field, digits))}
+    got = {(m, family): value if valid else "invalid"
+           for m, family, _, _, value, valid in term_rows(cells, _renderer(field, digits))}
     rows = [f"# z = {z_text}, m = 0..{m_max}", "m " + " ".join(FAMILIES)]
     rows += [f"{m} " + " ".join(got[m, family] for family in FAMILIES) for m in range(m_max + 1)]
     return _diff_report(which, rows, [(f"(m={m}, {family})", value, reference[family][m])

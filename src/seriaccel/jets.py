@@ -145,10 +145,6 @@ class PowerSeries(_Frozen):
     def known_order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def has_tail(self) -> bool:
-        return self.tail is not None
-
     def coefficient(self, index: int) -> Scalar:
         if index < 0:
             raise IndexError("coefficient index must be >= 0")

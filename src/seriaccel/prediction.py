@@ -37,7 +37,7 @@ from __future__ import annotations
 from ._recursions import JetOps, NumericOps, TransformTable, _last_index, run_recursion
 from .field import BreakdownError, Scalar
 from .jets import PowerSeries
-from .transforms import DegeneratePadeError, get_family, selection_indices
+from .transforms import DegeneratePadeError, get_family
 
 __all__ = [
     "PredictionBreakdownError",
@@ -116,7 +116,7 @@ def predict_coefficients(
     if count < 1:
         raise ValueError("count must be >= 1")
     fam = get_family(family)
-    k, n = selection_indices(fam.step, _last_index(series, last_index))
+    k, n = divmod(_last_index(series, last_index), fam.step)
     order = count - 1
     if fam.prediction_term is None:
         table = transformation_terms(series, family, max_level=k, order=order,

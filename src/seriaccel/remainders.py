@@ -35,7 +35,7 @@ from typing import NamedTuple
 from ._recursions import JetOps, NumericOps, TransformTable, _last_index, run_recursion
 from .field import BigFloatField, RationalField, Scalar
 from .jets import Jet, PowerSeries
-from .transforms import FAMILIES, get_family, selection_indices
+from .transforms import FAMILIES, get_family
 
 __all__ = [
     "TermCell",
@@ -191,7 +191,7 @@ def _selected_cells(table, fld, z, m_max):
     cells = []
     with fld.arithmetic():
         for m in range(m_max + 1):
-            k, n = selection_indices(step, m)
+            k, n = divmod(m, step)
             if k == 0:
                 # Not enough inputs for a genuine transform yet: zero by convention.
                 cells.append(TermCell(m, family, k, n, fld.zero, True))

@@ -58,7 +58,6 @@ __all__ = [
     "theta_table",
     "iterated_theta_table",
     "select_approximant",
-    "selection_indices",
     "pade_linear_system",
     "classify_convergence",
 ]
@@ -121,10 +120,10 @@ class Family(NamedTuple):
     """Registry record of one acceleration family.
 
     A level consumes ``step`` inputs, so the selection rule takes level
-    ``m // step`` at start ``m % step`` from inputs ``0..m``
-    (:func:`selection_indices`).  ``tables`` maps the names of the family's
-    textbook tables to their key scale: 2 where keys are literal epsilon or
-    theta column subscripts, so that level ``k`` sits at key ``2k``.
+    ``k`` at start ``n``, ``k, n = divmod(m, step)``, from inputs ``0..m``.
+    ``tables`` maps the names of the family's textbook tables to their key
+    scale: 2 where keys are literal epsilon or theta column subscripts, so
+    that level ``k`` sits at key ``2k``.
     ``recursion`` is the rearranged step shared by transformation terms,
     remainder terms and, at z = 1, the rearranged table, and ``deps(k)`` its
     reads into level ``k + 1`` as ``(level, offset)`` pairs: cell
@@ -318,12 +317,6 @@ def iterated_theta_table(seq: ScalarSequence, scheme: str | None = None) -> Tran
     return _family_table("theta-iterated", FAMILIES["theta-iterated"], seq, scheme)
 
 
-def selection_indices(step: int, m: int) -> tuple[int, int]:
-    """Deepest (level, start) reachable from inputs ``s0 ... sm``."""
-    k = m // step
-    return k, m - step * k
-
-
 def select_approximant(table: TransformTable, m: int | None = None) -> tuple[int, int, Scalar]:
     """Entry used as the approximation to the limit after ``m+1`` inputs.
 
@@ -337,7 +330,7 @@ def select_approximant(table: TransformTable, m: int | None = None) -> tuple[int
         m = table.last_index
     if m < 0 or m > table.last_index:
         raise SelectionError(f"selection index {m} outside table built from 0..{table.last_index}")
-    level, n = selection_indices(table.step, m)
+    level, n = divmod(m, table.step)
     k = table.scale * level
     try:
         return k, n, table.entry(k, n)  # raises SelectionError when invalid

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -13,19 +14,30 @@ import seriaccel
 from seriaccel import cli, golden
 from seriaccel.cli import build_parser, main
 from seriaccel.transforms import FAMILIES, SCHEMES
-from seriaccel.report import ReportRow, rows_to_csv
+from seriaccel.report import COLUMNS, rows_to_csv
+
+
+class Row(NamedTuple):
+    """One parsed row of a term table."""
+
+    m: int
+    family: str
+    k: int
+    n: int
+    value: str
+    valid: bool
 
 
 def rows_from_csv(text):
     reader = csv.reader(io.StringIO(text))
-    assert next(reader) == ["m", "family", "k", "n", "value", "valid"]
-    return [ReportRow(int(m), family, int(k), int(n), value, valid == "true")
+    assert tuple(next(reader)) == COLUMNS == Row._fields
+    return [Row(int(m), family, int(k), int(n), value, valid == "true")
             for m, family, k, n, value, valid in reader]
 
 
 def rows_from_json(text):
-    return [ReportRow(obj["m"], obj["family"], obj["k"], obj["n"],
-                      "" if obj["value"] is None else obj["value"], obj["valid"])
+    return [Row(obj["m"], obj["family"], obj["k"], obj["n"],
+                "" if obj["value"] is None else obj["value"], obj["valid"])
             for obj in json.loads(text)]
 
 
@@ -487,6 +499,18 @@ def test_precision_env_override(capsys, monkeypatch):
         "--z", "0.95", "--max-m", "4",
     )
     assert code == 1 and "SERIACCEL_PRECISION" in err
+
+
+@pytest.mark.parametrize("argv", [
+    LOG_PREDICT + ("--use", "6", "--count", "2"),
+    LOG_ACCELERATE + ("--mode", "f64", "--terms", "9"),
+], ids=["rational-predict", "f64-accelerate"])
+def test_exact_and_f64_commands_ignore_the_precision_variable(capsys, monkeypatch, argv):
+    monkeypatch.delenv("SERIACCEL_PRECISION", raising=False)
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and expected[1]
+    monkeypatch.setenv("SERIACCEL_PRECISION", "abc")
+    assert run(capsys, *argv) == expected
 
 
 # -- one parser per process: a parse leaves nothing behind for the next one

@@ -2,7 +2,9 @@
 
 Each case is pinned to the sha256 of its stdout and its exit code.  The cases
 are the four ``reproduce`` experiments, every command-line example in the
-README, and ``accelerate`` on f64 and bigfloat partial sums of
+README (``error-terms`` in JSON too), ``transform-terms`` in f64 at z = 1e300,
+where 32 of 39 cells overflow, in CSV and JSON, and in rational mode, and
+``accelerate`` on f64 and bigfloat partial sums of
 ``log1p-over-z`` for each of the five families and for the rearranged
 schemes of aitken, epsilon-cross and iterated theta, and for the modified
 theta table, whose odd columns drop their carry dependency; the last three
@@ -34,6 +36,15 @@ CASES = {
                        "--use", "12", "--count", "4"],
     "readme-error-terms": ["error-terms", "--series", LOG, "--z", "0.95", "--max-m", "12"],
     "readme-transform-terms": ["transform-terms", "--series", LOG, "--z", "5.0", "--max-m", "10"],
+    "readme-error-terms-json": ["error-terms", "--series", LOG, "--z", "0.95", "--max-m", "12",
+                                "--format", "json"],
+    **{
+        f"transform-terms-f64-overflow-{fmt}": ["transform-terms", "--series", LOG, "--mode", "f64",
+                                                "--z", "1e300", "--max-m", "12", "--format", fmt]
+        for fmt in ("csv", "json")
+    },
+    "transform-terms-rational": ["transform-terms", "--series", LOG, "--mode", "rational",
+                                 "--z", "1/3", "--max-m", "8"],
     **{
         f"accelerate-{mode}-{family}": ["accelerate", "--series", LOG, "--z", "0.5",
                                         "--terms", "60", "--mode", mode, "--family", family]
@@ -78,12 +89,16 @@ EXPECTED = {
     "readme-accelerate-log": (0, "872ead37ebdea5e3c267a3158a71a11cec41f093d1f9c0ceaf7f222a3e31b98d"),
     "readme-accelerate-model": (0, "01affdd1044c7367576252189b078d76a5454df2e60e21798b0276e0cc3df264"),
     "readme-error-terms": (0, "79d99456cba0c35479e38cdf47416eb9105eec527f0b51283e5b8114545a4786"),
+    "readme-error-terms-json": (0, "725f36c7d7fa3bf097747bb2f2a55f2e6c0cac82fff1514eb6bd99e51254b7b6"),
     "readme-predict": (0, "1abac0d9e377b9f5d71f1a2a32c6fe80d3dabde8581882b32c0d299d003e173d"),
     "readme-transform-terms": (0, "ba2d25a616d08ba47865ada71b00ae5078376c795e9d923e73399429f1689fce"),
     "reproduce-expansion7": (0, "63d91884c3f867614cf00fdeecfe8d35c36e6f68e693997d4d43aabcb5d5ca32"),
     "reproduce-predict13": (0, "bf4c458c1eda704c333357284f86652d5c23c366be9393014ff8cfedd3d60b14"),
     "reproduce-table1": (2, "62fa47fddcfdf8ef847b47c89895ea1c0d70545de34c2fbd487ba0881a5b94ad"),
     "reproduce-table2": (0, "040f5c0af2f730732a9fd1435f0bb5e7e7e7f5f4adc97656cc4d78d914671431"),
+    "transform-terms-f64-overflow-csv": (0, "b2397c3c4547e9b68f142bd751c269dfb4a0bebcfd2841c9bc3aaeb25f0e102f"),
+    "transform-terms-f64-overflow-json": (0, "b8067b9e85ab3b59caec3a5a7f7fbf4765e81b5766eb1c2cb2128351b1a367ef"),
+    "transform-terms-rational": (0, "a60fe69ab79fcc3f5f4e70d9d3cb9f2c6cd72852aad7e1abeb03fc40473e3ef4"),
 }
 
 

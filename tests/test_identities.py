@@ -7,6 +7,22 @@ every later change of a step, a route or a representation.
 :func:`transformation_terms` and the remainder jet ``R`` of
 :func:`remainder_jets` at one position ``(k, n)``, with ``m = n + step*k``,
 satisfy ``T_j - R_j == gamma_{m+1+j}`` for every coefficient ``j``.
+
+Relations (b) to (e) run on the partial sums ``s_0 .. s_top`` of a series at
+the points of :data:`POINTS`, in the three textbook tables that have two
+forms (:data:`~seriaccel.transforms.SCHEMES`), and compare only the cells
+that are valid in both routes where validity is not itself the claim.
+
+(b) Partial sum plus transformation term: the rearranged table's entry at
+``(scale*k, n)`` is ``s_j + z**(j+1) * T(k, n)``, ``j = n + step*k``, where
+``T`` is the family recursion run at the numeric ``z`` on zero seeds with the
+coefficients injected.
+(c) Every even entry ``(2k, n)`` of the full epsilon table is the
+``[n+k/k]`` Pade approximant at ``z``.
+(d) Quasi-linearity: each form of each table of ``a*s + b``, ``a != 0``, is
+``a*T(s) + b``, with the same valid and failed cells.
+(e) The classic (or plain) and the rearranged form of each table agree in
+value and in validity.
 """
 
 from fractions import Fraction as F
@@ -14,12 +30,25 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seriaccel.field import RationalField
+from _reference import pade_value
+from seriaccel._recursions import NumericOps, run_recursion
+from seriaccel.field import BreakdownError, RationalField
 from seriaccel.jets import PowerSeries
 from seriaccel.prediction import transformation_terms
 from seriaccel.remainders import remainder_jets
 from seriaccel.series_library import builtin_series
-from seriaccel.transforms import FAMILIES, get_family
+from seriaccel.transforms import (
+    FAMILIES,
+    SCHEMES,
+    DegeneratePadeError,
+    ScalarSequence,
+    aitken_table,
+    epsilon_cross_table,
+    epsilon_table,
+    get_family,
+    iterated_theta_table,
+    pade_linear_system,
+)
 
 RAT = RationalField()
 ORDER = 3
@@ -79,3 +108,125 @@ def test_prediction_minus_remainder_is_the_true_coefficient_on_integer_series(co
     terms, remainders = _term_and_remainder_tables(series, family, top, order)
     keys = sorted(terms.entries.keys() & remainders.entries.keys())
     assert _relation_a_mismatches(series, family, terms, remainders, keys) == []
+
+
+# -- relations (b) to (e), on partial sums
+
+POINTS = (F(1, 2), F(-9, 10), F(3), F(5))
+
+#: Each textbook table with two forms: its builder and the family whose term
+#: recursion its rearranged form is at z = 1.
+SCHEME_TABLES = {
+    "aitken": (aitken_table, "aitken"),
+    "epsilon-cross": (epsilon_cross_table, "epsilon"),
+    "theta-iterated": (iterated_theta_table, "theta-iterated"),
+}
+assert SCHEME_TABLES.keys() == SCHEMES.keys()
+
+
+def _partial_sums(series, z, top):
+    return ScalarSequence(RAT, tuple(series.partial_sum(j, z) for j in range(top + 1)))
+
+
+def _relation_b(series, z, top):
+    """(mismatched cells, cells compared) of relation (b)."""
+    seq = _partial_sums(series, z, top)
+    zeros = [RAT.zero] * (top + 1)
+    bad, checked = [], 0
+    for name, (build, family) in SCHEME_TABLES.items():
+        fam = FAMILIES[family]
+        table = build(seq, "rearranged")
+        terms = run_recursion(fam, NumericOps(RAT, z), top // fam.step, top, zeros,
+                              series.coefficient)
+        for (k, n), term in terms.entries.items():
+            key = (table.scale * k, n)
+            if key in table.entries:
+                j = n + fam.step * k
+                checked += 1
+                if table.entries[key] != seq.entries[j] + z ** (j + 1) * term:
+                    bad.append((name, k, n))
+    return bad, checked
+
+
+def _relation_c(series, z, top):
+    """(mismatched cells, cells compared) of relation (c); a singular Pade
+    system or a zero ``Q(z)`` leaves the cell out."""
+    table = epsilon_table(_partial_sums(series, z, top))
+    bad, checked = [], 0
+    for (column, n), value in table.entries.items():
+        if column % 2:
+            continue
+        k = column // 2
+        try:
+            expected = pade_value(pade_linear_system(series, n + k, k), z)
+        except (DegeneratePadeError, BreakdownError):
+            continue
+        checked += 1
+        if value != expected:
+            bad.append((column, n))
+    return bad, checked
+
+
+def _relation_d(seq, a, b):
+    """(mismatched cells, cells compared) of relation (d), every form of every table."""
+    moved = ScalarSequence(RAT, tuple(a * s + b for s in seq.entries))
+    bad, checked = [], 0
+    for name, (build, _) in SCHEME_TABLES.items():
+        for form in SCHEMES[name]:
+            plain, image = build(seq, form), build(moved, form)
+            if (plain.entries.keys(), plain.notes.keys()) != (image.entries.keys(),
+                                                              image.notes.keys()):
+                bad.append((name, form, "validity"))
+            for key, value in plain.entries.items():
+                checked += 1
+                if image.entries.get(key) != a * value + b:
+                    bad.append((name, form, key))
+    return bad, checked
+
+
+def _relation_e(seq):
+    """(mismatched tables, cells compared) of relation (e)."""
+    bad, checked = [], 0
+    for name, (build, _) in SCHEME_TABLES.items():
+        first, rearranged = (build(seq, form) for form in SCHEMES[name])
+        if (first.entries, first.notes.keys()) != (rearranged.entries, rearranged.notes.keys()):
+            bad.append(name)
+        checked += len(first.entries)
+    return bad, checked
+
+
+def _relations(series, top, a, b):
+    """Mismatches and compared cells of (b) to (e) at every point of :data:`POINTS`."""
+    bad = {relation: [] for relation in "bcde"}
+    checked = dict.fromkeys("bcde", 0)
+    for z in POINTS:
+        seq = _partial_sums(series, z, top)
+        for relation, (found, count) in (("b", _relation_b(series, z, top)),
+                                          ("c", _relation_c(series, z, top)),
+                                          ("d", _relation_d(seq, a, b)),
+                                          ("e", _relation_e(seq))):
+            bad[relation] += [(z, cell) for cell in found]
+            checked[relation] += count
+    return bad, checked
+
+
+@pytest.mark.parametrize("name, params, cells", [
+    ("log1p-over-z", (), {"b": 456, "c": 168, "d": 912, "e": 456}),
+    ("zeta", (2,), {"b": 456, "c": 168, "d": 912, "e": 456}),
+    ("geometric", (), {"b": 260, "c": 88, "d": 520, "e": 260}),  # breaks down past the kernel
+])
+def test_partial_sum_pade_linearity_and_scheme_relations_on_the_builtins(name, params, cells):
+    series = builtin_series(name, tuple(map(RAT.from_int, params)), 12, RAT).series
+    bad, checked = _relations(series, 11, F(-3, 2), F(7))
+    assert bad == {relation: [] for relation in "bcde"}
+    assert checked == cells
+
+
+@settings(max_examples=20, deadline=None)
+@given(coeffs=st.lists(st.integers(-3, 3), min_size=3, max_size=12),
+       a=st.fractions(-4, 4, max_denominator=5).filter(bool),
+       b=st.fractions(-4, 4, max_denominator=5))
+def test_partial_sum_pade_linearity_and_scheme_relations_on_integer_series(coeffs, a, b):
+    series = PowerSeries(RAT, tuple(F(c) for c in coeffs))
+    bad, _ = _relations(series, len(coeffs) - 1, a, b)
+    assert bad == {relation: [] for relation in "bcde"}

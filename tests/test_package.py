@@ -42,3 +42,15 @@ def test_importing_the_cli_loads_no_dataclasses_json_or_csv():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "seriaccel.cli" in added
     assert added & {"dataclasses", "json", "csv"} == set()
+
+
+def test_every_subcommand_loads_only_the_standard_library():
+    # mpmath and hypothesis are installed here, so an optional import of
+    # either would show up.
+    script = Path(__file__).with_name("_stdlib_only.py")
+    src = str(Path(seriaccel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
+    assert proc.stdout.splitlines()[-1] == "modules outside the standard library:"

@@ -9,7 +9,7 @@ from seriaccel._recursions import TransformTable, aitken_deps, aitken_leading, a
 from seriaccel.field import BigFloatField, Float64Field, RationalField
 from seriaccel.jets import Jet, PowerSeries
 from seriaccel.remainders import TermCell
-from seriaccel.report import ReportRow
+from seriaccel.report import term_rows
 from seriaccel.series_library import ResolvedInput
 from seriaccel.transforms import (
     ConvergenceReport,
@@ -54,7 +54,6 @@ def test_jets_compare_and_hash_by_field_and_coefficients():
     (ScalarSequence(RAT, (F(1),)), "limit"),
     (ModelSequence(RAT, F(1), F(1), F(1, 2)), "ratio"),
     (TermCell(0, "aitken", 0, 0, F(0), True), "value"),
-    (ReportRow(0, "aitken", 0, 0, "0", True), "valid"),
     (TransformTable("aitken", 1, 2, 1, {}, {}), "notes"),
 ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
 def test_the_value_types_are_immutable(value, name):
@@ -67,8 +66,11 @@ def test_the_value_types_are_immutable(value, name):
 def test_term_cell_and_report_row_print_as_records():
     assert repr(TermCell(3, "aitken", 1, 1, F(1, 4), True)) == (
         "TermCell(m=3, family='aitken', level=1, n=1, value=Fraction(1, 4), valid=True, note='')")
-    assert repr(ReportRow(2, "epsilon", 2, 0, "0.5e0", False)) == (
-        "ReportRow(m=2, family='epsilon', k=2, n=0, value='0.5e0', valid=False)")
+    # A report row is a plain tuple in the order of ``report.COLUMNS``.
+    cells = {"epsilon": [TermCell(0, "epsilon", 0, 0, F(1, 2), True),
+                         TermCell(1, "epsilon", 0, 1, None, False, "overflow")]}
+    assert repr(list(term_rows(cells, str))) == (
+        "[(0, 'epsilon', 0, 0, '1/2', True), (1, 'epsilon', 0, 1, '', False)]")
 
 
 def _tail(i):
@@ -92,7 +94,6 @@ KEYWORDS = [
     (ConvergenceReport, {"kind": "linear", "rho": F(1, 2)}),
     (TermCell, {"m": 2, "family": "aitken", "level": 1, "n": 0, "value": F(1, 8),
                 "valid": True, "note": ""}),
-    (ReportRow, {"m": 2, "family": "aitken", "k": 1, "n": 0, "value": "1/8", "valid": True}),
     (ResolvedInput, {"label": "builtin:geometric", "series": None,
                      "sequence": ScalarSequence(RAT, (F(1),)), "default_z": F(1, 2)}),
 ]
