@@ -25,6 +25,15 @@ It stops overflow cascades without flagging legitimately small values.
 :meth:`Field.is_zero` is the absolute test ``|value| <= eps``, exact zero in
 rational mode.
 
+The ``series_*`` methods are the arithmetic of jets
+(:class:`~seriaccel.jets.Jet`) over the form the field packs a jet's
+coefficients in.  The float modes keep the tuple of values and run the plain
+loops in their context.  Rational mode packs ``(den, nums)``: one positive
+common denominator and a tuple of integer numerators with
+``gcd(den, *nums) == 1``.  That form is unique, and every rational kernel
+works on the integers and returns it, reducing by one gcd of the vector where
+its operands leave a common factor possible, never one per coefficient.
+
 :func:`scientific_string` renders a finite ``float`` or ``Decimal`` by one
 half-even rounding to the requested digits (exact for a ``float``, through a
 cached context for a ``Decimal``) and one fixed-point ``e`` format, then
@@ -121,11 +130,13 @@ class _Frozen:
 class Field(_Frozen):
     """Shared behaviour of the three field modes.
 
-    A mode states its value type ``kind``, its ``noun`` for messages, how an
-    exact :class:`~fractions.Fraction` and an exact finite
-    :class:`~decimal.Decimal` enter it, its context, its zero test and its
-    finiteness test; every entry path below is written once on top of those.
-    Fields are immutable and equal by mode and precision.
+    A mode states its value type ``kind``, its ``noun`` for messages, the
+    rounded quotient of two integers (the way an exact
+    :class:`~fractions.Fraction` enters it), how an exact finite
+    :class:`~decimal.Decimal` enters it, its context, its zero test, its
+    finiteness test and the packed form of its jets; every entry path below
+    is written once on top of those.  Fields are immutable and equal by mode
+    and precision.
     """
 
     __slots__ = ()
@@ -146,8 +157,12 @@ class Field(_Frozen):
     def from_int(self, value: int) -> Scalar:
         return self.kind(value)
 
-    def from_fraction(self, value: Fraction) -> Scalar:
+    def quotient(self, p: int, q: int) -> Scalar:
+        """``p / q`` for integers ``p`` and ``q > 0``, correctly rounded in this field."""
         raise NotImplementedError
+
+    def from_fraction(self, value: Fraction) -> Scalar:
+        return self.quotient(value.numerator, value.denominator)
 
     def _from_decimal(self, value: Decimal) -> Scalar:
         """The exact finite decimal ``value`` in this field; an ``ArithmeticError``
@@ -223,10 +238,45 @@ class Field(_Frozen):
         return self._divide(numerator, denominator)
 
     # -- truncated power series: the coefficient work of jets ----------------
+    # The float modes keep a jet's tuple of values, and these kernels are the
+    # plain loops over it in the field's context.  ``n`` is the order of a
+    # result: a kernel reads coefficients ``0..n`` of operands that may run
+    # longer.
+
+    def series_pack(self, coeffs: tuple):
+        """The packed form of the field values ``coeffs``."""
+        return coeffs
+
+    def series_coeffs(self, a) -> tuple:
+        """The coefficients of the packed series ``a``, as field values."""
+        return a
+
+    def series_order(self, a) -> int:
+        return len(a) - 1
+
+    def series_finite(self, a) -> bool:
+        return all(map(self.is_finite, a))
+
+    def series_invertible(self, a) -> bool:
+        """Whether the constant term of ``a`` passes the zero test."""
+        return not self.is_zero(a[0])
+
+    def series_sum(self, a, b, n: int, negate: bool):
+        """``a + b``, or ``a - b`` with ``negate``."""
+        with self.arithmetic():
+            return tuple(map(operator.sub if negate else operator.add, a[: n + 1], b[: n + 1]))
+
+    def series_scale(self, a, factor: Scalar):
+        with self.arithmetic():
+            return tuple(factor * c for c in a)
+
+    def series_shift(self, a, places: int):
+        """``a`` times ``z**places``, ``places >= 1``, at the order of ``a``."""
+        size = len(a)
+        return (self.zero,) * min(places, size) + a[: max(0, size - places)]
 
     def series_product(self, a, b, n: int) -> tuple:
-        """Coefficients ``0..n`` of the product of the series ``a`` and ``b``,
-        each given by at least ``n + 1`` coefficients."""
+        """Coefficients ``0..n`` of the product of the series ``a`` and ``b``."""
         zero = self.zero
         out = [zero] * (n + 1)
         with self.arithmetic():
@@ -269,8 +319,8 @@ class RationalField(Field):
     kind = Fraction
     noun = "a rational scalar"
 
-    def from_fraction(self, value: Fraction) -> Fraction:
-        return Fraction(value)
+    def quotient(self, p: int, q: int) -> Fraction:
+        return Fraction(p, q)
 
     def _from_decimal(self, value: Decimal) -> Fraction:
         # Decimal literals become exact powers-of-ten rationals, of bounded size.
@@ -278,39 +328,111 @@ class RationalField(Field):
             raise OverflowError(f"decimal exponent past {_EXPONENT_LIMIT}")
         return Fraction(value)
 
-    # Both series kernels run in integers: the operand is written once over
-    # the least common denominator of its coefficients, and each result
-    # coefficient is normalised by one gcd, not one per term.
+    # Jets are packed as ``(den, nums)`` (see the module docstring).  Each
+    # kernel reduces only where its operands leave a common factor possible:
+    # a sum by a divisor of ``gcd(da, db)``, as ``Fraction`` does for scalars;
+    # a scaled jet by the two cross gcds; a shift, a cut or a product by one
+    # gcd of the whole vector, read from the top coefficient down, since the
+    # top coefficient carries the tallest denominator of its own and so
+    # usually ends the gcd at 1; a reciprocal once per coefficient, as it is
+    # built.
+
+    def series_pack(self, coeffs):
+        den = math.lcm(*[c.denominator for c in coeffs])
+        return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+    def series_coeffs(self, a):
+        den, nums = a
+        return tuple(Fraction(x, den) for x in nums)
+
+    def series_order(self, a):
+        return len(a[1]) - 1
+
+    def series_finite(self, a):
+        return True
+
+    def series_invertible(self, a):
+        return a[1][0] != 0
+
+    def series_sum(self, a, b, n, negate):
+        # Over lcm(da, db) = da * (db / g), g = gcd(da, db), a prime of da / g
+        # or of db / g leaves a numerator it does not divide, so only a
+        # divisor of g can be left to cancel.
+        (da, xa), (db, xb) = _cut(a, n), _cut(b, n)
+        g = math.gcd(da, db)
+        s, t = da // g, db // g
+        if negate:
+            nums = [x * t - y * s for x, y in zip(xa, xb)]
+        else:
+            nums = [x * t + y * s for x, y in zip(xa, xb)]
+        return _reduced(s * db, nums, g)
+
+    def series_scale(self, a, factor):
+        # No prime of den / g1 divides p / g1, and gcd(q / g2, *nums / g2) is 1.
+        den, nums = a
+        p, q = factor.numerator, factor.denominator
+        if not p:
+            return 1, (0,) * len(nums)
+        g1, g2 = math.gcd(p, den), math.gcd(q, *nums)
+        p, q = p // g1, q // g2
+        return den // g1 * q, tuple(x // g2 * p for x in nums)
+
+    def series_shift(self, a, places):
+        den, nums = a
+        kept = nums[: max(0, len(nums) - places)]
+        return _reduced(den, (0,) * min(places, len(nums)) + kept)
 
     def series_product(self, a, b, n):
-        da, ia = _over_common_denominator(a[: n + 1])
-        db, ib = _over_common_denominator(b[: n + 1])
+        (da, xa), (db, xb) = a, b
         acc = [0] * (n + 1)
-        for i, x in enumerate(ia):
+        for i in range(n + 1):
+            x = xa[i]
             if x:
                 for j in range(n + 1 - i):
-                    acc[i + j] += x * ib[j]
-        d = da * db
-        return tuple(Fraction(c, d) for c in acc)
+                    acc[i + j] += x * xb[j]
+        return _reduced(da * db, acc)
 
     def series_reciprocal(self, a):
-        # With a[j] = A[j] / da and r[i] = R[i] / d over the common denominator
-        # d of r[0..k-1]: r[k] = -(sum A[j] R[k-j]) / (A[0] d).
-        da, ia = _over_common_denominator(a)
-        out = [Fraction(da, ia[0])]
-        for k in range(1, len(a)):
-            d, r = _over_common_denominator(out)
-            acc = 0
-            for j in range(1, k + 1):
-                acc += ia[j] * r[k - j]
-            out.append(Fraction(-acc, ia[0] * d))
-        return tuple(out)
+        # With a[j] = A[j] / da and r[i] = R[i] / den over the least common
+        # denominator den of r[0..k-1]: r[k] = -(sum A[j] R[k-j]) / (A[0] den).
+        # Each r[k] is reduced once, and den grows by the lcm with its
+        # denominator, so the result is packed as it is built.
+        da, xa = a
+        a0 = xa[0]
+        den, nums = 1, []
+        s, d = da, a0
+        for k in range(len(xa)):
+            if k:
+                s = -sum([xa[j] * nums[k - j] for j in range(1, k + 1)])
+                d = a0 * den
+            g = math.gcd(s, d)
+            if d < 0:
+                g = -g
+            s, d = s // g, d // g
+            grow = d // math.gcd(den, d)
+            if grow != 1:
+                nums = [x * grow for x in nums]
+                den *= grow
+            nums.append(s * (den // d))
+        return den, tuple(nums)
 
 
-def _over_common_denominator(values) -> tuple[int, list[int]]:
-    """``(d, [int(v * d) for v in values])`` for the least common denominator ``d``."""
-    d = math.lcm(*[v.denominator for v in values])
-    return d, [v.numerator * (d // v.denominator) for v in values]
+def _cut(a, n: int):
+    """The packed series ``a`` through order ``n``, reduced."""
+    den, nums = a
+    if len(nums) <= n + 1:
+        return a
+    return _reduced(den, nums[: n + 1])
+
+
+def _reduced(den: int, nums, g: int | None = None) -> tuple:
+    """``(den, nums)`` divided by ``gcd(den, *nums)``, or by ``gcd(g, *nums)``
+    when no factor of ``den`` outside its divisor ``g`` can be common.  The gcd
+    runs from the top coefficient down and stops at 1."""
+    g = math.gcd(den if g is None else g, *reversed(nums))
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple([x // g for x in nums])
 
 
 class BigFloatField(Field):
@@ -347,9 +469,8 @@ class BigFloatField(Field):
         """Context manager that enters (and yields) a copy of the field's context."""
         return localcontext(self._context)
 
-    def from_fraction(self, value: Fraction) -> Decimal:
-        with self.arithmetic():
-            return Decimal(value.numerator) / Decimal(value.denominator)
+    def quotient(self, p: int, q: int) -> Decimal:
+        return self._divide(Decimal(p), Decimal(q))
 
     def _from_decimal(self, value: Decimal) -> Decimal:
         with self.arithmetic():  # infinite past the context's exponent range
@@ -368,8 +489,8 @@ class Float64Field(Field):
     noun = "an f64 scalar"
     near_zero = NEAR_ZERO
 
-    def from_fraction(self, value: Fraction) -> float:
-        return value.numerator / value.denominator
+    def quotient(self, p: int, q: int) -> float:
+        return p / q  # int / int rounds once
 
     def _from_decimal(self, value: Decimal) -> float:
         return float(value)

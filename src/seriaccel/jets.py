@@ -10,11 +10,14 @@ order fixed.
 This is the engine that expands the rational transformation and remainder
 terms of the acceleration schemes into Taylor coefficients: all of their
 recursions reduce to jet addition, multiplication, reciprocal and the shift
-by the series variable.  Products and reciprocals take their coefficients
-from the field (:meth:`~seriaccel.field.Field.series_product`,
-:meth:`~seriaccel.field.Field.series_reciprocal`); in rational mode these run
-in integers over one common denominator per operand and normalise each result
-coefficient once, not once per term.
+by the series variable.  Every one of these runs in the field
+(:meth:`~seriaccel.field.Field.series_sum` and its siblings), on the form the
+field packs a jet's coefficients in.  The float modes keep the tuple of
+values.  Rational mode keeps one positive common denominator over integer
+numerators, reduced, so a jet sum starts from one gcd of the two
+denominators rather than one ``Fraction`` per coefficient, and
+:attr:`Jet.coeffs` builds the ``Fraction`` values only when something reads
+them.
 """
 
 from __future__ import annotations
@@ -42,17 +45,28 @@ class MissingCoefficientError(IndexError):
 class Jet(_Frozen):
     """Coefficients ``c[0] + c[1] z + ... + c[N] z**N`` of a truncated series.
 
-    :meth:`from_coeffs` checks coefficients as they enter; the constructor
-    takes them unchecked, from jet arithmetic and builders that pass only
-    values the field computed."""
+    A jet keeps ``packed``, its coefficients as its field packs them
+    (:meth:`~seriaccel.field.Field.series_pack`): the float modes keep the
+    tuple, rational mode one common denominator over integer numerators.
+    Both forms are canonical, so jets compare and hash by value.
+    :attr:`coeffs` unpacks on every read.  :meth:`from_coeffs` checks
+    coefficients as they enter; the constructor takes them unchecked, from
+    builders that pass only values the field computed."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "packed")
 
     def __init__(self, field: Field, coeffs: tuple[Scalar, ...]):
         if not coeffs:
             raise ValueError("a jet needs at least its constant term")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "packed", field.series_pack(coeffs))
+
+    @classmethod
+    def _of(cls, field: Field, packed) -> "Jet":
+        jet = object.__new__(cls)
+        object.__setattr__(jet, "field", field)
+        object.__setattr__(jet, "packed", packed)
+        return jet
 
     @classmethod
     def from_coeffs(cls, field: Field, values, order: int | None = None) -> "Jet":
@@ -66,8 +80,19 @@ class Jet(_Frozen):
         return cls(field, field.ensure_all(coeffs))
 
     @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        return self.field.series_coeffs(self.packed)
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.field.series_order(self.packed)
+
+    def __repr__(self):
+        return f"Jet(field={self.field!r}, coeffs={self.coeffs!r})"
+
+    def is_finite(self) -> bool:
+        """Whether every coefficient is finite; always, and unread, in rational mode."""
+        return self.field.series_finite(self.packed)
 
     def _common(self, other: "Jet") -> int:
         if self.field != other.field:
@@ -76,22 +101,19 @@ class Jet(_Frozen):
 
     def __add__(self, other: "Jet") -> "Jet":
         n = self._common(other)
-        with self.field.arithmetic():
-            return Jet(self.field, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+        return Jet._of(self.field, self.field.series_sum(self.packed, other.packed, n, False))
 
     def __sub__(self, other: "Jet") -> "Jet":
         n = self._common(other)
-        with self.field.arithmetic():
-            return Jet(self.field, tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
+        return Jet._of(self.field, self.field.series_sum(self.packed, other.packed, n, True))
 
     def scale(self, factor: Scalar) -> "Jet":
         factor = self.field.ensure(factor)
-        with self.field.arithmetic():
-            return Jet(self.field, tuple(factor * c for c in self.coeffs))
+        return Jet._of(self.field, self.field.series_scale(self.packed, factor))
 
     def __mul__(self, other: "Jet") -> "Jet":
         n = self._common(other)
-        return Jet(self.field, self.field.series_product(self.coeffs, other.coeffs, n))
+        return Jet._of(self.field, self.field.series_product(self.packed, other.packed, n))
 
     def reciprocal(self) -> "Jet":
         """Jet ``r`` with ``self * r == 1`` through this jet's order.
@@ -99,10 +121,9 @@ class Jet(_Frozen):
         Uses the triangular recurrence ``r[k] = -(sum a[j] r[k-j]) / a[0]``;
         requires a (near-)nonzero constant term.
         """
-        a0 = self.coeffs[0]
-        if self.field.is_zero(a0):
+        if not self.field.series_invertible(self.packed):
             raise JetBreakdownError("jet breakdown: reciprocal of a jet with zero constant term")
-        return Jet(self.field, self.field.series_reciprocal(self.coeffs))
+        return Jet._of(self.field, self.field.series_reciprocal(self.packed))
 
     def __truediv__(self, other: "Jet") -> "Jet":
         return self * other.reciprocal()
@@ -113,8 +134,7 @@ class Jet(_Frozen):
             raise ValueError("shift must be by a nonnegative power")
         if places == 0:
             return self
-        zeros = (self.field.zero,) * min(places, self.order + 1)
-        return Jet(self.field, zeros + self.coeffs[: max(0, self.order + 1 - places)])
+        return Jet._of(self.field, self.field.series_shift(self.packed, places))
 
 
 def _mode_error(a: Jet, b: Jet):

@@ -129,6 +129,6 @@ def predict_coefficients(
             term = fam.prediction_term(series, k, n, order)
         except DegeneratePadeError as exc:
             raise PredictionBreakdownError(fam.name, k, n, str(exc)) from None
-    if not all(map(series.field.is_finite, term.coeffs)):
+    if not term.is_finite():
         raise PredictionBreakdownError(fam.name, k, n, "overflow")
     return tuple(enumerate(term.coeffs, last_index + 1))

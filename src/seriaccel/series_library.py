@@ -54,7 +54,7 @@ class ResolvedInput(NamedTuple):
 
 
 def _log_coefficient(field: Field, i: int) -> Scalar:
-    return field.from_fraction(Fraction((-1) ** i, i + 1))
+    return field.quotient(-1 if i & 1 else 1, i + 1)
 
 
 def _zeta_coefficient(field: Field, s: Scalar, i: int) -> Scalar:

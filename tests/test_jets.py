@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -155,6 +156,86 @@ def test_rational_reciprocal_matches_the_generic_recurrence(coeffs, a0):
 def test_rational_reciprocal_edge_cases(coeffs):
     coeffs = [F(c) for c in coeffs]
     assert Jet.from_coeffs(RAT, coeffs).reciprocal().coeffs == _generic_reciprocal(coeffs)
+
+
+# -- the packed rational kernels against per-coefficient Fractions.  A
+# rational jet is one positive common denominator over integer numerators,
+# reduced: the form is unique, so a jet built by arithmetic must equal, and
+# hash like, the jet built from its coefficients.
+
+
+@st.composite
+def packed_coeffs(draw, max_size=8):
+    """Zero, small, pairwise-different-denominator or tall (>= 10**4-bit
+    numerator) coefficients."""
+    size = draw(st.integers(1, max_size))
+    style = draw(st.sampled_from(("zero", "small", "distinct", "tall")))
+    if style == "zero":
+        return [F(0)] * size
+    if style == "small":
+        return draw(st.lists(small_fracs, min_size=size, max_size=size))
+    dens = draw(st.lists(st.integers(1, 10**40), min_size=size, max_size=size, unique=True))
+    if style == "distinct":
+        nums = st.integers(-10**20, 10**20)
+    else:
+        nums = st.builds(lambda sign, low: sign * (2**10_000 + low),
+                         st.sampled_from((-1, 1)), st.integers(0, 2**64))
+    return [F(draw(nums), d) for d in dens]
+
+
+def _assert_packed(result, expected):
+    """``result`` holds exactly ``expected``, in the reduced packed form."""
+    assert result.coeffs == tuple(expected)
+    den, nums = result.packed
+    assert den > 0 and math.gcd(den, *nums) == 1
+    rebuilt = Jet.from_coeffs(RAT, expected)
+    assert result == rebuilt and hash(result) == hash(rebuilt)
+
+
+@given(packed_coeffs(), packed_coeffs())
+@settings(max_examples=150, deadline=None)
+def test_packed_sum_and_difference_match_per_coefficient(a, b):
+    n = min(len(a), len(b))
+    ja, jb = Jet.from_coeffs(RAT, a), Jet.from_coeffs(RAT, b)
+    _assert_packed(ja + jb, [x + y for x, y in zip(a[:n], b[:n])])
+    _assert_packed(ja - jb, [x - y for x, y in zip(a[:n], b[:n])])
+    _assert_packed(ja - ja, [F(0)] * len(a))
+
+
+@given(packed_coeffs(), st.one_of(st.just(F(0)), small_fracs, packed_coeffs(1).map(lambda c: c[0])),
+       st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_packed_scale_and_shift_match_per_coefficient(a, factor, places):
+    ja = Jet.from_coeffs(RAT, a)
+    _assert_packed(ja.scale(factor), [factor * c for c in a])
+    _assert_packed(ja.shift(places), ([F(0)] * places + a)[: len(a)])
+
+
+@given(packed_coeffs(), packed_coeffs())
+@settings(max_examples=150, deadline=None)
+def test_packed_product_matches_per_coefficient(a, b):
+    got = Jet.from_coeffs(RAT, a) * Jet.from_coeffs(RAT, b)
+    _assert_packed(got, _convolve(a, b))
+    assert got.coeffs == _generic_product(a, b)
+
+
+@given(packed_coeffs(max_size=6), st.one_of(small_fracs, packed_coeffs(1).map(lambda c: c[0])))
+@settings(max_examples=150, deadline=None)
+def test_packed_reciprocal_matches_per_coefficient(a, a0):
+    a[0] = a0 or F(1, 3)
+    _assert_packed(Jet.from_coeffs(RAT, a).reciprocal(), _generic_reciprocal(a))
+
+
+def test_packed_results_built_by_arithmetic_equal_their_coefficient_jets():
+    # The shift drops the only coefficient with denominator 4, the difference
+    # cancels the top one, and the product leaves a common factor: each must
+    # come back reduced to the jet of its coefficients.
+    a, b = jet(F(1, 2), F(1, 3), F(3, 4)), jet(F(1, 2), F(1, 6), F(3, 4))
+    for got, coeffs in [(a.shift(), (0, F(1, 2), F(1, 3))), (a - b, (0, F(1, 6), 0)),
+                        (jet(F(1, 2), 1) * jet(2, 4), (1, 4)), (jet(2, 0).reciprocal(), (F(1, 2), 0)),
+                        (jet(0, 0, 1) - jet(0, 0, 1), (0, 0, 0))]:
+        _assert_packed(got, [F(c) for c in coeffs])
+    assert (a - b).packed == (6, (0, 1, 0)) and jet(0, 0).packed == (1, (0, 0))
 
 
 @pytest.mark.parametrize("fld", [BigFloatField(50), Float64Field()], ids=lambda f: f.mode)

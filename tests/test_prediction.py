@@ -406,3 +406,23 @@ def test_jet_route_predictions_need_no_orders_past_the_last_one(fld, name, famil
 
     for count in range(1, 7):
         assert leading(count + 2, count) == leading(count - 1, count), count
+
+
+# The benchmark times jet arithmetic by wrapping ``Jet.__mul__`` and
+# ``Jet.reciprocal``; a kernel reached around them would read as no work.
+@pytest.mark.parametrize("family", ["aitken", "theta-iterated", "epsilon"])
+def test_rational_predictions_multiply_and_invert_through_the_jet_methods(monkeypatch, family):
+    calls = {"__mul__": 0, "reciprocal": 0}
+
+    def counted(name):
+        method = getattr(Jet, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Jet, name, counted(name))
+    assert len(predict_coefficients(builtin("zeta", RAT, 10), family, 9, 4)) == 4
+    assert calls["__mul__"] > 0 and calls["reciprocal"] > 0, calls
