@@ -98,6 +98,7 @@ class NumericOps:
     """Carrier: scalars at a fixed numeric value of the series variable."""
 
     def __init__(self, field: Field, z: Scalar):
+        self.field = field
         self.z = field.ensure(z)
         self.zero = field.zero
         self.one = field.one

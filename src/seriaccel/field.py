@@ -15,13 +15,17 @@ where values enter the system (parsing, constructors, :meth:`Field.ensure`);
 mixing modes is an error there, never a silent coercion.
 
 Division inside the nonlinear recursions must go through :meth:`Field.div`,
-the relative guard: it raises :class:`BreakdownError`, which carries only its
-message, on an exactly-zero denominator in rational mode and on a near-zero
-denominator in the float modes.  A denominator ``d`` counts as near zero when
+the relative guard: it raises :meth:`Field.breakdown`, a
+:class:`BreakdownError` that carries only its message, on an exactly-zero
+denominator in rational mode and on a near-zero denominator in the float
+modes.  A denominator ``d`` counts as near zero when
 ``|d| <= eps * max(1, |numerator|)`` with ``eps = 2**-40`` for machine
 doubles and ``eps = 10**(10 - digits)`` for bigfloats, so the guard scales
 with the working precision instead of strangling deep high-precision tables.
 It stops overflow cascades without flagging legitimately small values.
+The one step that divides without it, the rational classic Aitken cell of
+:mod:`seriaccel.transforms` (one integer quotient), raises that same error
+on a zero denominator.
 :meth:`Field.is_zero` is the absolute test ``|value| <= eps``, exact zero in
 rational mode.
 
@@ -234,8 +238,12 @@ class Field(_Frozen):
             mag = abs(numerator)
             zero = abs(denominator) <= (self._times(bound, mag) if mag > 1 else bound)
         if zero:
-            raise BreakdownError(f"{self.mode}: division by (near-)zero denominator")
+            raise self.breakdown()
         return self._divide(numerator, denominator)
+
+    def breakdown(self) -> BreakdownError:
+        """The error :meth:`div` raises on a (near-)zero denominator."""
+        return BreakdownError(f"{self.mode}: division by (near-)zero denominator")
 
     # -- truncated power series: the coefficient work of jets ----------------
     # The float modes keep a jet's tuple of values, and these kernels are the

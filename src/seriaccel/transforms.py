@@ -28,6 +28,11 @@ Every transformation is a step run by the shared triangle builder of
 :mod:`seriaccel._recursions` and returns its :class:`TransformTable`: a
 (near-)zero denominator makes the entry a note instead of raising, and the
 failure propagates to every entry that would read it.
+
+In rational mode each cell of the classic Aitken table is one integer
+quotient over the numerators and denominators of its three reads, reduced
+once (:func:`_aitken_quotient`, selected by the sequence's field).  It is
+the one step that divides without :meth:`~seriaccel.field.Field.div`.
 """
 
 from __future__ import annotations
@@ -202,6 +207,23 @@ def _aitken_classic(ops, g, k, n, cur, prev):
     return cur[n] - ops.div(d0 * d0, dd)
 
 
+def _aitken_quotient(ops, g, k, n, cur, prev):
+    """:func:`_aitken_classic` over exact rationals ``x_i = p_i / q_i``: the
+    cell ``x0 - d0**2 / dd = (x0*x2 - x1**2) / dd`` as one quotient of
+    integers, reduced by one gcd (Knuth, TAOCP vol. 2, 4.5.1), where each
+    ``Fraction`` operation would reduce by gcds of full-height integers.  It
+    breaks down where the classic step does, on ``dd == 0``, with the error
+    of :meth:`~seriaccel.field.Field.div`."""
+    p0, q0 = cur[n].as_integer_ratio()
+    p1, q1 = cur[n + 1].as_integer_ratio()
+    p2, q2 = cur[n + 2].as_integer_ratio()
+    a, b, c = p0 * q1, p2 * q1, p1 * q0
+    dd = q0 * b + q2 * (a - 2 * c)  # q0*q1*q2 * dd
+    if not dd:
+        raise ops.field.breakdown()
+    return Fraction(a * b - c * p1 * q2, q1 * dd)
+
+
 def _epsilon_cross_plain(ops, g, k, n, cur, prev):
     d0 = cur[n + 1] - cur[n]
     d1 = cur[n + 2] - cur[n + 1]
@@ -238,16 +260,19 @@ def _family_table(table: str, fam: Family, seq: ScalarSequence,
     :data:`SCHEMES` (by default its first), over the levels the sequence
     reaches, at z = 1; ``ValueError`` for a form the table does not have.
     The table is named after its form where the family registers one name
-    per form."""
+    per form.  A rational classic Aitken table runs :func:`_aitken_quotient`."""
     forms = SCHEMES[table]
     if scheme is None:
         scheme = next(iter(forms))
     elif scheme not in forms:
         raise ValueError(f"scheme must be {' or '.join(map(repr, forms))}")
     name = f"{table}-{scheme}"
+    recursion = forms[scheme]
+    if recursion is _aitken_classic and seq.field.mode == "rational":
+        recursion = _aitken_quotient
     m = seq.last_index
     return run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries,
-                         table=name if name in fam.tables else table, recursion=forms[scheme])
+                         table=name if name in fam.tables else table, recursion=recursion)
 
 
 def aitken_table(seq: ScalarSequence, scheme: str | None = None) -> TransformTable:

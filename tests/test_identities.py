@@ -23,6 +23,14 @@ coefficients injected.
 ``a*T(s) + b``, with the same valid and failed cells.
 (e) The classic (or plain) and the rearranged form of each table agree in
 value and in validity.
+
+(f) Homogeneity of the routes on a series: scaling every coefficient by
+``c != 0`` scales every entry of the term, leading-part and remainder tables
+of each family, and every predicted coefficient, by ``c``, with the same
+valid and failed cells.
+(g) The rational classic Aitken table, whose cells are each one integer
+quotient, is the table of the classic ``Fraction`` step
+(:func:`~seriaccel.transforms._aitken_classic`), notes included.
 """
 
 from fractions import Fraction as F
@@ -31,17 +39,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import pade_value
-from seriaccel._recursions import NumericOps, run_recursion
+from seriaccel._recursions import NumericOps, UnitOps, run_recursion
 from seriaccel.field import BreakdownError, RationalField
-from seriaccel.jets import PowerSeries
-from seriaccel.prediction import transformation_terms
+from seriaccel.jets import Jet, PowerSeries
+from seriaccel.prediction import (
+    PredictionBreakdownError,
+    leading_predictions,
+    predict_coefficients,
+    transformation_terms,
+)
 from seriaccel.remainders import remainder_jets
 from seriaccel.series_library import builtin_series
 from seriaccel.transforms import (
     FAMILIES,
     SCHEMES,
     DegeneratePadeError,
+    ModelSequence,
     ScalarSequence,
+    _aitken_classic,
     aitken_table,
     epsilon_cross_table,
     epsilon_table,
@@ -230,3 +245,133 @@ def test_partial_sum_pade_linearity_and_scheme_relations_on_integer_series(coeff
     series = PowerSeries(RAT, tuple(F(c) for c in coeffs))
     bad, _ = _relations(series, len(coeffs) - 1, a, b)
     assert bad == {relation: [] for relation in "bcde"}
+
+
+# -- relation (f), homogeneity on a series
+
+
+def _scaled(series, c):
+    """``series`` with every coefficient, its tail rule's included, times ``c``."""
+    tail = None if series.tail is None else (lambda i: c * series.tail(i))
+    return PowerSeries(RAT, tuple(c * x for x in series.coeffs), tail=tail)
+
+
+def _values(value):
+    """The coefficients of a jet, or a scalar as a 1-tuple."""
+    return value.coeffs if isinstance(value, Jet) else (value,)
+
+
+def _predictions(series, family, last_index):
+    """The predicted coefficients, or the breakdown message."""
+    try:
+        return [value for _, value in predict_coefficients(series, family, last_index, ORDER + 1)]
+    except PredictionBreakdownError as exc:
+        return str(exc)
+
+
+def _relation_f(series, c, top):
+    """(mismatches, values compared) of relation (f) over the tables whose
+    deepest positions read coefficients ``0..top``, and the predictions from
+    every ``0..last_index``, ``last_index <= top``."""
+    scaled = _scaled(series, c)
+    bad, checked = [], 0
+    for family, fam in FAMILIES.items():
+        level = top // fam.step
+        builds = {
+            "terms": lambda s: transformation_terms(s, family, level, ORDER, last_index=top),
+            "leading": lambda s: leading_predictions(s, family, level, last_index=top),
+            "remainders": lambda s: remainder_jets(s, family, level, ORDER,
+                                                   n_max=top - fam.step * level),
+        }
+        for name, build in builds.items():
+            plain, image = build(series), build(scaled)
+            if (plain.entries.keys(), plain.notes) != (image.entries.keys(), image.notes):
+                bad.append((family, name, "validity"))
+            for key, value in plain.entries.items():
+                checked += 1
+                if image.entries.get(key) is None or (
+                        tuple(c * x for x in _values(value)) != _values(image.entries[key])):
+                    bad.append((family, name, key))
+        for last_index in range(top + 1):
+            plain, image = _predictions(series, family, last_index), _predictions(scaled, family,
+                                                                                 last_index)
+            if isinstance(plain, str):
+                if plain != image:
+                    bad.append((family, "predict", last_index))
+                continue
+            checked += len(plain)
+            if image != [c * x for x in plain]:
+                bad.append((family, "predict", last_index))
+    return bad, checked
+
+
+@pytest.mark.parametrize("name, params, cells", [
+    ("log1p-over-z", (), 366),
+    ("zeta", (2,), 366),
+    ("geometric", (), 215),  # in the kernel of every family: its deeper cells break down
+])
+def test_terms_remainders_and_predictions_scale_with_the_coefficients_on_the_builtins(
+        name, params, cells):
+    series = builtin_series(name, tuple(map(RAT.from_int, params)), 12, RAT).series
+    for c in (F(-3, 2), F(7)):
+        bad, checked = _relation_f(series, c, 9)
+        assert bad == []
+        assert checked == cells
+
+
+@settings(max_examples=20, deadline=None)
+@given(coeffs=st.lists(st.integers(-3, 3), min_size=6, max_size=11),
+       c=st.fractions(-4, 4, max_denominator=5).filter(bool))
+def test_terms_remainders_and_predictions_scale_with_the_coefficients_on_integer_series(
+        coeffs, c):
+    # The remainder jets read the coefficients through top + ORDER + 1, the last one stored.
+    series = PowerSeries(RAT, tuple(F(x) for x in coeffs))
+    bad, _ = _relation_f(series, c, len(coeffs) - 2 - ORDER)
+    assert bad == []
+
+
+# -- relation (g), the one-quotient Aitken cells
+
+
+def _relation_g(seq):
+    """The rational classic Aitken table of ``seq`` and the table of the
+    classic ``Fraction`` step, run by the same builder."""
+    m = seq.last_index
+    reference = run_recursion(FAMILIES["aitken"], UnitOps(RAT), m // 2, m, seq.entries,
+                              table="aitken-classic", recursion=_aitken_classic)
+    return aitken_table(seq), reference
+
+
+BREAKDOWN = "rational: division by (near-)zero denominator"
+
+
+@pytest.mark.parametrize("seq, bits, breakdowns", [
+    # the 20-term table of the exact-predict bench, whose entries reach 115,466 bits
+    pytest.param(_partial_sums(builtin_series("log1p-over-z", (), 20, RAT).series, F(1, 2), 19),
+                 115466, 0, id="log1p-over-z-20"),
+    # the kernel breakdowns of the baseline: a constant, the model's limit at
+    # level 1, and the geometric series' limit at level 1
+    pytest.param(ScalarSequence(RAT, (F(7),) * 5), 3, 3, id="constant"),
+    pytest.param(ModelSequence(RAT, F(1), F(1), F(1, 2)).sequence(8), 8, 4, id="model"),
+    pytest.param(_partial_sums(builtin_series("geometric", (), 8, RAT).series, F(1, 3), 7),
+                 12, 4, id="geometric"),
+])
+def test_one_quotient_aitken_cells_are_the_classic_step_on_the_baseline_cases(seq, bits,
+                                                                               breakdowns):
+    table, reference = _relation_g(seq)
+    assert table.entries == reference.entries
+    assert table.notes == reference.notes
+    assert max(max(abs(v.numerator), v.denominator).bit_length()
+               for v in table.entries.values()) == bits
+    assert list(table.notes.values()).count(BREAKDOWN) == breakdowns
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.integers(-3, 3), min_size=3, max_size=12),
+       z=st.sampled_from((F(1),) + POINTS))
+def test_one_quotient_aitken_cells_are_the_classic_step_on_integer_series(coeffs, z):
+    # At z = 1 the partial sums are integers, and equal neighbours break down often.
+    series = PowerSeries(RAT, tuple(F(x) for x in coeffs))
+    table, reference = _relation_g(_partial_sums(series, z, len(coeffs) - 1))
+    assert table.entries == reference.entries
+    assert table.notes == reference.notes
