@@ -32,7 +32,6 @@ from .prediction import (
     transformation_terms,
 )
 from .remainders import (
-    TermCell,
     evaluate_error_terms,
     evaluate_transformation_terms,
     leading_remainders,

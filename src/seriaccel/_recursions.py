@@ -141,7 +141,8 @@ class TransformTable(NamedTuple):
     level.  Each cell is a key of ``entries`` (valid, with its value) or of
     ``notes`` (failed, with the reason).  In a term table built from the
     series coefficients, the entry at ``(k, n)`` is the term of order
-    ``n + step*k + 1``.
+    ``n + step*k + 1``.  A numeric term table holds only the selected
+    cells: one per ``m``, at ``(k, n) = divmod(m, step)``.
 
     ``step`` and ``scale`` are the table's selection geometry: a level
     consumes ``step`` inputs, and level ``k`` sits at key ``scale * k``.

@@ -219,8 +219,8 @@ def cmd_terms(args) -> int:
     field = _field(args.mode)
     resolved = resolve_series_spec(args.series, field, count=args.max_m + 1)
     series = resolved.require_series()
-    cells = args.evaluate(series, field.parse(args.z), args.max_m)
-    rows = term_rows(cells, _renderer(field, args.digits))
+    tables = args.evaluate(series, field.parse(args.z), args.max_m)
+    rows = term_rows(tables, _renderer(field, args.digits))
     if args.format == "json":
         print(rows_to_json(rows))
     else:
@@ -262,9 +262,9 @@ def _reproduce_table(which) -> int:
         evaluate = evaluate_transformation_terms
     field = field_for_mode("bigfloat", digits=max(50, _env_digits()))
     series = _log_series(field, m_max + 1)
-    cells = evaluate(series, field.parse(z_text), m_max)
+    tables = evaluate(series, field.parse(z_text), m_max)
     got = {(m, family): value if valid else "invalid"
-           for m, family, _, _, value, valid in term_rows(cells, _renderer(field, digits))}
+           for m, family, _, _, value, valid in term_rows(tables, _renderer(field, digits))}
     rows = [f"# z = {z_text}, m = 0..{m_max}", "m " + " ".join(FAMILIES)]
     rows += [f"{m} " + " ".join(got[m, family] for family in FAMILIES) for m in range(m_max + 1)]
     return _diff_report(which, rows, [(f"(m={m}, {family})", value, reference[family][m])

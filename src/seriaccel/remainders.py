@@ -22,15 +22,17 @@ Three views are provided:
   recursions, whose nonzeroness is the applicability diagnostic for the
   accuracy-through-order form of each scheme;
 * :func:`evaluate_error_terms` / :func:`evaluate_transformation_terms` --
-  numeric tables at a fixed point, row ``m`` showing the scheme's error term
-  (resp. transformation term) for the approximant selected from inputs
-  ``0..m``.
+  numeric tables at a fixed point, one :class:`TransformTable` per family
+  with one cell per ``m``: the cell at ``(k, n) = divmod(m, step)`` is
+  ``z**(m+1)`` times the scheme's error term (resp. transformation term) for
+  the approximant selected from inputs ``0..m``, so
+  :func:`~seriaccel.transforms.select_approximant` reads row ``m``.  A failed
+  row keeps its reason in ``notes``: ``overflow`` or the build's note.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from ._recursions import JetOps, NumericOps, TransformTable, _last_index, run_recursion
 from .field import BigFloatField, RationalField, Scalar
@@ -38,7 +40,6 @@ from .jets import Jet, PowerSeries
 from .transforms import FAMILIES, get_family
 
 __all__ = [
-    "TermCell",
     "remainder_jets",
     "leading_remainders",
     "remainder_value",
@@ -174,59 +175,47 @@ def series_value(series: PowerSeries, z: Scalar) -> Scalar:
         return series.coefficient(0) - z * remainder_value(series, 0, z)
 
 
-class TermCell(NamedTuple):
-    """One table cell: the selected term for inputs ``0..m``, times z**(m+1)."""
-
-    m: int
-    family: str
-    level: int
-    n: int
-    value: Scalar | None
-    valid: bool
-    note: str = ""
-
-
-def _selected_cells(table, fld, z, m_max):
-    family, entries, step = table.family, table.entries, table.step
-    cells = []
+def _selected(table: TransformTable, ops: NumericOps) -> TransformTable:
+    """``table`` cut to one cell per ``m``, at ``(k, n) = divmod(m, step)``:
+    ``z**(m+1)`` times the entry, ``overflow`` where that product leaves the
+    field's range, or the build's note.  Level 0 is zero by convention: not
+    enough inputs for a genuine transform yet."""
+    fld, z = ops.field, ops.z
+    entries, notes = {}, {}
     with fld.arithmetic():
-        for m in range(m_max + 1):
-            k, n = divmod(m, step)
-            if k == 0:
-                # Not enough inputs for a genuine transform yet: zero by convention.
-                cells.append(TermCell(m, family, k, n, fld.zero, True))
-            elif (k, n) in entries:
+        for m in range(table.size):
+            key = divmod(m, table.step)
+            if key[0] == 0:
+                entries[key] = fld.zero
+            elif key not in table.entries:
+                notes[key] = table.notes[key]
+            else:
                 try:
-                    value = z ** (m + 1) * entries[(k, n)]
+                    value = z ** (m + 1) * table.entries[key]
                 except OverflowError:  # a float power raises where a product gives inf
                     value = None
                 if value is not None and fld.is_finite(value):
-                    cells.append(TermCell(m, family, k, n, value, True))
+                    entries[key] = value
                 else:
-                    cells.append(TermCell(m, family, k, n, None, False, "overflow"))
-            else:
-                cells.append(TermCell(m, family, k, n, None, False, table.notes[(k, n)]))
-    return cells
+                    notes[key] = "overflow"
+    return table._replace(entries=entries, notes=notes)
 
 
-def _evaluate(series, z, m_max, seed, coeff=None) -> dict[str, list[TermCell]]:
+def _evaluate(series, z, m_max, seed, coeff=None) -> dict[str, TransformTable]:
     """Selected cells per family of the rearranged recursion at ``z``."""
-    fld = series.field
-    ops = NumericOps(fld, z)
-    out = {}
-    for fam in FAMILIES.values():
-        table = run_recursion(fam, ops, m_max // fam.step, m_max, seed, coeff)
-        out[fam.name] = _selected_cells(table, fld, z, m_max)
-    return out
+    ops = NumericOps(series.field, z)
+    return {fam.name: _selected(run_recursion(fam, ops, m_max // fam.step, m_max, seed, coeff), ops)
+            for fam in FAMILIES.values()}
 
 
-def evaluate_error_terms(series: PowerSeries, z: Scalar, m_max: int) -> dict[str, list[TermCell]]:
+def evaluate_error_terms(series: PowerSeries, z: Scalar, m_max: int) -> dict[str, TransformTable]:
     """Numeric error terms (approximant minus function) per family and m.
 
     The remainder recursions run directly on the numeric scaled truncation
-    errors; row ``m`` holds ``z**(m+1)`` times the remainder term of the
-    approximant the selection rule picks from inputs ``0..m``.  Rows where a
-    family cannot form a transform yet are exact zeros.
+    errors; the family's table holds, for row ``m``, ``z**(m+1)`` times the
+    remainder term of the approximant the selection rule picks from inputs
+    ``0..m``, at ``(k, n) = divmod(m, step)``.  Rows where a family cannot
+    form a transform yet are exact zeros.
 
     The truncation errors cost one tail sum (at ``n = m_max``) plus a
     guarded backward recurrence down to ``n = 0``, which is stable because
@@ -238,7 +227,7 @@ def evaluate_error_terms(series: PowerSeries, z: Scalar, m_max: int) -> dict[str
 
 
 def evaluate_transformation_terms(series: PowerSeries, z: Scalar,
-                                  m_max: int) -> dict[str, list[TermCell]]:
+                                  m_max: int) -> dict[str, TransformTable]:
     """Numeric transformation terms (approximant minus its partial sum).
 
     Runs on the series coefficients and a numeric point, which may lie far

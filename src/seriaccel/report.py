@@ -1,9 +1,11 @@
 """Term-table rows and their CSV/JSON writers.
 
-Rows are ordered by ``m`` then family name.  The ``value`` field is the
-rendered string (exact ``p/q`` text in rational mode, scientific notation in
-the float modes).  An invalid cell's value is empty in CSV and ``null`` in
-JSON.
+Rows are read from the term tables of :mod:`seriaccel.remainders`, one
+``TransformTable`` per family with one cell per ``m``, and ordered by ``m``
+then family name.  The ``value`` field is the rendered string (exact ``p/q``
+text in rational mode, scientific notation in the float modes).  An invalid
+cell's value is empty in CSV and ``null`` in JSON; its reason stays in the
+table's ``notes``.
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ __all__ = ["COLUMNS", "term_rows", "rows_to_csv", "rows_to_json"]
 COLUMNS = ("m", "family", "k", "n", "value", "valid")
 
 
-def term_rows(cells, render):
-    """Rows ``(m, family, k, n, value, valid)`` of the term cells ``cells``
-    (family name -> cells by ``m``), each valid value rendered by ``render``
-    and each invalid one ``""``."""
-    for row in zip(*(cells[family] for family in sorted(cells))):
-        for c in row:
-            yield c.m, c.family, c.level, c.n, render(c.value) if c.valid else "", c.valid
+def term_rows(tables, render):
+    """Rows ``(m, family, k, n, value, valid)`` of the term tables ``tables``
+    (family name -> table), row ``m`` read at ``(k, n) = divmod(m, step)``,
+    each valid value rendered by ``render`` and each invalid one ``""``."""
+    families = sorted(tables)
+    for m in range(min(tables[family].size for family in families)):
+        for family in families:
+            table = tables[family]
+            k, n = divmod(m, table.step)
+            valid = (k, n) in table.entries
+            yield m, family, k, n, render(table.entries[k, n]) if valid else "", valid
 
 
 def rows_to_csv(rows) -> str:

@@ -146,6 +146,22 @@ def _jet_table(table, order):
             list(table.notes.items()))
 
 
+def _term_cells(tables):
+    """The text the digests hash, rebuilt from numeric term tables: ``repr``
+    of ``(family, cells)`` pairs, a cell per ``m`` printed as the record
+    ``TermCell(m, family, level, n, value, valid, note)`` the evaluators
+    returned before they returned tables."""
+    def cell(family, table, m):
+        k, n = key = divmod(m, table.step)
+        return (f"TermCell(m={m}, family={family!r}, level={k}, n={n}, "
+                f"value={table.entries.get(key)!r}, valid={key in table.entries}, "
+                f"note={table.notes.get(key, '')!r})")
+
+    return "[" + ", ".join(
+        f"({family!r}, [{', '.join(cell(family, table, m) for m in range(table.size))}])"
+        for family, table in tables.items()) + "]"
+
+
 def _leading_table(table, fld):
     """The tuple the digests hash, rebuilt from a leading table: with a
     nonzero flag per entry."""
@@ -201,10 +217,10 @@ def _evaluate(fld):
              (Fraction(1, 2), Fraction(-3, 4), Fraction(1), Fraction(5))),
         ):
             for z in points:
-                cells = _call(lines, f"{label} {name} {z}", fn, series, fld.from_fraction(z),
-                              STORED - 1)
-                if cells is not None:
-                    lines.append(repr((label, name, str(z), list(cells.items()))))
+                tables = _call(lines, f"{label} {name} {z}", fn, series, fld.from_fraction(z),
+                               STORED - 1)
+                if tables is not None:
+                    lines.append(f"({label!r}, {name!r}, {str(z)!r}, {_term_cells(tables)})")
     return lines
 
 

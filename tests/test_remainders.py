@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seriaccel import remainders
+from seriaccel.cli import main
 from seriaccel.field import BigFloatField, Float64Field, RationalField, scientific_string
 from seriaccel.jets import PowerSeries
 from seriaccel.prediction import leading_predictions, transformation_terms
@@ -18,11 +20,16 @@ from seriaccel.remainders import (
     series_value,
 )
 from seriaccel.series_library import builtin_series
-from seriaccel.transforms import FAMILIES, SelectionError
+from seriaccel.transforms import FAMILIES, SelectionError, select_approximant
 
 RAT = RationalField()
 BF = BigFloatField(50)
 F64 = Float64Field()
+
+
+def row(table, m):
+    """The value in row ``m`` of a term table."""
+    return select_approximant(table, m)[2]
 
 
 def log_series_rational(count=13):
@@ -185,12 +192,11 @@ def test_series_value_is_the_logarithm_quotient():
 
 def test_error_term_table_zero_pattern_and_spot_cells():
     series = log_series_bigfloat()
-    cells = evaluate_error_terms(series, BF.parse("0.95"), 12)
+    tables = evaluate_error_terms(series, BF.parse("0.95"), 12)
     for family, zero_rows in (("aitken", 2), ("epsilon", 2), ("theta-iterated", 3)):
         for m in range(zero_rows):
-            cell = cells[family][m]
-            assert cell.valid and cell.value == 0
-    render = lambda fam, m: scientific_string(cells[fam][m].value, 6)
+            assert row(tables[family], m) == 0
+    render = lambda fam, m: scientific_string(row(tables[fam], m), 6)
     assert render("aitken", 2) == "0.620539e-2"
     assert render("epsilon", 2) == "0.620539e-2"
     assert render("theta-iterated", 3) == "0.113587e-2"
@@ -215,16 +221,16 @@ def test_error_and_transformation_decompositions_are_consistent():
     for family, first_m in (("aitken", 2), ("epsilon", 2), ("theta-iterated", 3)):
         for m in range(first_m, 11):
             with BF.arithmetic():
-                left = f + errors[family][m].value
-                right = series.partial_sum(m, z) + terms[family][m].value
+                left = f + row(errors[family], m)
+                right = series.partial_sum(m, z) + row(terms[family], m)
             assert abs(left - right) < Decimal("1e-40"), (family, m)
 
 
 def test_transformation_term_table_divergent_point():
     series = log_series_bigfloat(11)
-    cells = evaluate_transformation_terms(series, BF.parse("5.0"), 10)
-    render = lambda fam, m: scientific_string(cells[fam][m].value, 10)
-    assert cells["aitken"][0].value == 0
+    tables = evaluate_transformation_terms(series, BF.parse("5.0"), 10)
+    render = lambda fam, m: scientific_string(row(tables[fam], m), 10)
+    assert row(tables["aitken"], 0) == 0
     assert render("aitken", 3) == "0.2467105263e2"
     assert render("epsilon", 4) == "-0.1002155172e3"
     assert render("theta-iterated", 3) == "0.2480158730e2"
@@ -232,22 +238,63 @@ def test_transformation_term_table_divergent_point():
     # at a divergent point the terms shadow the negated partial sums
     partial = series.partial_sum(10, BF.parse("5.0"))
     with BF.arithmetic():
-        ratio = abs(cells["aitken"][10].value + partial) / abs(partial)
+        ratio = abs(row(tables["aitken"], 10) + partial) / abs(partial)
     assert ratio < Decimal("1e-5")
 
 
+INHERITED = {(3, 0): "depends on invalid entry (2, 0)", (3, 1): "depends on invalid entry (2, 1)",
+             (4, 0): "depends on invalid entry (3, 0)"}
+
+
 @pytest.mark.parametrize("fld, name, z, overflow", [
-    (BF, "geometric", "1e400000", {"aitken": [2, 3], "theta-iterated": [3, 4, 5]}),
-    (F64, "log1p-over-z", "1e100", {"aitken": [3], "theta-iterated": [3, 4, 5]}),
+    (BF, "geometric", "1e400000", [(1, 0), (1, 1)]),
+    (F64, "log1p-over-z", "1e100", [(1, 1)]),
 ], ids=["bigfloat", "f64"])
-def test_transformation_terms_past_the_float_range_are_marked_overflow(fld, name, z, overflow):
+def test_transformation_terms_past_the_float_range_are_marked_overflow(fld, name, z, overflow,
+                                                                       capsys):
     # z**(m + 1) leaves the field's range: a bigfloat power and an f64 power
-    # both end in an ``overflow`` cell instead of an exception.
-    cells = evaluate_transformation_terms(builtin(name, fld), fld.parse(z), 5)
-    overflow["epsilon"] = overflow["aitken"]
-    for family, marked in overflow.items():
-        assert [c.m for c in cells[family] if c.note == "overflow"] == marked, family
-        assert all(c.value is None for c in cells[family] if not c.valid)
+    # both end in an ``overflow`` cell instead of an exception.  The next
+    # level divides by a zero denominator and the levels above inherit that
+    # failure; each failed row keeps its own reason in the table's notes.
+    tables = evaluate_transformation_terms(builtin(name, fld), fld.parse(z), 8)
+    breakdown = f"{fld.mode}: division by (near-)zero denominator"
+    assert tables["aitken"].notes == tables["epsilon"].notes == {
+        **dict.fromkeys(overflow, "overflow"), (2, 0): breakdown, (2, 1): breakdown, **INHERITED}
+    assert tables["theta-iterated"].notes == {
+        **{(1, n): "overflow" for n in range(3)}, **{(2, n): breakdown for n in range(3)}}
+    for table in tables.values():  # one cell per row, valid or failed
+        rows = [divmod(m, table.step) for m in range(table.size)]
+        assert sorted([*table.entries, *table.notes]) == rows
+    # The CLI prints exactly these rows with an empty value, as before.
+    assert main(["transform-terms", "--series", f"builtin:{name}", "--mode", fld.mode,
+                 "--z", z, "--max-m", "8"]) == 0
+    printed = capsys.readouterr().out.splitlines()[1:]
+    failed = [(family, int(m)) for m, family, *_ in (line.split(",") for line in printed
+                                                      if line.endswith(",,false"))]
+    assert sorted(failed) == sorted(
+        (family, table.step * k + n) for family, table in tables.items() for k, n in table.notes)
+
+
+@pytest.mark.parametrize("mode", [RAT, BF, F64], ids=["rational", "bigfloat", "f64"])
+@pytest.mark.parametrize("z", [F(1, 2), F(5)], ids=["z=1/2", "z=5"])
+@pytest.mark.parametrize("name", ["log1p-over-z", "zeta", "geometric"])
+def test_row_m_of_a_term_table_is_its_selected_approximant(name, z, mode):
+    series, point = builtin(name, mode), mode.from_fraction(z)
+    tables = [*evaluate_transformation_terms(series, point, 10).values()]
+    if mode is not RAT and z < 1:  # error terms need a float mode and |z| < 1
+        tables += evaluate_error_terms(series, point, 10).values()
+    for table in tables:
+        for m in range(table.size):
+            key = divmod(m, table.step)
+            if key in table.entries:
+                assert select_approximant(table, m) == (*key, table.entries[key])
+            else:
+                with pytest.raises(SelectionError, match=re.escape(table.notes[key])):
+                    select_approximant(table, m)
+    # Failed rows occur where the geometric series breaks down past its first
+    # level, in every mode, and in the f64 theta table at z = 5.
+    assert any(table.notes for table in tables) == (name == "geometric" or (
+        mode is F64 and name == "log1p-over-z" and z == 5))
 
 
 def test_remainder_jets_need_tail_coefficients():

@@ -8,7 +8,6 @@ import pytest
 from seriaccel._recursions import TransformTable, aitken_deps, aitken_leading, aitken_step
 from seriaccel.field import BigFloatField, Float64Field, RationalField
 from seriaccel.jets import Jet, PowerSeries
-from seriaccel.remainders import TermCell
 from seriaccel.report import term_rows
 from seriaccel.series_library import ResolvedInput
 from seriaccel.transforms import (
@@ -53,7 +52,6 @@ def test_jets_compare_and_hash_by_field_and_coefficients():
     (PowerSeries(RAT, (F(1),)), "tail"),
     (ScalarSequence(RAT, (F(1),)), "limit"),
     (ModelSequence(RAT, F(1), F(1), F(1, 2)), "ratio"),
-    (TermCell(0, "aitken", 0, 0, F(0), True), "value"),
     (TransformTable("aitken", 1, 2, 1, {}, {}), "notes"),
 ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
 def test_the_value_types_are_immutable(value, name):
@@ -63,14 +61,14 @@ def test_the_value_types_are_immutable(value, name):
         delattr(value, name)
 
 
-def test_term_cell_and_report_row_print_as_records():
-    assert repr(TermCell(3, "aitken", 1, 1, F(1, 4), True)) == (
-        "TermCell(m=3, family='aitken', level=1, n=1, value=Fraction(1, 4), valid=True, note='')")
-    # A report row is a plain tuple in the order of ``report.COLUMNS``.
-    cells = {"epsilon": [TermCell(0, "epsilon", 0, 0, F(1, 2), True),
-                         TermCell(1, "epsilon", 0, 1, None, False, "overflow")]}
-    assert repr(list(term_rows(cells, str))) == (
-        "[(0, 'epsilon', 0, 0, '1/2', True), (1, 'epsilon', 0, 1, '', False)]")
+def test_report_rows_are_plain_tuples():
+    # A report row is a plain tuple in the order of ``report.COLUMNS``, read
+    # from a term table's cell for ``m`` at ``divmod(m, step)``.
+    tables = {"epsilon": TransformTable("epsilon", 3, 2, 1, {(0, 0): F(1, 2), (0, 1): F(1, 3)},
+                                        {(1, 0): "overflow"})}
+    assert repr(list(term_rows(tables, str))) == (
+        "[(0, 'epsilon', 0, 0, '1/2', True), (1, 'epsilon', 0, 1, '1/3', True), "
+        "(2, 'epsilon', 1, 0, '', False)]")
 
 
 def _tail(i):
@@ -92,8 +90,6 @@ KEYWORDS = [
               "prediction_term": None}),
     (PadeRational, {"field": RAT, "numerator": (F(1),), "denominator": (F(1), F(-1, 2))}),
     (ConvergenceReport, {"kind": "linear", "rho": F(1, 2)}),
-    (TermCell, {"m": 2, "family": "aitken", "level": 1, "n": 0, "value": F(1, 8),
-                "valid": True, "note": ""}),
     (ResolvedInput, {"label": "builtin:geometric", "series": None,
                      "sequence": ScalarSequence(RAT, (F(1),)), "default_z": F(1, 2)}),
 ]
@@ -110,7 +106,6 @@ def test_the_optional_fields_keep_their_defaults():
     assert BigFloatField().digits == 50
     assert PowerSeries(RAT, (F(1),)).tail is None
     assert ScalarSequence(RAT, (F(1),)).limit is None
-    assert TermCell(0, "aitken", 0, 0, F(0), True).note == ""
     assert ConvergenceReport("inconclusive").rho is None
     resolved = ResolvedInput("x")
     assert (resolved.series, resolved.sequence, resolved.default_z) == (None, None, None)
