@@ -32,8 +32,18 @@ remainder term.
 Steps run over any carrier with ring operators, a checked division and
 multiplication by the series variable: :class:`JetOps` over truncated power
 series (Taylor expansions), :class:`NumericOps` over plain scalars at a
-fixed point, :class:`UnitOps` at z = 1.  Every step, in these recursions and
-the textbook tables of :mod:`seriaccel.transforms` alike, has the signature
+fixed point, whose product with z is the point's own multiplication, bound
+once, and :class:`UnitOps` at z = 1, which never multiplies.  Every carrier
+also keeps one per-row memo (:meth:`_Carrier.recips`) for the epsilon cross
+rule, where neighbouring cells read the same reciprocal difference
+``1/d(j)`` (Wynn, Numer. Math. 8, 1966): cell ``n`` stores its ``1/d1`` at
+``n + 1``, and cell ``n + 1`` reads it as its ``1/d0``.  The memo is keyed
+on the identity of the row and never holds a breakdown, so a cell whose
+reciprocal failed leaves the next cell to divide again and fail alike; it
+stays correct when one carrier runs several builds.
+
+Every step, in these recursions and the textbook tables of
+:mod:`seriaccel.transforms` alike, has the signature
 ``step(ops, g, k, n, cur, prev)``, and every step's reads have the form
 ``deps(k) -> [(level, offset)]``: each cell ``(k + 1, n)`` of a level reads
 the same levels at the same offsets from ``n``.  :class:`_Build` runs a step
@@ -69,7 +79,21 @@ def _last_index(series: PowerSeries, last_index: int | None) -> int:
     return last_index
 
 
-class JetOps:
+class _Carrier:
+    """What every carrier shares: the per-row memo of reciprocal differences."""
+
+    _row = None
+
+    def recips(self, row: dict) -> dict:
+        """The memo of the row ``row``, ``j -> 1 / d(j)``; a fresh one for a row
+        other than the last one asked for.  The memo holds the row itself, so
+        its identity cannot pass to a later row."""
+        if row is not self._row:
+            self._row, self._recips = row, {}
+        return self._recips
+
+
+class JetOps(_Carrier):
     """Carrier: jets of a fixed order over the series field."""
 
     def __init__(self, field: Field, order: int):
@@ -94,7 +118,7 @@ class JetOps:
         return a.shift()
 
 
-class NumericOps:
+class NumericOps(_Carrier):
     """Carrier: scalars at a fixed numeric value of the series variable."""
 
     def __init__(self, field: Field, z: Scalar):
@@ -106,9 +130,11 @@ class NumericOps:
         self.finite = field.is_finite
         self.context = field.arithmetic
         self.div = field.div
+        self.zmul = self.z.__mul__
 
-    def zmul(self, a):
-        return self.z * a
+
+def _unchanged(a):
+    return a
 
 
 class UnitOps(NumericOps):
@@ -117,10 +143,7 @@ class UnitOps(NumericOps):
 
     def __init__(self, field: Field):
         super().__init__(field, field.one)
-
-    @staticmethod
-    def zmul(a):
-        return a
+        self.zmul = _unchanged  # here: NumericOps' own would shadow a class attribute
 
 
 class SelectionError(LookupError):
@@ -286,14 +309,6 @@ def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, table: s
     return build.table(table or family.name)
 
 
-def _shifted(ops, g, cur, n: int, count: int) -> list:
-    """``z * X(n+i+1) - X(n+i)`` for ``i < count``, with ``g[i]`` added in front when given."""
-    diffs = [ops.zmul(cur[n + i + 1]) - cur[n + i] for i in range(count)]
-    if g is None:
-        return diffs
-    return [gi + d for gi, d in zip(g, diffs)]
-
-
 # ---------------------------------------------------------------------------
 # rearranged recursion steps, shared by transformation and remainder terms,
 # and the ``(level, offset)`` reads of each step into (k + 1, n)
@@ -315,40 +330,65 @@ def theta_deps(k):
 
 def aitken_step(ops, g, k, n, cur, prev):
     """Delta-squared; a level consumes two coefficients."""
-    lo, hi = _shifted(ops, g, cur, n, 2)
-    den = ops.zmul(hi) - lo
-    return cur[n + 2] - ops.div(hi * hi, den)
+    zmul = ops.zmul
+    x1, x2 = cur[n + 1], cur[n + 2]
+    lo = zmul(x1) - cur[n]
+    hi = zmul(x2) - x1
+    if g is not None:
+        lo = g[0] + lo
+        hi = g[1] + hi
+    return x2 - ops.div(hi * hi, zmul(hi) - lo)
 
 
 def epsilon_step(ops, g, k, n, cur, prev):
-    """Five-point cross rule; the first term level keeps its closed form."""
+    """Five-point cross rule; the first term level keeps its closed form.
+
+    The reciprocal ``1/d1`` of cell ``n`` is the ``1/d0`` of cell ``n + 1``;
+    the row's memo carries it over, and holds no breakdown."""
+    zmul, div, one = ops.zmul, ops.div, ops.one
     if k == 0 and g is not None:
         lo, hi = g
-        return ops.div(hi * hi, lo - ops.zmul(hi))
-    d0, d1 = _shifted(ops, g, cur, n, 2)
+        return div(hi * hi, lo - zmul(hi))
+    x1, x2 = cur[n + 1], cur[n + 2]
+    zx1 = zmul(x1)
+    d0 = zx1 - cur[n]
+    d1 = zmul(x2) - x1
+    if g is not None:
+        d0 = g[0] + d0
+        d1 = g[1] + d1
+    recips = ops.recips(cur)
+    r0 = recips.get(n)
+    if r0 is None:
+        r0 = div(one, d0)
+    r1 = recips[n + 1] = div(one, d1)
     if k == 0:
-        num = ops.div(d1, d0)
-        den = ops.div(ops.one, d1) - ops.zmul(ops.div(ops.one, d0))
+        num = div(d1, d0)
+        den = r1 - zmul(r0)
     else:
-        e = ops.zmul(cur[n + 1])
-        if g is not None:
-            e = g[0] + e
+        e = zx1 if g is None else g[0] + zx1
         e = e - prev[n + 2]
-        num = ops.div(d1, d0) - ops.div(d1, e)
-        den = (ops.div(ops.one, d1) - ops.zmul(ops.div(ops.one, d0))
-               + ops.zmul(ops.div(ops.one, e)))
-    return cur[n + 2] + ops.div(num, den)
+        num = div(d1, d0) - div(d1, e)
+        den = r1 - zmul(r0) + zmul(div(one, e))
+    return x2 + div(num, den)
 
 
 def theta_step(ops, g, k, n, cur, prev):
     """Iterated theta; a level consumes three coefficients."""
-    u0, u1, u2 = _shifted(ops, g, cur, n, 3)
-    v0 = ops.zmul(u1) - u0
-    v1 = ops.zmul(u2) - u1
+    zmul = ops.zmul
+    x1, x2, x3 = cur[n + 1], cur[n + 2], cur[n + 3]
+    u0 = zmul(x1) - cur[n]
+    u1 = zmul(x2) - x1
+    u2 = zmul(x3) - x2
+    if g is not None:
+        u0 = g[0] + u0
+        u1 = g[1] + u1
+        u2 = g[2] + u2
+    v0 = zmul(u1) - u0
+    v1 = zmul(u2) - u1
     u2v0 = u2 * v0
     num = u2 * (u2v0 + u1 * u1 - u0 * u2)
-    den = ops.zmul(u2v0) - u0 * v1
-    return cur[n + 3] - ops.div(num, den)
+    den = zmul(u2v0) - u0 * v1
+    return x3 - ops.div(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ modes.  A denominator ``d`` counts as near zero when
 ``|d| <= eps * max(1, |numerator|)`` with ``eps = 2**-40`` for machine
 doubles and ``eps = 10**(10 - digits)`` for bigfloats, so the guard scales
 with the working precision instead of strangling deep high-precision tables.
-It stops overflow cascades without flagging legitimately small values.
+It stops overflow cascades without flagging legitimately small values.  The
+guard compares ``|numerator|`` with the mode's own one (``Decimal(1)``,
+``1.0``), never with the int ``1``, which a ``Decimal`` comparison would
+first convert.  In the float modes :meth:`Field.is_finite` is the C-level
+test of the value type (``Decimal.is_finite``, ``math.isfinite``) itself.
 The one step that divides without it, the rational classic Aitken cell of
 :mod:`seriaccel.transforms` (one integer quotient), raises that same error
 on a zero denominator.
@@ -216,8 +220,10 @@ class Field(_Frozen):
     # The zero bound and the quotient, set once per mode: ``near_zero`` is
     # ``None`` where zero is exact (rational mode), else the bound ``eps``,
     # which :meth:`div` widens by ``_times(eps, |numerator|)`` for
-    # |numerator| > 1; ``_divide`` is the rounded quotient.
+    # |numerator| > ``_unit``, the mode's own one; ``_divide`` is the
+    # rounded quotient.
     near_zero = None
+    _unit = 1
     _times = operator.mul
     _divide = operator.truediv
 
@@ -236,7 +242,7 @@ class Field(_Frozen):
             zero = denominator == 0
         else:
             mag = abs(numerator)
-            zero = abs(denominator) <= (self._times(bound, mag) if mag > 1 else bound)
+            zero = abs(denominator) <= (self._times(bound, mag) if mag > self._unit else bound)
         if zero:
             raise self.breakdown()
         return self._divide(numerator, denominator)
@@ -453,6 +459,7 @@ class BigFloatField(Field):
     mode = "bigfloat"
     kind = Decimal
     noun = "a bigfloat scalar"
+    _unit = Decimal(1)
 
     def __init__(self, digits: int = 50):
         if digits < 50:
@@ -484,8 +491,7 @@ class BigFloatField(Field):
         with self.arithmetic():  # infinite past the context's exponent range
             return +value
 
-    def is_finite(self, value) -> bool:
-        return value.is_finite()
+    is_finite = staticmethod(Decimal.is_finite)
 
 
 class Float64Field(Field):
@@ -496,6 +502,7 @@ class Float64Field(Field):
     kind = float
     noun = "an f64 scalar"
     near_zero = NEAR_ZERO
+    _unit = 1.0
 
     def quotient(self, p: int, q: int) -> float:
         return p / q  # int / int rounds once
@@ -503,8 +510,7 @@ class Float64Field(Field):
     def _from_decimal(self, value: Decimal) -> float:
         return float(value)
 
-    def is_finite(self, value) -> bool:
-        return math.isfinite(value)
+    is_finite = staticmethod(math.isfinite)
 
 
 _MODES = {

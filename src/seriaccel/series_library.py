@@ -63,8 +63,8 @@ def _zeta_coefficient(field: Field, s: Scalar, i: int) -> Scalar:
         # Exactness needs an integer exponent; rejected otherwise at build time.
         return Fraction(1, base ** int(s))
     if isinstance(field, BigFloatField):
-        with field.arithmetic() as ctx:
-            return ctx.power(field.from_int(base), -s)
+        ctx = field._context  # its own operations round; no context is entered
+        return ctx.power(field.from_int(base), ctx.minus(s))
     return float(base) ** (-s)
 
 

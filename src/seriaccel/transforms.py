@@ -225,13 +225,19 @@ def _aitken_quotient(ops, g, k, n, cur, prev):
 
 
 def _epsilon_cross_plain(ops, g, k, n, cur, prev):
-    d0 = cur[n + 1] - cur[n]
-    d1 = cur[n + 2] - cur[n + 1]
-    denom = ops.div(ops.one, d1) - ops.div(ops.one, d0)
+    """The cross rule anchored at ``(2k, n + 1)``; like the family step, it
+    forms each reciprocal difference of a row once, in the row's memo."""
+    div, one = ops.div, ops.one
+    x1 = cur[n + 1]
+    recips = ops.recips(cur)
+    r0 = recips.get(n)
+    if r0 is None:
+        r0 = div(one, x1 - cur[n])
+    r1 = recips[n + 1] = div(one, cur[n + 2] - x1)
+    denom = r1 - r0
     if k >= 1:
-        gap = cur[n + 1] - prev[n + 2]
-        denom = denom + ops.div(ops.one, gap)
-    return cur[n + 1] + ops.div(ops.one, denom)
+        denom = denom + div(one, x1 - prev[n + 2])
+    return x1 + div(one, denom)
 
 
 def _theta_classic(ops, g, k, n, cur, prev):

@@ -1,18 +1,23 @@
 """The triangle builder's protocol: coefficient injection, dependency checks,
-and agreement with a per-cell reference copy of the builder loop."""
+agreement with a per-cell reference copy of the builder loop, and the
+carriers: the epsilon steps' shared reciprocals against the per-cell formula,
+and the product with z."""
 
 from decimal import Decimal
 from fractions import Fraction as F
 from functools import partial
 from unittest import mock
 
+import _reference
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seriaccel import _recursions as rec, transforms
-from seriaccel._recursions import JetOps, NumericOps, _Build, run_recursion
-from seriaccel.field import BigFloatField, BreakdownError, Float64Field, RationalField
+from seriaccel._recursions import JetOps, NumericOps, UnitOps, _Build, run_recursion
+from seriaccel.field import BigFloatField, BreakdownError, Field, Float64Field, RationalField
 from seriaccel.jets import Jet
+from seriaccel.remainders import _remainder_bases
+from seriaccel.series_library import builtin_series
 from seriaccel.transforms import (
     FAMILIES,
     ScalarSequence,
@@ -307,3 +312,146 @@ def test_jet_constants_of_the_carrier_are_jet_constants():
             assert ops.const(value) == Jet.from_coeffs(field, [value], 3)
         assert ops.const(2) == Jet.from_coeffs(field, [2], 3)
     assert JetOps(RAT, 0).const(F(1, 3)).coeffs == (F(1, 3),)
+
+
+# ---------------------------------------------------------------------------
+# the carriers: shared epsilon reciprocals and the product with z
+
+EPSILON = FAMILIES["epsilon"]
+POINTS = ("1/2", "-9/10", "5")
+
+# Each step that shares its reciprocals across a row, with the reference step
+# of ``tests/_reference.py`` that forms every reciprocal in the cell reading it.
+SHARED_STEPS = [(rec.epsilon_step, _reference.epsilon_step),
+                (transforms._epsilon_cross_plain, _reference.epsilon_cross_plain)]
+
+
+def _epsilon_builds(field, values):
+    """``(carrier, seed, coeff)`` for every epsilon build over ``values``: term
+    builds (zero seeds, ``values`` injected) and seeded builds on
+    :class:`NumericOps` at each of ``POINTS`` and on :class:`UnitOps`, and in
+    rational mode on jets, seeded with windows of ``values``.  Carriers are
+    made on each call."""
+    top = len(values) - 1
+    coeff = values.__getitem__
+    carriers = [NumericOps(field, field.parse(t)) for t in POINTS] + [UnitOps(field)]
+    builds = [(ops, seed, c) for ops in carriers
+              for seed, c in (([field.zero] * (top + 1), coeff), (values, None))]
+    if field.mode == "rational":
+        jets = JetOps(field, 2)
+        windows = [Jet.from_coeffs(field, values[n:n + 3], 2) for n in range(top + 1)]
+        builds += [(jets, [jets.zero] * (top + 1), coeff), (jets, windows, None)]
+    return builds
+
+
+def _same_table(got, want):
+    assert repr(got.entries) == repr(want.entries)
+    assert [*map(str, got.notes.items())] == [*map(str, want.notes.items())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_draws())
+@example((RAT, [F(1), F(1), F(2), F(0), F(2), F(2), F(1, 2), F(1, 2), F(3)], F(1)))
+@example((BF, [Decimal(t) for t in ("1", "1e999990", "0", "2", "2", "Infinity", "0.5", "1", "-1")],
+          Decimal(1)))
+@example((F64, [1.0, 1e308, -1e308, 0.0, 0.0, 2.0, float("inf"), 0.5, 1.0, 2.0], 1.0))
+def test_shared_reciprocals_match_the_per_cell_steps(draw):
+    field, values, _ = draw
+    top = len(values) - 1
+    for step, reference in SHARED_STEPS:
+        pairs = zip(_epsilon_builds(field, values), _epsilon_builds(field, values))
+        for (ops, seed, coeff), (fresh, _, _) in pairs:
+            got = run_recursion(EPSILON, ops, top // 2, top, seed, coeff, recursion=step)
+            want = run_recursion(EPSILON, fresh, top // 2, top, seed, coeff, recursion=reference)
+            _same_table(got, want)
+
+
+@pytest.mark.parametrize("mode", sorted(POOLS))
+def test_a_reused_carrier_builds_what_fresh_carriers_build(mode):
+    # As in ``remainders._evaluate``, one carrier runs the three families, and
+    # then the same builds again.  A memo entry is read stale only where the
+    # cell before failed to write it, so the seeds repeat values (zero
+    # differences at z = 1), consecutive epsilon builds break down at other
+    # cells, and the one-level builds end on a row as long as the next one
+    # starts on.
+    field, pool = POOLS[mode]
+    values = [pool[i] for i in (1, 1, 3, 4, 4, 2, 3, 1, 1, 0, 4, 3, 2)]
+    top = len(values) - 1
+    zeros = [field.zero] * (top + 1)
+    builds = [(family, levels, seed, coeff, recursion)
+              for family in FAMILIES.values()
+              for levels in (1, top // family.step)
+              for seed, coeff in ((values, None), (zeros, values.__getitem__),
+                                  (values[3:] + values[:3], None))
+              for recursion in (family.recursion, transforms._epsilon_cross_plain)
+              if family is EPSILON or recursion is family.recursion]
+    for make in (lambda: NumericOps(field, field.parse("-9/10")), lambda: UnitOps(field)):
+        shared = make()
+        for _ in range(2):
+            for family, levels, seed, coeff, recursion in builds:
+                _same_table(run_recursion(family, shared, levels, top, seed, coeff, recursion=recursion),
+                            run_recursion(family, make(), levels, top, seed, coeff, recursion=recursion))
+
+
+def _log_partial_sums(count):
+    coeffs = builtin_series("log1p-over-z", (), count, BF).series.coeffs
+    with BF.arithmetic():
+        return [sum(coeffs[:i + 1], start=BF.zero) for i in range(count)]
+
+
+def _division_count(ops, seed, recursion):
+    """Calls of :meth:`Field.div` in one epsilon build over ``seed``, which must
+    not break down; the carrier is made inside the count, as it binds ``div``."""
+    count = 0
+    real = Field.div
+
+    def counting(self, numerator, denominator):
+        nonlocal count
+        count += 1
+        return real(self, numerator, denominator)
+
+    top = len(seed) - 1
+    with mock.patch.object(Field, "div", counting):
+        table = run_recursion(EPSILON, ops(), top // 2, top, seed, recursion=recursion)
+    assert not table.notes
+    return count
+
+
+@pytest.mark.parametrize("case, shared, per_cell", [
+    # Remainder build, log1p-over-z at z = -1/2, m_max = 20: 19 first-level
+    # cells at 3 divisions and 81 deeper cells at 5, plus, once per row of
+    # the 10, the first cell's own 1/d0; per cell, 4 and 6.
+    ("epsilon", 19 * 3 + 81 * 5 + 10, 19 * 4 + 81 * 6),
+    # Plain cross rule on 21 partial sums: 19 first-level cells at 2 and 81
+    # deeper cells at 3, plus one per row; per cell, 3 and 4.
+    ("plain", 19 * 2 + 81 * 3 + 10, 19 * 3 + 81 * 4),
+])
+def test_a_row_forms_each_reciprocal_difference_once(case, shared, per_cell):
+    if case == "epsilon":
+        series = builtin_series("log1p-over-z", (), 21, BF).series
+        z = Decimal("-0.5")
+        seed, ops = _remainder_bases(series, z, 20), partial(NumericOps, BF, z)
+    else:
+        seed, ops = _log_partial_sums(21), partial(UnitOps, BF)
+    step, reference = SHARED_STEPS[case == "plain"]
+    assert _division_count(ops, seed, step) == shared
+    assert _division_count(ops, seed, reference) == per_cell
+    assert shared < per_cell
+
+
+def test_the_unit_carrier_never_multiplies():
+    x = Decimal("0." + "1234567" * 10)  # 70 digits, past the working precision
+    assert UnitOps(BF).zmul(x) is x
+
+
+@pytest.mark.parametrize("mode", sorted(POOLS))
+def test_the_numeric_carrier_multiplies_as_the_point_does(mode):
+    field, pool = POOLS[mode]
+    extra = [Decimal("-0." + "9876543" * 10)] if mode == "bigfloat" else []
+    for text in (*POINTS, "1/3", "-1", "0"):
+        z = field.parse(text)
+        ops = NumericOps(field, z)
+        with field.arithmetic():
+            for x in pool + extra:
+                got, want = ops.zmul(x), z * x
+                assert type(got) is type(want) and repr(got) == repr(want), (z, x)

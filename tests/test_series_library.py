@@ -1,3 +1,4 @@
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -42,6 +43,22 @@ def test_zeta_float_modes():
     bf = BigFloatField(50)
     resolved = builtin_series("zeta", (bf.parse("1.1"),), 2, bf)
     assert str(resolved.series.coeffs[1]).startswith("0.46651")
+
+
+@pytest.mark.parametrize("digits", [50, 64])
+def test_bigfloat_zeta_coefficients_are_those_of_a_local_context(digits):
+    # The last exponent carries more digits than the ambient default context
+    # keeps, so a negation outside the field's context would round it.  A
+    # power to a non-integer exponent costs about 100 times more, hence the
+    # shorter runs.
+    fld = BigFloatField(digits)
+    for text, count in (("2", 3000), ("1.1", 200),
+                        ("3.14159265358979323846264338327950288419716939937510582", 200)):
+        s = fld.parse(text)
+        got = builtin_series("zeta", (s,), count, fld).series.coeffs
+        with localcontext(Context(prec=digits, rounding=ROUND_HALF_EVEN)) as ctx:
+            want = [ctx.power(Decimal(i + 1), -s) for i in range(count)]
+        assert list(map(str, got)) == list(map(str, want)), text
 
 
 def test_geometric_builtin():
