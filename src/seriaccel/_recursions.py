@@ -52,7 +52,10 @@ propagate: a breakdown or a non-finite value in one cell, seeds included,
 never aborts the build, and every cell that reads it inherits the failure.
 Every build comes back as a :class:`TransformTable`, the one result type of
 the package: ``entries`` holds its valid cells (jets in term tables, scalars
-elsewhere), ``notes`` its failed ones.
+elsewhere), ``notes`` its failed ones.  A build also hands each level, as
+soon as it is finished, to an optional *sink*: ``accelerate`` writes the
+level's lines there, so a value it cannot print stops the build at its
+level.  The table still keeps every cell.
 """
 
 from __future__ import annotations
@@ -242,27 +245,39 @@ class _Build:
         return TransformTable(name, self.width(0) + 1, self.step, scale or self.scale,
                               self.entries, self.failures)
 
-    def run(self, recursion: Callable, coeff: Callable[[int], Scalar] | None = None):
+    def run(self, recursion: Callable, coeff: Callable[[int], Scalar] | None = None,
+            sink: Callable | None = None):
         """Fill the levels with ``recursion(ops, g, k, n, cur, prev)``: ``cur``
         and ``prev`` map ``n`` to the valid cells of levels ``k`` and ``k - 1``,
         and ``g`` is ``coeff(n + step*k + 1 .. n + step*k + step)`` as carrier
-        constants, asked for once the dependencies hold (``None`` without ``coeff``)."""
+        constants, asked for once the dependencies hold (``None`` without ``coeff``).
+
+        With a ``sink``, each level is handed over as soon as it is finished,
+        level 0 (the seeds) first: ``sink(key, width, row, notes)``, where
+        ``key`` is the level's key, its cells are ``n = 0 .. width``, ``row``
+        maps ``n`` to its valid cells and ``notes``, the table's notes, holds
+        the reason of each failed cell under ``(key, n)``.  The sink runs
+        outside the carrier's arithmetic context, and an error it raises ends
+        the build: no later level is computed."""
         ops, step, scale = self.ops, self.step, self.scale
         entries, failures = self.entries, self.failures
         finite, const = ops.finite, ops.const
         prev, cur = None, {n: value for (_, n), value in entries.items()}
-        with ops.context():
-            for k in range(self.levels):
-                row = {}
-                level = scale * (k + 1)
-                cells = range(self.width(k + 1) + 1)
-                reads = [(cur if dep_k == k else prev, offset,
-                          f"depends on invalid entry ({scale * dep_k}, ")
-                         for dep_k, offset in self.deps(k)]
-                live, offset, prefix = reads[0]
-                if not live:  # every cell fails on its first read; the row stays empty
-                    failures.update({(level, n): f"{prefix}{n + offset})" for n in cells})
-                    cells = ()
+        if sink is not None:
+            sink(0, self.width(0), cur, failures)
+        for k in range(self.levels):
+            row = {}
+            level = scale * (k + 1)
+            width = self.width(k + 1)
+            cells = range(width + 1)
+            reads = [(cur if dep_k == k else prev, offset,
+                      f"depends on invalid entry ({scale * dep_k}, ")
+                     for dep_k, offset in self.deps(k)]
+            live, offset, prefix = reads[0]
+            if not live:  # every cell fails on its first read; the row stays empty
+                failures.update({(level, n): f"{prefix}{n + offset})" for n in cells})
+                cells = ()
+            with ops.context():
                 for n in cells:
                     for live, offset, prefix in reads:
                         if n + offset not in live:
@@ -282,11 +297,25 @@ class _Build:
                         entries[key] = row[n] = value
                     else:
                         failures[key] = note
-                prev, cur = cur, row
+            if sink is not None:
+                sink(level, width, row, failures)
+            prev, cur = cur, row
+
+    def finish(self, recursion: Callable, coeff, name: str, scale: int | None = None,
+               sink: Callable | None = None) -> TransformTable:
+        """:meth:`run`, then :meth:`table`.  ``run`` gets the sink only when
+        there is one, so an override of ``run`` without it still serves every
+        build without a sink."""
+        if sink is None:
+            self.run(recursion, coeff)
+        else:
+            self.run(recursion, coeff, sink=sink)
+        return self.table(name, scale)
 
 
 def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, table: str | None = None,
-                  recursion: Callable | None = None) -> TransformTable:
+                  recursion: Callable | None = None, *, sink: Callable | None = None
+                  ) -> TransformTable:
     """The table of ``recursion`` (default ``family.recursion``) over cells
     ``(k, n)`` with ``n + step*k <= top``.
 
@@ -294,7 +323,8 @@ def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, table: s
     the carrier constants ``coeff(n + step*k + 1 .. n + step*k + step)`` to
     inject; without it (remainder terms, ``seed`` the scaled truncation
     errors, or a textbook table of the family, ``seed`` the sequence at
-    z = 1) it gets ``None`` and injects nothing.  The table is named
+    z = 1) it gets ``None`` and injects nothing.  ``sink`` receives each
+    finished level, as in :meth:`_Build.run`.  The table is named
     ``table``, a textbook table of the family, with its key scale from
     ``family.tables``; by default it is named after the family, with scale 1.
     Raises ``ValueError`` when ``levels < 0`` or ``top < step*levels``: the
@@ -305,8 +335,7 @@ def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, table: s
         raise ValueError(f"{family.name} level {levels} is out of range for inputs 0..{top}")
     scale = family.tables[table] if table else 1
     build = _Build(ops, levels, lambda k: top - step * k, family.deps, seed, step, scale)
-    build.run(recursion or family.recursion, coeff)
-    return build.table(table or family.name)
+    return build.finish(recursion or family.recursion, coeff, table or family.name, sink=sink)
 
 
 # ---------------------------------------------------------------------------

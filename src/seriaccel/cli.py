@@ -47,6 +47,7 @@ from .transforms import (
     epsilon_table,
     iterated_theta_table,
     select_approximant,
+    table_name,
     theta_table,
 )
 
@@ -106,11 +107,13 @@ def _renderer(field: Field, digits: int):
 # accelerate
 
 _TABLE_BUILDERS = {
-    "aitken": lambda seq, scheme, modified: aitken_table(seq, scheme),
-    "epsilon": lambda seq, scheme, modified: epsilon_table(seq),
-    "epsilon-cross": lambda seq, scheme, modified: epsilon_cross_table(seq, scheme),
-    "theta": lambda seq, scheme, modified: theta_table(seq, modified=modified),
-    "theta-iterated": lambda seq, scheme, modified: iterated_theta_table(seq, scheme),
+    "aitken": lambda seq, scheme, modified, sink: aitken_table(seq, scheme, sink=sink),
+    "epsilon": lambda seq, scheme, modified, sink: epsilon_table(seq, sink=sink),
+    "epsilon-cross": lambda seq, scheme, modified, sink: epsilon_cross_table(seq, scheme,
+                                                                             sink=sink),
+    "theta": lambda seq, scheme, modified, sink: theta_table(seq, modified, sink=sink),
+    "theta-iterated": lambda seq, scheme, modified, sink: iterated_theta_table(seq, scheme,
+                                                                               sink=sink),
 }
 
 
@@ -143,38 +146,49 @@ def cmd_accelerate(args) -> int:
     field = _field(args.mode)
     resolved = resolve_series_spec(args.series, field, count=args.terms)
     seq = _sequence_from_input(resolved, args, field)
-    table = _TABLE_BUILDERS[args.family](seq, args.scheme, args.modified)
-    _write_accelerate(resolved, seq, table, field, args.digits)
+    header = (f"# {resolved.label} -> family={table_name(args.family, args.scheme)} "
+              f"entries={len(seq.entries)}\n")
+    build = functools.partial(_TABLE_BUILDERS[args.family], seq, args.scheme, args.modified)
+    _write_accelerate(header, seq, build, field, args.digits)
     return 0
 
 
-#: Table lines per ``write`` of ``accelerate``: a block is held, never a whole table.
+#: Table lines per ``write`` of ``accelerate``, at least: a block ends at the
+#: first level boundary past it, so a block and one level are held, never a
+#: whole table.
 _BLOCK_LINES = 256
 
 
-def _write_accelerate(resolved, seq, table, field, digits) -> None:
+def _write_accelerate(header, seq, build, field, digits) -> None:
     """Write the lines of ``accelerate`` to ``sys.stdout`` as it is at the
-    call: the table in blocks of :data:`_BLOCK_LINES` lines, then the selected
-    approximants.  The renderer of the values is picked once per table.  When
-    a line cannot be made, a value that cannot be rendered included, the
-    lines before it are written before the error propagates."""
+    call.  ``build(sink=...)`` builds the table and hands each level to the
+    sink, which makes the level's lines, the ``header`` line first, then its
+    cells in ``n`` order, and writes the lines gathered once a level ends
+    with :data:`_BLOCK_LINES` or more.  The selected approximants follow
+    once the build returns.  The renderer of the values is picked once per table.
+    When a line cannot be made, a value that cannot be rendered included, the
+    build stops at that level, and the lines before it are written before the
+    error propagates."""
     write = sys.stdout.write
     render = _renderer(field, digits)
-    entries, notes = table.entries, table.notes
-    keys = sorted([*entries, *notes])  # each in key order: the sort is one merge
-    lines = [f"# {resolved.label} -> family={table.family} entries={table.size}\n", "k n value\n"]
+    lines = []
     add = lines.append
-    try:
-        for start in range(0, len(keys), _BLOCK_LINES):
-            for key in keys[start:start + _BLOCK_LINES]:
-                k, n = key
-                if key in entries:
-                    add(f"{k} {n} {render(entries[key])}\n")
-                else:
-                    add(f"{k} {n} invalid ({notes[key]})\n")
+
+    def sink(key, width, row, notes):
+        if key == 0:
+            lines.extend((header, "k n value\n"))
+        for n in range(width + 1):
+            if n in row:
+                add(f"{key} {n} {render(row[n])}\n")
+            else:
+                add(f"{key} {n} invalid ({notes[key, n]})\n")
+        if len(lines) >= _BLOCK_LINES:
             text = "".join(lines)
             lines.clear()
             write(text)
+
+    try:
+        table = build(sink=sink)
         add("selected approximant per m:\n")
         for m in range(table.size):
             try:

@@ -33,10 +33,17 @@ In rational mode each cell of the classic Aitken table is one integer
 quotient over the numerators and denominators of its three reads, reduced
 once (:func:`_aitken_quotient`, selected by the sequence's field).  It is
 the one step that divides without :meth:`~seriaccel.field.Field.div`.
+The rational Pade system is solved the same way, over integers, with one
+reduction per unknown (:func:`_solve_fraction_free`).
+
+Each table builder takes a keyword-only ``sink``, which the triangle
+builder hands every finished level (:meth:`~seriaccel._recursions._Build.run`);
+:func:`table_name` gives the name of the table a builder returns.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -57,6 +64,7 @@ __all__ = [
     "FAMILIES",
     "get_family",
     "SCHEMES",
+    "table_name",
     "aitken_table",
     "epsilon_table",
     "epsilon_cross_table",
@@ -192,12 +200,11 @@ def get_family(name: str) -> Family:
 
 
 def _table(table: str, fam: Family, seq: ScalarSequence, levels: int, width, deps,
-           step) -> TransformTable:
+           step, *, sink=None) -> TransformTable:
     """A column-wise textbook table of ``fam``, whose columns are not the
     family's levels: level ``k`` sits at column ``fam.tables[table] * k``."""
     build = _Build(UnitOps(seq.field), levels, width, deps, seq.entries, fam.step)
-    build.run(step)
-    return build.table(table, scale=fam.tables[table])
+    return build.finish(step, None, table, fam.tables[table], sink=sink)
 
 
 def _aitken_classic(ops, g, k, n, cur, prev):
@@ -260,30 +267,48 @@ SCHEMES = {
 }
 
 
-def _family_table(table: str, fam: Family, seq: ScalarSequence,
-                  scheme: str | None) -> TransformTable:
-    """Textbook table ``table`` of ``fam`` in the form ``scheme`` of
-    :data:`SCHEMES` (by default its first), over the levels the sequence
-    reaches, at z = 1; ``ValueError`` for a form the table does not have.
-    The table is named after its form where the family registers one name
-    per form.  A rational classic Aitken table runs :func:`_aitken_quotient`."""
+def _form(table: str, scheme: str | None) -> str:
+    """The form ``scheme`` of ``table`` in :data:`SCHEMES`, by default its
+    first; ``ValueError`` for a form the table does not have."""
     forms = SCHEMES[table]
     if scheme is None:
-        scheme = next(iter(forms))
-    elif scheme not in forms:
+        return next(iter(forms))
+    if scheme not in forms:
         raise ValueError(f"scheme must be {' or '.join(map(repr, forms))}")
-    name = f"{table}-{scheme}"
-    recursion = forms[scheme]
+    return scheme
+
+
+def table_name(table: str, scheme: str | None = None) -> str:
+    """The name of the table the builder of ``table`` returns in the form
+    ``scheme``: named after its form where a family registers one name per
+    form, else ``table``.  ``table`` is a builder's table name (``aitken``,
+    ``epsilon``, ``epsilon-cross``, ``theta``, ``theta-iterated``)."""
+    if table in SCHEMES:
+        name = f"{table}-{_form(table, scheme)}"
+        if any(name in fam.tables for fam in FAMILIES.values()):
+            return name
+    return table
+
+
+def _family_table(table: str, fam: Family, seq: ScalarSequence, scheme: str | None, *,
+                  sink=None) -> TransformTable:
+    """Textbook table ``table`` of ``fam`` in the form ``scheme`` of
+    :data:`SCHEMES` (by default its first), over the levels the sequence
+    reaches, at z = 1, named by :func:`table_name`; ``ValueError`` for a
+    form the table does not have.  A rational classic Aitken table runs
+    :func:`_aitken_quotient`."""
+    scheme = _form(table, scheme)
+    recursion = SCHEMES[table][scheme]
     if recursion is _aitken_classic and seq.field.mode == "rational":
         recursion = _aitken_quotient
     m = seq.last_index
     return run_recursion(fam, UnitOps(seq.field), m // fam.step, m, seq.entries,
-                         table=name if name in fam.tables else table, recursion=recursion)
+                         table=table_name(table, scheme), recursion=recursion, sink=sink)
 
 
-def aitken_table(seq: ScalarSequence, scheme: str | None = None) -> TransformTable:
+def aitken_table(seq: ScalarSequence, scheme: str | None = None, *, sink=None) -> TransformTable:
     """Iterated delta-squared table, ``classic`` by default; the two schemes agree."""
-    return _family_table("aitken", FAMILIES["aitken"], seq, scheme)
+    return _family_table("aitken", FAMILIES["aitken"], seq, scheme, sink=sink)
 
 
 def _epsilon_column(ops, g, j, n, cur, prev):
@@ -298,14 +323,15 @@ def _epsilon_deps(j):
     return [(j, 0), (j, 1), (j - 1, 1)] if j else [(j, 0), (j, 1)]
 
 
-def epsilon_table(seq: ScalarSequence) -> TransformTable:
+def epsilon_table(seq: ScalarSequence, *, sink=None) -> TransformTable:
     """Full epsilon table; even columns approximate, odd columns are auxiliary."""
     m = seq.last_index
     return _table("epsilon", FAMILIES["epsilon"], seq, m, lambda j: m - j, _epsilon_deps,
-                  _epsilon_column)
+                  _epsilon_column, sink=sink)
 
 
-def epsilon_cross_table(seq: ScalarSequence, scheme: str | None = None) -> TransformTable:
+def epsilon_cross_table(seq: ScalarSequence, scheme: str | None = None, *,
+                        sink=None) -> TransformTable:
     """Even epsilon columns via the five-point cross rule (no odd columns).
 
     ``plain``, the default, keeps the rule as a direct rearrangement anchored
@@ -314,10 +340,10 @@ def epsilon_cross_table(seq: ScalarSequence, scheme: str | None = None) -> Trans
     branch instead of a stored infinity.  Keys are the literal column
     subscripts ``2k``.
     """
-    return _family_table("epsilon-cross", FAMILIES["epsilon"], seq, scheme)
+    return _family_table("epsilon-cross", FAMILIES["epsilon"], seq, scheme, sink=sink)
 
 
-def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
+def theta_table(seq: ScalarSequence, modified: bool = False, *, sink=None) -> TransformTable:
     """Theta algorithm table.
 
     The odd columns are Wynn's epsilon rule.  With ``modified=True`` they drop
@@ -340,12 +366,13 @@ def theta_table(seq: ScalarSequence, modified: bool = False) -> TransformTable:
         return [(j - 1, 1), (j - 1, 2), (j, 0), (j, 1), (j, 2)]
 
     return _table("theta", FAMILIES["theta-iterated"], seq, 2 * (m // 3) + 1,
-                  lambda j: m - 3 * j // 2, deps, step)
+                  lambda j: m - 3 * j // 2, deps, step, sink=sink)
 
 
-def iterated_theta_table(seq: ScalarSequence, scheme: str | None = None) -> TransformTable:
+def iterated_theta_table(seq: ScalarSequence, scheme: str | None = None, *,
+                         sink=None) -> TransformTable:
     """Iterated theta transformation, ``classic`` by default; the two schemes agree."""
-    return _family_table("theta-iterated", FAMILIES["theta-iterated"], seq, scheme)
+    return _family_table("theta-iterated", FAMILIES["theta-iterated"], seq, scheme, sink=sink)
 
 
 def select_approximant(table: TransformTable, m: int | None = None) -> tuple[int, int, Scalar]:
@@ -381,10 +408,51 @@ class PadeRational(NamedTuple):
     denominator: tuple[Scalar, ...]
 
 
+def _solve_fraction_free(matrix, rhs):
+    """The exact solution of a rational system, or None when singular.
+
+    Each row of ``[matrix | rhs]`` is scaled to integers by the lcm of its
+    denominators, which leaves the solution as it is.  Bareiss's elimination
+    (Math. Comp. 22, 1968) then divides exactly at every step, with no gcd:
+    after step ``col`` every entry is a minor of the scaled system, and the
+    last pivot ``d`` is its determinant up to sign.  Back substitution gives
+    each unknown times ``d``, an integer by Cramer's rule, so its division is
+    exact too, and each unknown is one ``Fraction``, reduced once."""
+    n = len(rhs)
+    a = []
+    for row, value in zip(matrix, rhs):
+        row = [*row, value]
+        lcm = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (lcm // x.denominator) for x in row])
+    last = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot_row is None:
+            return None
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        top = a[col]
+        pivot = top[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            factor = row[col]
+            for c in range(col + 1, n + 1):
+                row[c] = (row[c] * pivot - factor * top[c]) // last
+        last = pivot
+    scaled = [0] * n  # each unknown times ``last``
+    for r in range(n - 1, -1, -1):
+        row = a[r]
+        acc = row[n] * last - sum(row[c] * scaled[c] for c in range(r + 1, n))
+        scaled[r] = acc // row[r]
+    return [Fraction(x, last) for x in scaled]
+
+
 def _solve_linear(fld: Field, matrix, rhs):
-    """Gaussian elimination, pivoting on the largest nonzero magnitude; None
-    when singular.  A nonsingular system has one solution, so in rational
-    mode the pivot order changes only the cost, never the result."""
+    """The solution of ``matrix · x = rhs``, or None when singular: exact and
+    fraction-free in rational mode (:func:`_solve_fraction_free`), else
+    Gaussian elimination pivoting on the largest magnitude that
+    :meth:`~seriaccel.field.Field.is_zero` does not call zero."""
+    if fld.mode == "rational":
+        return _solve_fraction_free(matrix, rhs)
     n = len(rhs)
     a = [list(row) + [value] for row, value in zip(matrix, rhs)]
     with fld.arithmetic():

@@ -1,8 +1,12 @@
 """Reference values that only the tests need: Pade values and expansions,
-partial-sum jets, computed from the public pieces of the library, and the
+partial-sum jets, computed from the public pieces of the library, the
 epsilon steps as written per cell, each reciprocal formed in the cell that
-reads it."""
+reads it, the pivoting ``Fraction`` solve of a Pade system, and the
+``accelerate`` command that builds its whole table before it writes a line."""
 
+import sys
+
+from seriaccel import cli
 from seriaccel.jets import Jet
 
 
@@ -63,3 +67,83 @@ def epsilon_cross_plain(ops, g, k, n, cur, prev):
         gap = cur[n + 1] - prev[n + 2]
         denom = denom + ops.div(ops.one, gap)
     return cur[n + 1] + ops.div(ops.one, denom)
+
+
+def solve_linear(fld, matrix, rhs):
+    """Gaussian elimination in the field's own arithmetic, pivoting on the
+    largest nonzero magnitude; None when singular."""
+    n = len(rhs)
+    a = [list(row) + [value] for row, value in zip(matrix, rhs)]
+    with fld.arithmetic():
+        for col in range(n):
+            pivot_row = None
+            best = None
+            for r in range(col, n):
+                mag = abs(a[r][col])
+                if not fld.is_zero(a[r][col]) and (best is None or mag > best):
+                    best, pivot_row = mag, r
+            if pivot_row is None:
+                return None
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            pivot = a[col][col]
+            for r in range(col + 1, n):
+                if a[r][col] == fld.zero:
+                    continue
+                factor = a[r][col] / pivot
+                for c in range(col, n + 1):
+                    a[r][c] = a[r][c] - factor * a[col][c]
+        solution = [fld.zero] * n
+        for row in range(n - 1, -1, -1):
+            acc = a[row][n]
+            for c in range(row + 1, n):
+                acc = acc - a[row][c] * solution[c]
+            solution[row] = acc / a[row][row]
+    return solution
+
+
+def accelerate(args) -> int:
+    """``accelerate`` with its table built in full before the first line is
+    made; it takes only the flags the table accepts."""
+    field = cli._field(args.mode)
+    resolved = cli.resolve_series_spec(args.series, field, count=args.terms)
+    seq = cli._sequence_from_input(resolved, args, field)
+    table = cli._TABLE_BUILDERS[args.family](seq, args.scheme, args.modified, None)
+    write_accelerate(resolved, seq, table, field, args.digits)
+    return 0
+
+
+def write_accelerate(resolved, seq, table, field, digits) -> None:
+    """The lines of ``accelerate`` from a stored table: every key sorted, the
+    table in blocks of ``cli._BLOCK_LINES`` lines, then the selected
+    approximants; the lines made before an error are written."""
+    write = sys.stdout.write
+    render = cli._renderer(field, digits)
+    entries, notes = table.entries, table.notes
+    keys = sorted([*entries, *notes])
+    lines = [f"# {resolved.label} -> family={table.family} entries={table.size}\n", "k n value\n"]
+    add = lines.append
+    try:
+        for start in range(0, len(keys), cli._BLOCK_LINES):
+            for key in keys[start:start + cli._BLOCK_LINES]:
+                k, n = key
+                if key in entries:
+                    add(f"{k} {n} {render(entries[key])}\n")
+                else:
+                    add(f"{k} {n} invalid ({notes[key]})\n")
+            text = "".join(lines)
+            lines.clear()
+            write(text)
+        add("selected approximant per m:\n")
+        for m in range(table.size):
+            try:
+                k, n, value = cli.select_approximant(table, m)
+                add(f"m={m} k={k} n={n} {render(value)}\n")
+            except cli.SelectionError as exc:
+                add(f"m={m} unavailable ({exc})\n")
+        if seq.limit is not None and len(seq.entries) >= 5:
+            report = cli.classify_convergence(seq)
+            rho = "" if report.rho is None else f" rho~{cli._renderer(field, 6)(report.rho)}"
+            add(f"classification: {report.kind}{rho}\n")
+    finally:
+        if lines:
+            write("".join(lines))

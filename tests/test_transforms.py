@@ -1,10 +1,13 @@
 import random
 import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _reference import pade_taylor_jet, pade_value
+from _reference import pade_taylor_jet, pade_value, solve_linear
+from seriaccel import transforms
 from seriaccel.field import BigFloatField, Float64Field, RationalField
 from seriaccel.jets import PowerSeries
 from seriaccel.prediction import leading_predictions, transformation_terms
@@ -378,6 +381,43 @@ def test_pade_singular_system():
     series = PowerSeries(RAT, (F(1), F(0), F(1)))
     with pytest.raises(DegeneratePadeError):
         pade_linear_system(series, 1, 1)
+
+
+def _pade_both_ways(series, l, m):
+    """``pade_linear_system(series, l, m)``, by the fraction-free solve and by
+    the pivoting ``Fraction`` solve, each a :class:`PadeRational` or the
+    message of its :class:`DegeneratePadeError`."""
+    def attempt():
+        try:
+            return pade_linear_system(series, l, m)
+        except DegeneratePadeError as exc:
+            return str(exc)
+
+    got = attempt()
+    with mock.patch.object(transforms, "_solve_linear", solve_linear):
+        return got, attempt()
+
+
+@pytest.mark.parametrize("spec", ["log1p-over-z", "zeta(2)"])
+def test_fraction_free_pade_solve_equals_the_pivoting_solve_on_the_builtins(spec):
+    name, _, arg = spec.partition("(")
+    params = (F(arg.rstrip(")")),) if arg else ()
+    series = builtin_series(name, params, 61, RAT).series
+    for m in range(1, 21):
+        for l in (m, m + 3, 2 * m):
+            got, want = _pade_both_ways(series, l, m)
+            assert got == want, (l, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=12), data=st.data())
+def test_fraction_free_pade_solve_equals_the_pivoting_solve_on_integer_series(coeffs, data):
+    # Small integers repeat and vanish, so many of these systems are singular.
+    series = PowerSeries(RAT, tuple(F(c) for c in coeffs))
+    m = data.draw(st.integers(0, len(coeffs) - 1))
+    l = data.draw(st.integers(0, len(coeffs) - 1 - m))
+    got, want = _pade_both_ways(series, l, m)
+    assert got == want
 
 
 @pytest.mark.parametrize("l, m", [(-1, 1), (1, -1)])
