@@ -112,9 +112,10 @@ class JetOps(_Carrier):
 
     finite = staticmethod(Jet.is_finite)
 
-    @staticmethod
-    def div(a, b):
-        return a / b  # jet reciprocal raises JetBreakdownError on zero constant term
+    def div(self, a, b):
+        """``a / b``, and ``1 / b`` as the bare reciprocal, with no product by the
+        jet 1; a reciprocal raises JetBreakdownError on a zero constant term."""
+        return b.reciprocal() if a is self.one else a / b
 
     @staticmethod
     def zmul(a):

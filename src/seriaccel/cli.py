@@ -130,8 +130,7 @@ def _sequence_from_input(resolved, args, field):
         z = resolved.default_z
     if z is None:
         raise _UsageError("this input is a power series: pass --z to form partial sums")
-    entries = tuple(series.partial_sum(n, z) for n in range(args.terms))
-    return ScalarSequence(field, entries)
+    return ScalarSequence(field, series.partial_sums(z, args.terms))
 
 
 def cmd_accelerate(args) -> int:

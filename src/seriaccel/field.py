@@ -217,6 +217,16 @@ class Field(_Frozen):
         """Context manager establishing this field's working precision."""
         return nullcontext()
 
+    def guarded(self) -> "Field":
+        """The field a long sum or recurrence runs in, with 10 guard digits in
+        bigfloat; this field itself in the other modes.  :meth:`from_guarded`
+        rounds its results back, once each."""
+        return self
+
+    def from_guarded(self, values) -> tuple:
+        """``values`` of :meth:`guarded`, each rounded once to this field."""
+        return tuple(values)
+
     # The zero bound and the quotient, set once per mode: ``near_zero`` is
     # ``None`` where zero is exact (rational mode), else the bound ``eps``,
     # which :meth:`div` widens by ``_times(eps, |numerator|)`` for
@@ -304,17 +314,21 @@ class Field(_Frozen):
 
     def series_reciprocal(self, a) -> tuple:
         """Coefficients of ``1 / a`` through the order of ``a``, by the triangular
-        recurrence ``r[k] = -(sum a[j] r[k-j]) / a[0]``; ``a[0]`` must be nonzero."""
+        recurrence ``r[k] = -(sum a[j] r[k-j]) / a[0]``; ``a[0]`` must be nonzero.
+        Each coefficient is added to zero, as in a product with the jet 1, so
+        ``1 / a`` is ``1 * (1 / a)`` value for value: no ``-0``, and a
+        ``Decimal`` keeps the exponent that product gives it."""
         a0 = a[0]
-        out = [self.zero] * len(a)
+        zero = self.zero
+        out = [zero] * len(a)
         with self.arithmetic():
             out[0] = self.one / a0
             for k in range(1, len(a)):
-                acc = self.zero
+                acc = zero
                 for j in range(1, k + 1):
                     acc += a[j] * out[k - j]
                 out[k] = -acc / a0
-        return tuple(out)
+            return tuple([zero + c for c in out])
 
     def is_finite(self, value: Scalar) -> bool:
         return True
@@ -483,6 +497,12 @@ class BigFloatField(Field):
     def arithmetic(self):
         """Context manager that enters (and yields) a copy of the field's context."""
         return localcontext(self._context)
+
+    def guarded(self) -> "BigFloatField":
+        return BigFloatField(self.digits + 10)
+
+    def from_guarded(self, values) -> tuple:
+        return tuple(map(self._context.plus, values))
 
     def quotient(self, p: int, q: int) -> Decimal:
         return self._divide(Decimal(p), Decimal(q))

@@ -177,14 +177,32 @@ class PowerSeries(_Frozen):
             )
         return self.field.ensure(self.tail(index))
 
+    def partial_sums(self, z: Scalar, count: int) -> tuple[Scalar, ...]:
+        """The partial sums ``s_0 .. s_{count-1}`` at ``z``, where ``s_n`` is
+        ``c_0 + c_1 z + ... + c_n z**n``, in one pass.
+
+        The running sum and the power ``z**n`` are carried in the field's
+        guarded form (:meth:`~seriaccel.field.Field.guarded`: 10 guard digits
+        in bigfloat) and each sum is rounded back once, so rational sums are
+        exact.  A zero coefficient adds nothing, also where ``z**n`` has
+        overflowed and the product would be NaN.
+        """
+        fld = self.field
+        z = fld.ensure(z)
+        coeffs, stored = self.coeffs, self.known_order
+        sums = []
+        work = fld.guarded()
+        with work.arithmetic():
+            acc, power = work.zero, work.one
+            for i in range(count):
+                c = coeffs[i] if i <= stored else self.coefficient(i)
+                if c:
+                    acc = acc + c * power
+                sums.append(acc)
+                power = power * z
+        return fld.from_guarded(sums)
+
     def partial_sum(self, n: int, z: Scalar) -> Scalar:
-        z = self.field.ensure(z)
-        stored = min(n, self.known_order)
-        coeffs = self.coeffs
-        with self.field.arithmetic():
-            acc = self.field.zero
-            for i in range(n, stored, -1):  # past the stored order: the tail rule
-                acc = acc * z + self.coefficient(i)
-            for i in range(stored, -1, -1):
-                acc = acc * z + coeffs[i]
-            return acc
+        """Entry ``n`` of :meth:`partial_sums`; zero, the empty sum, for ``n < 0``."""
+        sums = self.partial_sums(z, n + 1)
+        return sums[n] if n >= 0 else self.field.zero

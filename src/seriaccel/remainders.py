@@ -152,19 +152,17 @@ def _remainder_bases(series: PowerSeries, z: Scalar, m_max: int) -> dict:
     """``n -> remainder_value(series, n, z)`` for ``n = 0..m_max``, from one tail
     sum at ``m_max`` and the backward recurrence of the module docstring.
 
-    Bigfloat runs the recurrence with 10 guard digits, then rounds each base
-    back to the working precision.
+    The recurrence runs in the field's guarded form (10 guard digits in
+    bigfloat), and each base is rounded back to the working precision once.
     """
     if m_max < 0:
         return {}
     fld = series.field
-    work = BigFloatField(fld.digits + 10) if isinstance(fld, BigFloatField) else fld
     bases = [remainder_value(series, m_max, z)]
-    with work.arithmetic():
+    with fld.guarded().arithmetic():
         for n in range(m_max - 1, -1, -1):
             bases.append(z * bases[-1] - series.coefficient(n + 1))
-    with fld.arithmetic():
-        return {n: +value for n, value in enumerate(reversed(bases))}
+    return dict(enumerate(fld.from_guarded(reversed(bases))))
 
 
 def series_value(series: PowerSeries, z: Scalar) -> Scalar:

@@ -233,7 +233,7 @@ def test_criterion_05_epsilon_pade_equivalence():
     for trial in range(100):
         series = _random_series(rng, 9)
         z = F(rng.randint(1, 4) * rng.choice((-1, 1)), rng.randint(5, 9))
-        sums = tuple(series.partial_sum(n, z) for n in range(9))
+        sums = series.partial_sums(z, 9)
         table = epsilon_table(ScalarSequence(RAT, sums))
         for k in range(1, 5):
             for n in range(9 - 2 * k):

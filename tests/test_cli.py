@@ -204,6 +204,18 @@ def test_bigfloat_accelerate_past_the_exponent_range_marks_cells_overflow(capsys
     assert "m=3 unavailable (entry (1, 1) is invalid: depends on invalid entry (0, 2))" in out
 
 
+def test_f64_accelerate_past_the_float_range_keeps_sums_after_a_zero_coefficient(capsys,
+                                                                                  tmp_path):
+    # z**2 overflows; the zero coefficients add nothing, so s_1 and s_2 stay 1.
+    path = tmp_path / "gap.txt"
+    path.write_text("1\n0\n0\n2\n")
+    code, out, err = run(capsys, "accelerate", "--series", str(path), "--mode", "f64",
+                         "--family", "aitken", "--z", "1e300", "--terms", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:6] == ["0 0 0.1000000000e1", "0 1 0.1000000000e1",
+                                     "0 2 0.1000000000e1", "0 3 invalid (overflow)"]
+
+
 @pytest.mark.parametrize("series, mode, z, max_m, first", [
     ("builtin:geometric", "bigfloat", "1e400000", 5, 2),
     ("builtin:log1p-over-z", "f64", "1e100", 6, 3),

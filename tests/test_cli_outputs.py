@@ -79,11 +79,11 @@ EXPECTED = {
     "accelerate-bigfloat-theta-iterated-rearranged": (0, "33cba9fc2b461c900e09d472eac2ddbe7063a7baa8e881d7ab6fa736508b3692"),
     "accelerate-f64-aitken": (0, "d7cba1fa83cfe67f6f9aeb2cb0139cb9baa7d98f92bbfdb7077f0aeba90ab31a"),
     "accelerate-f64-aitken-rearranged": (0, "298c14b2e498536aa9c168fe10ebe576f121dcbd92d0ebb2fe8ef216317d7127"),
-    "accelerate-f64-epsilon": (0, "74552fab97a707d6858d65345cc8cb86fa7d48c2a9dcfbc711c3ebd9269a6d9b"),
+    "accelerate-f64-epsilon": (0, "8b8f113cf90567790155e0ac3dd558908d97424356c539cf4fc5a6c7a3fb0ac7"),
     "accelerate-f64-epsilon-cross": (0, "1945590887b84196e82c3a84346ec5c654c8caa70de260ef42f26196a90c8fc4"),
     "accelerate-f64-epsilon-cross-rearranged": (0, "1945590887b84196e82c3a84346ec5c654c8caa70de260ef42f26196a90c8fc4"),
-    "accelerate-f64-theta": (0, "025ce74061d16883724c734e7c18481fff7494596f95c3e550946ced22735239"),
-    "accelerate-f64-theta-modified": (0, "4361e27e997e6062e35aab17c90cfce85a1114a61b9a6e9da7318dbc0792c979"),
+    "accelerate-f64-theta": (0, "05a83d517c085384f659ec842829952d020f0f6c9c4092bca25010609b0f4dfd"),
+    "accelerate-f64-theta-modified": (0, "533d56a97748bd457ce593b93b95b43e01c4c9175cfeb7cf966e9be45fc0686e"),
     "accelerate-f64-theta-iterated": (0, "9a70b3f418a2d0fd37b17f105386c47d7df16fd733f0122ef16ed9068f57be1e"),
     "accelerate-f64-theta-iterated-rearranged": (0, "b3c48a6acbd07007468d5581751cfa90ab9b5996aa591b92c6e2c5595a663e0a"),
     "readme-accelerate-log": (0, "872ead37ebdea5e3c267a3158a71a11cec41f093d1f9c0ceaf7f222a3e31b98d"),

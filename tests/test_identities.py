@@ -140,7 +140,7 @@ assert SCHEME_TABLES.keys() == SCHEMES.keys()
 
 
 def _partial_sums(series, z, top):
-    return ScalarSequence(RAT, tuple(series.partial_sum(j, z) for j in range(top + 1)))
+    return ScalarSequence(RAT, series.partial_sums(z, top + 1))
 
 
 def _relation_b(series, z, top):

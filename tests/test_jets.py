@@ -1,12 +1,16 @@
 import math
+from decimal import Context, Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import partial_sum_jet
+from seriaccel import cli
+from seriaccel._recursions import JetOps
 from seriaccel.field import BigFloatField, Float64Field, ModeMismatchError, RationalField
 from seriaccel.jets import Jet, JetBreakdownError, PowerSeries
+from seriaccel.series_library import ResolvedInput, builtin_series
 
 RAT = RationalField()
 
@@ -73,6 +77,24 @@ def test_reciprocal_linear_denominator():
 def test_reciprocal_zero_constant_term_breaks_down():
     with pytest.raises(JetBreakdownError):
         jet(0, 1, 1).reciprocal()
+    ops = JetOps(RAT, 2)
+    with pytest.raises(JetBreakdownError):
+        ops.div(ops.one, jet(0, 1, 1))
+
+
+@pytest.mark.parametrize("fld", [RAT, BigFloatField(50), Float64Field()], ids=lambda f: f.mode)
+@pytest.mark.parametrize("coeffs", [(1, 0, 2, 0, 0), (-2, 0, 0, 1, 0), (F(1, 10**5), 0, 1, 0, 0)],
+                         ids=["unit", "negative", "small"])
+def test_jet_carrier_divides_one_by_the_bare_reciprocal(fld, coeffs):
+    # The reciprocal loop of the float modes gives -0 where the product with
+    # the jet 1 gave +0 (case "unit"), and a Decimal 1E+5 where the product
+    # gave 100000 (case "small"): ``1 / d`` must keep the product's reprs.
+    ops = JetOps(fld, 4)
+    values = [fld.from_fraction(F(c)) for c in coeffs]
+    d = Jet.from_coeffs(fld, values)
+    with fld.arithmetic():
+        through_one = ops.one * Jet(fld, _generic_reciprocal(values, fld.zero, fld.one))
+    assert repr(ops.div(ops.one, d)) == repr(through_one) == repr(d.reciprocal())
 
 
 @given(st.lists(small_fracs, min_size=1, max_size=7))
@@ -340,18 +362,89 @@ def test_power_series_tail_and_partial_sums():
     assert series.partial_sum(2, F(1, 2)) == F(1) - F(1, 4) + F(1, 12)
 
 
+def _horner(series, n, z):
+    """The degree-``n`` partial sum at ``z`` by Horner's rule, in the series' field."""
+    fld = series.field
+    with fld.arithmetic():
+        acc = fld.zero
+        for i in range(n, -1, -1):
+            acc = acc * z + series.coefficient(i)
+    return acc
+
+
 @pytest.mark.parametrize("fld", [RAT, BigFloatField(50), Float64Field()], ids=lambda f: f.mode)
 def test_partial_sums_past_the_stored_order_read_the_tail_rule(fld):
     rule = lambda i: fld.from_fraction(F((-1) ** i, i + 1))
     series = PowerSeries(fld, tuple(rule(i) for i in range(3)), tail=rule)
     z = fld.from_fraction(F(-9, 10))
-    with fld.arithmetic():
-        horner = fld.zero
-        for i in range(6, -1, -1):
-            horner = horner * z + series.coefficient(i)
+    horner = _horner(series, 6, z)
     assert series.partial_sum(6, z) == horner
     if fld is RAT:
         assert horner == sum(F((-1) ** i, i + 1) * z ** i for i in range(7))
+    sums = series.partial_sums(z, 9)
+    assert tuple(series.partial_sum(n, z) for n in range(9)) == sums
+    assert all(type(s) is fld.kind for s in sums)
+    assert series.partial_sum(-1, z) == fld.zero and series.partial_sums(z, 0) == ()
+
+
+rational_values = st.one_of(st.integers(-50, 50).map(F), small_fracs)
+
+
+@given(coeffs=st.lists(rational_values, min_size=1, max_size=10), z=rational_values,
+       extra=st.integers(0, 4))
+@settings(max_examples=100)
+def test_rational_partial_sums_are_the_horner_sums(coeffs, z, extra):
+    series = PowerSeries(RAT, tuple(coeffs), tail=lambda i: F(i % 3 - 1, i))
+    count = len(coeffs) + extra
+    assert series.partial_sums(z, count) == tuple(_horner(series, n, z) for n in range(count))
+
+
+@pytest.mark.parametrize("name, params", [("log1p-over-z", ()), ("zeta", (2,))],
+                         ids=["log1p-over-z", "zeta(2)"])
+@pytest.mark.parametrize("z", [F(1, 2), F(-9, 10), F(3, 2)], ids=str)
+def test_bigfloat_partial_sums_are_correctly_rounded(name, params, z):
+    # Within half a unit in the last place of the exact sum of the same
+    # 50-digit coefficients, at every one of 221 entries.
+    fld = BigFloatField(50)
+    series = builtin_series(name, params, 221, fld).series
+    zf = fld.from_fraction(z)
+    wide = Context(prec=120)
+    exact, power, worst = F(0), F(1), F(0)
+    for n, value in enumerate(series.partial_sums(zf, 221)):
+        exact += F(series.coefficient(n)) * power
+        power *= F(zf)
+        magnitude = wide.divide(Decimal(exact.numerator), Decimal(exact.denominator))
+        ulp = F(10) ** (magnitude.adjusted() - 49)
+        worst = max(worst, abs(F(value) - exact) / ulp)
+    assert worst <= F(1, 2)
+
+
+def test_f64_partial_sums_stay_finite_where_horner_does():
+    # z**2 overflows at z = 1e300; a zero coefficient times it would be NaN.
+    fld = Float64Field()
+    series = PowerSeries(fld, (1.0, 0.0, 0.0, 2.0, 0.0))
+    sums = series.partial_sums(1e300, 5)
+    assert sums[:3] == (1.0, 1.0, 1.0)
+    assert [math.isfinite(s) for s in sums] == [math.isfinite(_horner(series, n, 1e300))
+                                                 for n in range(5)]
+
+
+def test_accelerate_reads_each_coefficient_once_for_its_partial_sums(monkeypatch, capsys):
+    # One pass: the 40 partial sums ask the tail rule for coefficients 1..39
+    # once each, where a Horner pass per sum asked 780 times.
+    fld, asked = Float64Field(), []
+
+    def rule(i):
+        asked.append(i)
+        return fld.from_fraction(F((-1) ** i, i + 1))
+
+    series = PowerSeries(fld, (fld.one,), tail=rule)
+    monkeypatch.setattr(cli, "resolve_series_spec",
+                        lambda spec, field, count: ResolvedInput("counted", series=series))
+    argv = ["accelerate", "--series", "counted", "--mode", "f64", "--family", "aitken",
+            "--z", "1/2", "--terms", "40"]
+    assert cli.main(argv) == 0
+    assert asked == list(range(1, 40))
 
 
 def test_an_empty_iterator_is_not_a_power_series():
