@@ -212,13 +212,15 @@ class _Build:
     ``deps(k)`` lists, as ``(level, offset)``, the reads of every step into
     level ``k + 1``: cell ``(k + 1, n)`` reads ``(level, n + offset)``.  Every
     dependency in the package is on level ``k`` or ``k - 1``, the two live
-    rows :meth:`run` checks, and :meth:`run` asks for the reads once per
-    level.  A cell whose dependency failed records ``depends on invalid
-    entry (key, n)`` for the first failed read, in the listed order, without
-    running the step; when the first listed read is of a row with no valid
-    cell, the whole level is written so at once.  A step that breaks down, or
-    a cell (seeds included) that is not finite, records why in ``failures``,
-    the table's notes.
+    rows :meth:`run` checks, within that row's cells, and :meth:`run` asks
+    for the reads once per level.  A read of a *full* row, one whose cells
+    are all valid, cannot fail, so only the reads of the other rows are
+    checked, and none where every row read is full.  A cell whose dependency
+    failed records ``depends on invalid entry (key, n)`` for the first failed
+    read, in the listed order, without running the step; when the first
+    checked read is of a row with no valid cell, the whole level is written
+    so at once.  A step that breaks down, or a cell (seeds included) that is
+    not finite, records why in ``failures``, the table's notes.
     Keys are ``(scale * level, n)``, the scale applied where a key or a note
     is written, so a table that holds only the even columns keeps their
     literal subscripts.  ``step`` is the number of inputs a level consumes.
@@ -264,18 +266,21 @@ class _Build:
         entries, failures = self.entries, self.failures
         finite, const = ops.finite, ops.const
         prev, cur = None, {n: value for (_, n), value in entries.items()}
+        width = self.width(0)
+        full = {0} if len(cur) > width else set()  # the levels with every cell valid
         if sink is not None:
-            sink(0, self.width(0), cur, failures)
+            sink(0, width, cur, failures)
         for k in range(self.levels):
             row = {}
             level = scale * (k + 1)
             width = self.width(k + 1)
             cells = range(width + 1)
+            # A read of a full row cannot fail, so only the others are checked.
             reads = [(cur if dep_k == k else prev, offset,
                       f"depends on invalid entry ({scale * dep_k}, ")
-                     for dep_k, offset in self.deps(k)]
-            live, offset, prefix = reads[0]
-            if not live:  # every cell fails on its first read; the row stays empty
+                     for dep_k, offset in self.deps(k) if dep_k not in full]
+            if reads and not reads[0][0]:  # every cell fails on this read; the row stays empty
+                _, offset, prefix = reads[0]
                 failures.update({(level, n): f"{prefix}{n + offset})" for n in cells})
                 cells = ()
             with ops.context():
@@ -298,6 +303,8 @@ class _Build:
                         entries[key] = row[n] = value
                     else:
                         failures[key] = note
+            if len(row) > width:
+                full.add(k + 1)
             if sink is not None:
                 sink(level, width, row, failures)
             prev, cur = cur, row

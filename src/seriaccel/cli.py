@@ -96,11 +96,13 @@ def _field(mode: str) -> Field:
 
 def _renderer(field: Field, digits: int):
     """The renderer of the values of one table or command: the ``cli`` global
-    ``to_fraction_string`` in rational mode, else ``scientific_string`` at
-    ``digits``, each looked up when picked."""
+    ``to_fraction_string`` in rational mode, else a closure that calls the
+    ``cli`` global ``scientific_string`` at ``digits``.  Either global is
+    looked up once, when picked, and each value is one call of it."""
     if isinstance(field, RationalField):
         return to_fraction_string
-    return functools.partial(scientific_string, digits=digits)
+    scientific = scientific_string
+    return lambda value: scientific(value, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +178,15 @@ def _write_accelerate(header, seq, build, field, digits) -> None:
     def sink(key, width, row, notes):
         if key == 0:
             lines.extend((header, "k n value\n"))
-        for n in range(width + 1):
-            if n in row:
-                add(f"{key} {n} {render(row[n])}\n")
-            else:
-                add(f"{key} {n} invalid ({notes[key, n]})\n")
+        # One expression per level; a generator where values render, so the
+        # lines before a value that cannot be rendered are kept.
+        if not row:
+            lines.extend([f"{key} {n} invalid ({notes[key, n]})\n" for n in range(width + 1)])
+        elif len(row) > width:  # every cell valid, in ``n`` order
+            lines.extend(f"{key} {n} {render(value)}\n" for n, value in row.items())
+        else:
+            lines.extend(f"{key} {n} {render(row[n])}\n" if n in row
+                         else f"{key} {n} invalid ({notes[key, n]})\n" for n in range(width + 1))
         if len(lines) >= _BLOCK_LINES:
             text = "".join(lines)
             lines.clear()

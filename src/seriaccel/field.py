@@ -42,12 +42,14 @@ common denominator and a tuple of integer numerators with
 works on the integers and returns it, reducing by one gcd of the vector where
 its operands leave a common factor possible, never one per coefficient.
 
-:func:`scientific_string` renders a finite ``float`` or ``Decimal`` by one
-half-even rounding to the requested digits (exact for a ``float``, through a
-cached context for a ``Decimal``) and one fixed-point ``e`` format, then
-moves the point.  Fractions and non-finite values take the slower exact
-``Decimal`` route, which is the reference the fast path is tested against;
-neither route depends on the ambient decimal context.
+:func:`scientific_string` dispatches on the exact type of its value and
+reads its per-digits form from a plain dict.  A finite ``float`` is
+formatted once by the ``e`` conversion, which rounds it exactly, half to
+even, and the point is moved by fixed slices of that text.  A finite
+``Decimal`` is rounded once in the form's context and written from its
+integer mantissa.  Fractions, non-finite values and subclasses take the slower
+exact ``Decimal`` route, which is the reference the fast paths are tested
+against; no route depends on the ambient decimal context.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ from __future__ import annotations
 import math
 import operator
 from contextlib import nullcontext
-from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, localcontext
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
+                     localcontext)
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 Scalar = Union[Fraction, Decimal, float]
@@ -582,20 +584,33 @@ def decimal_string(value: Scalar, digits: int) -> str:
     return format(d, "f")
 
 
-@lru_cache(maxsize=64)
-def _scientific_format(digits: int) -> tuple:
-    """``(spec, rounder, cut)`` for ``digits`` significant digits: the ``e``
-    format spec, a half-even Decimal rounder to ``digits``, and the index of
-    the ``e`` in an unsigned value formatted by ``spec``."""
-    rounder = Context(prec=digits, rounding=ROUND_HALF_EVEN).plus
-    return f".{digits - 1}e", rounder, digits + 1 if digits > 1 else 1
+class _Exponents(dict):
+    """Exponent text of a float's ``e`` format with its ``e`` (``e+05``),
+    mapped to the exponent of the mantissa in [0.1, 1), one more (``e6``).
+    Filled as exponents are rendered: a float has about 630 of them."""
+
+    def __missing__(self, text: str) -> str:
+        shifted = self[text] = f"e{int(text[1:]) + 1}"
+        return shifted
 
 
-#: Exponent text of the ``e`` format, as a float writes it (``+05``) and as a
-#: Decimal does (``+5``), mapped to the exponent of the mantissa in [0.1, 1):
-#: one more.  Filled as exponents are rendered, up to three digits: that
-#: covers every float in a few thousand entries at most.
-_EXPONENTS: dict[str, str] = {}
+_EXPONENTS = _Exponents()
+
+#: ``digits -> (spec, context, cut)``, filled by :func:`_scientific_form`.
+_SCIENTIFIC: dict[int, tuple] = {}
+
+
+def _scientific_form(digits: int) -> tuple:
+    """``(spec, context, cut)`` for ``digits`` significant digits: the ``%``
+    format of the ``e`` conversion with a space for the sign of a positive
+    value (faster than ``format`` with the same spec), a half-even context
+    of ``digits`` digits with the widest exponent range, and the index of
+    the ``e`` in a float formatted by ``spec``."""
+    form = _SCIENTIFIC[digits] = (
+        f"% .{digits - 1}e",
+        Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX),
+        digits + 2 if digits > 1 else 2)
+    return form
 
 
 def scientific_string(value: Scalar, digits: int) -> str:
@@ -605,29 +620,26 @@ def scientific_string(value: Scalar, digits: int) -> str:
     ``0.620539e-2`` for 6 significant digits of 0.00620539.  Exact zero
     renders as ``"0"``.
     """
-    spec, rounder, cut = _scientific_format(digits)
-    if isinstance(value, float) and math.isfinite(value):
-        if value == 0:
-            return "0"
-        text = format(value, spec)
-    elif isinstance(value, Decimal) and value.is_finite():
+    kind = type(value)
+    if kind is float and value - value == 0:  # finite
         if not value:
             return "0"
-        # Rounded first: ``Decimal.__format__`` rounds by the ambient context.
-        text = format(rounder(value), spec)
-    else:
-        return _scientific_reference(value, digits)
-    # [-]d.ddde+X -> [-]0.dddde(X+1)
-    sign = ""
-    if text[0] == "-":
-        sign, text = "-", text[1:]
-    exponent = text[cut + 1:]
-    shifted = _EXPONENTS.get(exponent)
-    if shifted is None:
-        shifted = str(int(exponent) + 1)
-        if len(exponent) <= 4:
-            _EXPONENTS[exponent] = shifted
-    return f"{sign}0.{text[0]}{text[2:cut]}e{shifted}"
+        spec, _, cut = _SCIENTIFIC.get(digits) or _scientific_form(digits)
+        text = spec % value  # [ -]d.ddde+XX -> [-]0.dddde(XX+1)
+        if value < 0:
+            return f"-0.{text[1]}{text[3:cut]}{_EXPONENTS[text[cut:]]}"
+        return f"0.{text[1]}{text[3:cut]}{_EXPONENTS[text[cut:]]}"
+    if kind is Decimal and value.is_finite():
+        if not value:
+            return "0"
+        _, context, _ = _SCIENTIFIC.get(digits) or _scientific_form(digits)
+        rounded = context.plus(value)
+        exponent = rounded.adjusted()
+        mantissa = int(context.scaleb(rounded, digits - 1 - exponent))  # ``digits`` digits
+        if mantissa < 0:
+            return f"-0.{-mantissa}e{exponent + 1}"
+        return f"0.{mantissa}e{exponent + 1}"
+    return _scientific_reference(value, digits)
 
 
 def _scientific_reference(value: Scalar, digits: int) -> str:

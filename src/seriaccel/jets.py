@@ -185,19 +185,27 @@ class PowerSeries(_Frozen):
         guarded form (:meth:`~seriaccel.field.Field.guarded`: 10 guard digits
         in bigfloat) and each sum is rounded back once, so rational sums are
         exact.  A zero coefficient adds nothing, also where ``z**n`` has
-        overflowed and the product would be NaN.
+        overflowed and the product would be NaN; past that overflow a nonzero
+        coefficient is multiplied by ``z`` one factor at a time, so a tiny
+        coefficient keeps a finite term, as in Horner's rule.
         """
         fld = self.field
         z = fld.ensure(z)
         coeffs, stored = self.coeffs, self.known_order
         sums = []
         work = fld.guarded()
+        finite = work.is_finite
         with work.arithmetic():
             acc, power = work.zero, work.one
             for i in range(count):
                 c = coeffs[i] if i <= stored else self.coefficient(i)
                 if c:
-                    acc = acc + c * power
+                    if finite(power):
+                        acc = acc + c * power
+                    else:
+                        for _ in range(i):
+                            c = c * z
+                        acc = acc + c
                 sums.append(acc)
                 power = power * z
         return fld.from_guarded(sums)

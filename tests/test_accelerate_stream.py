@@ -142,6 +142,41 @@ def test_a_renderer_failing_at_the_first_value_of_a_level_writes_the_stored_pref
     assert levels >= 3
 
 
+def _complete_levels(out):
+    """``{key: (first line, render calls)}`` of each level of ``out`` whose
+    cells are all valid, two or more: its first line's index and the render
+    call of each value, counted from 1."""
+    lines, calls, levels, broken = out.splitlines(), 0, {}, set()
+    for index, line in enumerate(lines[2:], 2):
+        if line.startswith("selected approximant"):
+            break
+        key, _, value = line.split(" ", 2)
+        if value.startswith("invalid ("):
+            broken.add(key)
+            continue
+        calls += 1
+        levels.setdefault(key, (index, []))[1].append(calls)
+    return {key: level for key, level in levels.items()
+            if key not in broken and len(level[1]) > 1}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_renderer_failing_inside_a_complete_level_writes_the_lines_before_it(mode):
+    renderer = "to_fraction_string" if mode == "rational" else "scientific_string"
+    argv = _argv(mode, INPUTS["log-half"], ("epsilon",), 9)
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines(keepends=True)
+    levels = _complete_levels(out)
+    assert len(levels) >= 3
+    for first, calls in levels.values():
+        for j in {1, len(calls) - 1}:  # the second and the last value of the level
+            with mock.patch.object(cli, renderer, _failing_at(renderer, calls[j])):
+                failed = _run(argv)
+            assert failed == (1, "".join(lines[:first + j]),
+                              f"error: cannot render value {calls[j]}\n"), (first, j)
+
+
 class _Writes(io.StringIO):
     """A stdout that keeps each ``write`` apart."""
 

@@ -120,6 +120,14 @@ finite_decimals = st.builds(
 @example(Decimal("9.99999E+399"), 1)
 @example(Decimal("9.99999E+399"), 2)
 @example(Decimal("-1.5E+12345"), 3)  # an exponent past the cached ones
+# a Decimal's mantissa padded with zeros, and rounded up to the next power of ten
+@example(Decimal("0.5"), 10)
+@example(Decimal("9.99999999995"), 10)
+# negative values with three-digit exponents
+@example(-2.5e-123, 10)
+@example(-9.87654321e234, 10)
+@example(Decimal("-2.5E-123"), 10)
+@example(Decimal("-9.87654321E+234"), 10)
 def test_fast_rendering_equals_the_exact_route(value, digits):
     # Floats and Decimals take the fast path; a Fraction takes the exact
     # Decimal route, which is the reference.
@@ -129,6 +137,16 @@ def test_fast_rendering_equals_the_exact_route(value, digits):
         ctx.prec, ctx.rounding = 3, ROUND_HALF_UP
         assert scientific_string(value, digits) == text
         assert scientific_string(Fraction(value), digits) == text
+
+
+@pytest.mark.parametrize("value, text", [
+    (Decimal("0.5"), "0.5000000000e0"),
+    (Decimal("9.99999999995"), "0.1000000000e2"),
+    (-2.5e-123, "-0.2500000000e-122"),
+    (Decimal("-9.87654321E+234"), "-0.9876543210e235"),
+])
+def test_rendering_at_ten_digits(value, text):
+    assert scientific_string(value, 10) == text
 
 
 def test_rendering_at_one_digit_count_does_not_leak_into_another():

@@ -429,6 +429,23 @@ def test_f64_partial_sums_stay_finite_where_horner_does():
                                                  for n in range(5)]
 
 
+@pytest.mark.parametrize("fld, coeffs, z, bound", [
+    (Float64Field(), (1.0, 1e-300, 1e-300), 1e300, F(1, 10 ** 15)),
+    (BigFloatField(50), tuple(map(Decimal, ("1", "1e-400000", "1e-400000", "1e-800000"))),
+     Decimal("1e400000"), F(1, 10 ** 45)),
+], ids=["f64", "bigfloat"])
+def test_partial_sums_keep_a_tiny_coefficient_finite_past_an_overflowed_power(fld, coeffs, z,
+                                                                              bound):
+    # z**2 (f64) and z**3 (bigfloat) overflow, while each term c_n * z**n
+    # and Horner's sums stay finite.
+    series = PowerSeries(fld, coeffs)
+    sums = series.partial_sums(z, len(coeffs))
+    for n, value in enumerate(sums):
+        horner = _horner(series, n, z)
+        assert fld.is_finite(value) and fld.is_finite(horner), (n, value, horner)
+        assert abs(F(value) - F(horner)) <= bound * abs(F(horner)), (n, value, horner)
+
+
 def test_accelerate_reads_each_coefficient_once_for_its_partial_sums(monkeypatch, capsys):
     # One pass: the 40 partial sums ask the tail rule for coefficients 1..39
     # once each, where a Horner pass per sum asked 780 times.

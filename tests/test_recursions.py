@@ -305,6 +305,77 @@ def test_per_cell_reference_sees_inherited_failures(mode):
     assert after_empty > 0
 
 
+# ---------------------------------------------------------------------------
+# full rows: the builder checks no read of a row whose cells are all valid
+
+
+def _sums(field, count):
+    """The partial sums of ``sum (-1/2)**i / (i + 1)`` in ``field``: distinct
+    values with no zero difference, so that every build has full levels."""
+    return [field.from_fraction(sum(F(-1, 2) ** i / (i + 1) for i in range(n + 1)))
+            for n in range(count)]
+
+
+def _full_levels(table) -> int:
+    """How many levels past the seeds of ``table`` have every cell valid."""
+    levels = {k for k, _ in table.entries}
+    return len(levels - {k for k, _ in table.notes} - {0})
+
+
+@st.composite
+def _full_row_draws(draw):
+    """:func:`_sums` with up to two entries replaced from the pool, so that
+    full levels come before, after and between levels with failed cells."""
+    mode = draw(st.sampled_from(sorted(POOLS)))
+    field, pool = POOLS[mode]
+    values = _sums(field, draw(st.integers(4, 12)))
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(pool))
+    return field, values, draw(st.sampled_from(pool[:5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_full_row_draws())
+@example((F64, [*_sums(F64, 9), 1e308], 0.5))
+@example((BF, [*_sums(BF, 6), Decimal("1e999990"), *_sums(BF, 4)], Decimal(2)))
+@example((RAT, [F(0), *_sums(RAT, 8)], F(1)))
+def test_builds_with_full_rows_match_the_per_cell_reference(draw):
+    field, values, z = draw
+    for build in _term_builds(field, values, z) + _textbook_builds(field, values):
+        _same_as_per_cell(build)
+
+
+@pytest.mark.parametrize("mode", sorted(POOLS))
+def test_the_sums_give_every_build_full_levels(mode):
+    field, pool = POOLS[mode]
+    values = _sums(field, 12)
+    for build in _term_builds(field, values, pool[4]) + _textbook_builds(field, values):
+        assert _full_levels(_same_as_per_cell(build)) >= 1, build
+
+
+def test_a_full_row_drops_only_its_own_reads():
+    # Each level of the package's tables reads every cell of the row before
+    # it, so no full row follows a row with a failed cell.  Here level k + 1
+    # reads (k, n) and, as epsilon does, (k - 1, n + 2); row k reads only
+    # (k - 1, n) and misses the last cell of row k - 1.  Row 1 is full while
+    # row 0 holds the overflowed seed, which cell (2, 3) still reads.
+    def deps(k):
+        return [(k, 0), (k - 1, 2)] if k else [(k, 0)]
+
+    def step(ops, g, k, n, cur, prev):
+        return cur[n] if k == 0 else cur[n] + prev[n + 2]
+
+    def build():  # ``rec._Build``, which ``_same_as_per_cell`` replaces
+        seed = [1.0, 2.0, 3.0, 4.0, 5.0, float("inf")]
+        build = rec._Build(UnitOps(F64), 3, lambda k: 5 - k, deps, seed, 1)
+        return build.finish(step, None, "carry")
+
+    table = _same_as_per_cell(build)
+    assert [n for k, n in table.entries if k == 1] == [0, 1, 2, 3, 4]
+    assert table.notes[(2, 3)] == "depends on invalid entry (0, 5)"
+    assert table.entries[(2, 2)] == 3.0 + 5.0
+
+
 def test_jet_constants_of_the_carrier_are_jet_constants():
     for field, pool in POOLS.values():
         ops = JetOps(field, 3)
