@@ -52,14 +52,16 @@ propagate: a breakdown or a non-finite value in one cell, seeds included,
 never aborts the build, and every cell that reads it inherits the failure.
 Every build comes back as a :class:`TransformTable`, the one result type of
 the package: ``entries`` holds its valid cells (jets in term tables, scalars
-elsewhere), ``notes`` its failed ones.  A build also hands each level, as
-soon as it is finished, to an optional *sink*: ``accelerate`` writes the
-level's lines there, so a value it cannot print stops the build at its
-level.  The table still keeps every cell.
+elsewhere), ``notes`` its failed ones.  Each level also keeps its own row
+of valid cells and its own notes, both keyed by ``n``.  As soon as a level
+is finished, a build hands it with that row and notes to an optional
+*sink*: ``accelerate`` writes the level's lines there, so a value it cannot
+print stops the build at its level.  The table still keeps every cell.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .field import BreakdownError, Field, Scalar
@@ -220,7 +222,9 @@ class _Build:
     read, in the listed order, without running the step; when the first
     checked read is of a row with no valid cell, the whole level is written
     so at once.  A step that breaks down, or a cell (seeds included) that is
-    not finite, records why in ``failures``, the table's notes.
+    not finite, records why in ``failures``, the table's notes.  Each level,
+    the seeds included, also keeps its own ``row`` and ``notes`` by ``n``,
+    and a level written at once is filed in ``failures`` with one update.
     Keys are ``(scale * level, n)``, the scale applied where a key or a note
     is written, so a table that holds only the even columns keeps their
     literal subscripts.  ``step`` is the number of inputs a level consumes.
@@ -236,11 +240,12 @@ class _Build:
         self.scale = scale
         self.entries: dict[tuple[int, int], object] = {}
         self.failures: dict[tuple[int, int], str] = {}
+        self._seeds, self._seed_notes = row, notes = {}, {}  # level 0, keyed by ``n``
         for n in range(width(0) + 1):
             if ops.finite(seed[n]):
-                self.entries[(0, n)] = seed[n]
+                self.entries[0, n] = row[n] = seed[n]
             else:
-                self.failures[(0, n)] = "overflow"
+                self.failures[0, n] = notes[n] = "overflow"
 
     def table(self, name: str, scale: int | None = None) -> TransformTable:
         """The build as a table whose selected level ``k`` sits at key ``scale * k``
@@ -258,20 +263,21 @@ class _Build:
         With a ``sink``, each level is handed over as soon as it is finished,
         level 0 (the seeds) first: ``sink(key, width, row, notes)``, where
         ``key`` is the level's key, its cells are ``n = 0 .. width``, ``row``
-        maps ``n`` to its valid cells and ``notes``, the table's notes, holds
-        the reason of each failed cell under ``(key, n)``.  The sink runs
-        outside the carrier's arithmetic context, and an error it raises ends
-        the build: no later level is computed."""
+        maps ``n`` to its valid cells and ``notes``, the level's own, maps
+        ``n`` to the reason of each failed cell, both in ``n`` order.  The
+        level is already filed in the table when the sink gets it.  The sink
+        runs outside the carrier's arithmetic context, and an error it raises
+        ends the build: no later level is computed."""
         ops, step, scale = self.ops, self.step, self.scale
         entries, failures = self.entries, self.failures
         finite, const = ops.finite, ops.const
-        prev, cur = None, {n: value for (_, n), value in entries.items()}
+        prev, cur = None, self._seeds
         width = self.width(0)
         full = {0} if len(cur) > width else set()  # the levels with every cell valid
         if sink is not None:
-            sink(0, width, cur, failures)
+            sink(0, width, cur, self._seed_notes)
         for k in range(self.levels):
-            row = {}
+            row, notes = {}, {}
             level = scale * (k + 1)
             width = self.width(k + 1)
             cells = range(width + 1)
@@ -281,7 +287,8 @@ class _Build:
                      for dep_k, offset in self.deps(k) if dep_k not in full]
             if reads and not reads[0][0]:  # every cell fails on this read; the row stays empty
                 _, offset, prefix = reads[0]
-                failures.update({(level, n): f"{prefix}{n + offset})" for n in cells})
+                notes = {n: f"{prefix}{n + offset})" for n in cells}
+                failures.update(zip(zip(repeat(level), notes), notes.values()))
                 cells = ()
             with ops.context():
                 for n in cells:
@@ -298,15 +305,14 @@ class _Build:
                             note = str(exc)
                         else:
                             note = None if finite(value) else "overflow"
-                    key = (level, n)
                     if note is None:
-                        entries[key] = row[n] = value
+                        entries[level, n] = row[n] = value
                     else:
-                        failures[key] = note
+                        failures[level, n] = notes[n] = note
             if len(row) > width:
                 full.add(k + 1)
             if sink is not None:
-                sink(level, width, row, failures)
+                sink(level, width, row, notes)
             prev, cur = cur, row
 
     def finish(self, recursion: Callable, coeff, name: str, scale: int | None = None,
@@ -332,7 +338,8 @@ def run_recursion(family, ops, levels: int, top: int, seed, coeff=None, table: s
     inject; without it (remainder terms, ``seed`` the scaled truncation
     errors, or a textbook table of the family, ``seed`` the sequence at
     z = 1) it gets ``None`` and injects nothing.  ``sink`` receives each
-    finished level, as in :meth:`_Build.run`.  The table is named
+    finished level with its own row and notes, keyed by ``n``, as in
+    :meth:`_Build.run`.  The table is named
     ``table``, a textbook table of the family, with its key scale from
     ``family.tables``; by default it is named after the family, with scale 1.
     Raises ``ValueError`` when ``levels < 0`` or ``top < step*levels``: the

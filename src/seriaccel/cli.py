@@ -162,10 +162,12 @@ _BLOCK_LINES = 256
 
 def _write_accelerate(header, seq, build, field, digits) -> None:
     """Write the lines of ``accelerate`` to ``sys.stdout`` as it is at the
-    call.  ``build(sink=...)`` builds the table and hands each level to the
-    sink, which makes the level's lines, the ``header`` line first, then its
-    cells in ``n`` order, and writes the lines gathered once a level ends
-    with :data:`_BLOCK_LINES` or more.  The selected approximants follow
+    call.  ``build(sink=...)`` builds the table and hands each level, with
+    its own row and notes keyed by ``n``, to the sink, which makes the
+    level's lines, the ``header`` line first, then its cells in ``n`` order,
+    and writes the lines gathered once a level ends with
+    :data:`_BLOCK_LINES` or more; a level with no valid cell is written from
+    its notes alone.  The selected approximants follow
     once the build returns.  The renderer of the values is picked once per table.
     When a line cannot be made, a value that cannot be rendered included, the
     build stops at that level, and the lines before it are written before the
@@ -178,15 +180,16 @@ def _write_accelerate(header, seq, build, field, digits) -> None:
     def sink(key, width, row, notes):
         if key == 0:
             lines.extend((header, "k n value\n"))
+        prefix = f"{key} "
         # One expression per level; a generator where values render, so the
         # lines before a value that cannot be rendered are kept.
-        if not row:
-            lines.extend([f"{key} {n} invalid ({notes[key, n]})\n" for n in range(width + 1)])
+        if not row:  # every cell failed, in ``n`` order
+            lines.extend([f"{prefix}{n} invalid ({note})\n" for n, note in notes.items()])
         elif len(row) > width:  # every cell valid, in ``n`` order
-            lines.extend(f"{key} {n} {render(value)}\n" for n, value in row.items())
+            lines.extend(f"{prefix}{n} {render(value)}\n" for n, value in row.items())
         else:
-            lines.extend(f"{key} {n} {render(row[n])}\n" if n in row
-                         else f"{key} {n} invalid ({notes[key, n]})\n" for n in range(width + 1))
+            lines.extend(f"{prefix}{n} {render(row[n])}\n" if n in row
+                         else f"{prefix}{n} invalid ({notes[n]})\n" for n in range(width + 1))
         if len(lines) >= _BLOCK_LINES:
             text = "".join(lines)
             lines.clear()

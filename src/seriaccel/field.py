@@ -643,16 +643,19 @@ def scientific_string(value: Scalar, digits: int) -> str:
 
 
 def _scientific_reference(value: Scalar, digits: int) -> str:
-    """:func:`scientific_string` by exact ``Decimal`` steps, for any scalar."""
-    d = _as_rounded_decimal(value, digits)
-    if not d.is_finite():
-        return str(d)
-    if d == 0:
-        return "0"
-    sign = "-" if d < 0 else ""
-    magnitude = d.copy_abs()
-    exponent = magnitude.adjusted() + 1
+    """:func:`scientific_string` by exact ``Decimal`` steps, for any scalar.
+    It rounds and quantizes with the widest exponent range, as the fast path
+    does, so no value underflows to ``0`` or overflows to ``Infinity``."""
     with localcontext() as ctx:
+        ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
+        d = _as_rounded_decimal(value, digits)
+        if not d.is_finite():
+            return str(d)
+        if d == 0:
+            return "0"
+        sign = "-" if d < 0 else ""
+        magnitude = d.copy_abs()
+        exponent = magnitude.adjusted() + 1
         ctx.prec = digits + 5
         mantissa = magnitude.scaleb(-exponent)
         quantum = Decimal(1).scaleb(-digits)

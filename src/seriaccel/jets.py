@@ -185,9 +185,11 @@ class PowerSeries(_Frozen):
         guarded form (:meth:`~seriaccel.field.Field.guarded`: 10 guard digits
         in bigfloat) and each sum is rounded back once, so rational sums are
         exact.  A zero coefficient adds nothing, also where ``z**n`` has
-        overflowed and the product would be NaN; past that overflow a nonzero
+        overflowed and the product would be NaN.  Past that overflow, or once
+        ``z**n`` has underflowed to zero while ``z`` is not zero, a nonzero
         coefficient is multiplied by ``z`` one factor at a time, so a tiny
-        coefficient keeps a finite term, as in Horner's rule.
+        coefficient keeps a finite term and a huge one a nonzero term, as in
+        Horner's rule.
         """
         fld = self.field
         z = fld.ensure(z)
@@ -200,7 +202,7 @@ class PowerSeries(_Frozen):
             for i in range(count):
                 c = coeffs[i] if i <= stored else self.coefficient(i)
                 if c:
-                    if finite(power):
+                    if finite(power) and (power or not z):
                         acc = acc + c * power
                     else:
                         for _ in range(i):

@@ -37,8 +37,9 @@ The rational Pade system is solved the same way, over integers, with one
 reduction per unknown (:func:`_solve_fraction_free`).
 
 Each table builder takes a keyword-only ``sink``, which the triangle
-builder hands every finished level (:meth:`~seriaccel._recursions._Build.run`);
-:func:`table_name` gives the name of the table a builder returns.
+builder hands every finished level with the level's own row and notes, keyed
+by ``n`` (:meth:`~seriaccel._recursions._Build.run`); :func:`table_name`
+gives the name of the table a builder returns.
 """
 
 from __future__ import annotations

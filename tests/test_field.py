@@ -140,6 +140,8 @@ def test_fast_rendering_equals_the_exact_route(value, digits):
 
 
 @pytest.mark.parametrize("value, text", [
+    (Decimal("1E-1000040"), "0.1000000000e-1000039"),
+    (Decimal("-1E+1000040"), "-0.1000000000e1000041"),
     (Decimal("0.5"), "0.5000000000e0"),
     (Decimal("9.99999999995"), "0.1000000000e2"),
     (-2.5e-123, "-0.2500000000e-122"),
@@ -147,11 +149,14 @@ def test_fast_rendering_equals_the_exact_route(value, digits):
 ])
 def test_rendering_at_ten_digits(value, text):
     assert scientific_string(value, 10) == text
+    assert _scientific_reference(value, 10) == text
 
 
 def test_rendering_at_one_digit_count_does_not_leak_into_another():
+    # The last two lie outside the default context's exponent range.
     values = [0.125, -1.5e300, 5e-324, 9.5, Decimal("-24.67105263157"), Decimal("9.99999E+399"),
-              Decimal("1.234565"), BF.from_fraction(Fraction(-2, 3))]
+              Decimal("1.234565"), BF.from_fraction(Fraction(-2, 3)), Decimal("1E-1000040"),
+              Decimal("1E+1000040")]
     for digits in (6, 10, 6):
         assert [scientific_string(v, digits) for v in values] == [
             _scientific_reference(v, digits) for v in values]

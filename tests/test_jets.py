@@ -446,6 +446,20 @@ def test_partial_sums_keep_a_tiny_coefficient_finite_past_an_overflowed_power(fl
         assert abs(F(value) - F(horner)) <= bound * abs(F(horner)), (n, value, horner)
 
 
+def test_f64_partial_sums_keep_a_huge_coefficient_past_an_underflowed_power():
+    # z**2 underflows to 0 at z = 1e-300, while the term 1e300 * z**2 and
+    # Horner's sum are 1e-300.
+    fld = Float64Field()
+    series = PowerSeries(fld, (0.0, 0.0, 1e300))
+    z = 1e-300
+    sums = series.partial_sums(z, 3)
+    assert sums[:2] == (0.0, 0.0)
+    for value in (sums[2], series.partial_sum(2, z)):
+        horner = _horner(series, 2, z)
+        assert horner != 0.0
+        assert abs(F(value) - F(horner)) <= F(1, 10 ** 15) * abs(F(horner)), (value, horner)
+
+
 def test_accelerate_reads_each_coefficient_once_for_its_partial_sums(monkeypatch, capsys):
     # One pass: the 40 partial sums ask the tail rule for coefficients 1..39
     # once each, where a Horner pass per sum asked 780 times.

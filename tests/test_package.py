@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import seriaccel
 
 
@@ -54,3 +56,16 @@ def test_every_subcommand_loads_only_the_standard_library():
                           env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
     assert proc.stdout.splitlines()[-1] == "modules outside the standard library:"
+
+
+@pytest.mark.console
+def test_the_console_smoke_passes_through_the_module_entry_point():
+    # The commands CI runs through the installed ``seriaccel`` script.
+    script = Path(__file__).with_name("_console_smoke.py")
+    src = str(Path(seriaccel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script), sys.executable, "-m", "seriaccel.cli"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=900)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 of 22 commands failed"

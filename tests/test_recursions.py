@@ -81,13 +81,13 @@ PER_CELL_DEPS = {
 
 
 class _RecordingBuild(_Build):
-    """A build that keeps its ``deps`` and ``levels`` in ``seen``."""
+    """A build that keeps itself in ``seen``."""
 
     seen = []
 
-    def run(self, recursion, coeff=None):
-        self.seen.append((self.deps, self.levels))
-        return super().run(recursion, coeff)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen.append(self)
 
 
 def _textbook_deps():
@@ -107,8 +107,8 @@ def _textbook_deps():
         with mock.patch.object(transforms, "_Build", _RecordingBuild), \
                 mock.patch.object(rec, "_Build", _RecordingBuild):
             build()
-        (deps, levels), = _RecordingBuild.seen
-        out.append((name, deps, levels))
+        (recorded,) = _RecordingBuild.seen
+        out.append((name, recorded.deps, recorded.levels))
     return out
 
 
@@ -374,6 +374,105 @@ def test_a_full_row_drops_only_its_own_reads():
     assert [n for k, n in table.entries if k == 1] == [0, 1, 2, 3, 4]
     assert table.notes[(2, 3)] == "depends on invalid entry (0, 5)"
     assert table.entries[(2, 2)] == 3.0 + 5.0
+
+
+# ---------------------------------------------------------------------------
+# the level contract: each level the sink receives owns its row and notes
+
+# The five table builders, each given a sink.
+TABLE_BUILDERS = {
+    "aitken": aitken_table,
+    "epsilon": epsilon_table,
+    "epsilon-cross": epsilon_cross_table,
+    "theta": theta_table,
+    "theta-iterated": iterated_theta_table,
+}
+
+
+def _level_inputs(field, pool):
+    """Inputs whose builds have full levels, levels with some failed cells,
+    levels with no valid cell and, in f64, a seed that is not finite."""
+    repeats = [pool[1], pool[1], pool[3], pool[3], pool[4], pool[1], pool[2], pool[1], pool[3],
+               pool[4], pool[2], pool[3], pool[1]]
+    inputs = [_sums(field, 13), repeats, [pool[1]] * 13]
+    if field is F64:
+        inputs.append([*_sums(F64, 6), float("inf"), *_sums(F64, 6)])
+    return inputs
+
+
+def _levels_handed_over(build):
+    """``build(sink=...)`` and the ``(key, width, row, notes)`` its sink
+    received, each copied as it arrived."""
+    levels = []
+    table = build(sink=lambda key, width, row, notes: levels.append(
+        (key, width, dict(row), dict(notes))))
+    return table, levels
+
+
+def _assert_levels_are_the_table(table, levels):
+    entries, notes = {}, {}
+    for key, width, row, level_notes in levels:
+        assert not row.keys() & level_notes.keys(), key
+        assert sorted([*row, *level_notes]) == list(range(width + 1)), key
+        assert list(row) == sorted(row) and list(level_notes) == sorted(level_notes), key
+        entries.update(((key, n), value) for n, value in row.items())
+        notes.update(((key, n), note) for n, note in level_notes.items())
+    # The theta table over 3j + 1 inputs ends on a column with no cell (width -1).
+    assert [key for key, width, *_ in levels if width >= 0] == sorted(
+        {k for k, _ in [*table.entries, *table.notes]})
+    assert repr(entries) == repr(table.entries)
+    assert list(notes.items()) == list(table.notes.items())
+
+
+@pytest.mark.parametrize("mode", sorted(POOLS))
+@pytest.mark.parametrize("name", list(TABLE_BUILDERS))
+def test_each_level_the_sink_receives_is_the_tables_level(name, mode):
+    field, pool = POOLS[mode]
+    failed = empty = 0
+    for values in _level_inputs(field, pool):
+        seq = ScalarSequence(field, tuple(values))
+        table, levels = _levels_handed_over(partial(TABLE_BUILDERS[name], seq))
+        _assert_levels_are_the_table(table, levels)
+        failed += any(notes and row for _, _, row, notes in levels)
+        empty += any(notes and not row for _, _, row, notes in levels)
+    assert failed and empty
+
+
+def test_each_level_of_a_jet_build_is_the_tables_level():
+    field, pool = POOLS["rational"]
+    values = _level_inputs(field, pool)[1]
+    top = len(values) - 1
+    jets = JetOps(field, 2)
+    build = partial(run_recursion, EPSILON, jets, top // 2, top, [jets.zero] * (top + 1),
+                    values.__getitem__)
+    table, levels = _levels_handed_over(build)
+    _assert_levels_are_the_table(table, levels)
+    assert table.notes and len(levels) == top // 2 + 1
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", list(TABLE_BUILDERS))
+def test_a_sink_that_raises_leaves_the_levels_up_to_its_own_stored(name):
+    field, pool = POOLS["f64"]
+    seq = ScalarSequence(field, tuple(_level_inputs(field, pool)[1]))
+    levels = _levels_handed_over(partial(TABLE_BUILDERS[name], seq))[1]
+    keys = [key for key, width, *_ in levels if width >= 0]
+    assert len(keys) >= 3
+    for stop, *_ in levels:
+        def sink(key, width, row, notes):
+            if key == stop:
+                raise _Stop
+
+        _RecordingBuild.seen = []
+        with mock.patch.object(transforms, "_Build", _RecordingBuild), \
+                mock.patch.object(rec, "_Build", _RecordingBuild), pytest.raises(_Stop):
+            TABLE_BUILDERS[name](seq, sink=sink)
+        (build,) = _RecordingBuild.seen
+        stored = {k for k, _ in [*build.entries, *build.failures]}
+        assert stored == {key for key in keys if key <= stop}, stop
 
 
 def test_jet_constants_of_the_carrier_are_jet_constants():
