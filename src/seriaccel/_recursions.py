@@ -52,16 +52,18 @@ propagate: a breakdown or a non-finite value in one cell, seeds included,
 never aborts the build, and every cell that reads it inherits the failure.
 Every build comes back as a :class:`TransformTable`, the one result type of
 the package: ``entries`` holds its valid cells (jets in term tables, scalars
-elsewhere), ``notes`` its failed ones.  Each level also keeps its own row
-of valid cells and its own notes, both keyed by ``n``.  As soon as a level
-is finished, a build hands it with that row and notes to an optional
-*sink*: ``accelerate`` writes the level's lines there, so a value it cannot
-print stops the build at its level.  The table still keeps every cell.
+elsewhere), ``notes`` its failed ones.  Each cell lives once, in its level:
+a level keeps its own row of valid cells and its own notes, both keyed by
+``n``, and a built table's ``entries`` and ``notes`` are read-only views
+over those levels, keyed by ``(k, n)``.  As soon as a level is finished, a
+build files it and hands it with that row and notes to an optional *sink*:
+``accelerate`` writes the level's lines there, so a value it cannot print
+stops the build at its level.  The table still keeps every cell.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections.abc import Mapping
 from typing import Callable, NamedTuple
 
 from .field import BreakdownError, Field, Scalar
@@ -161,6 +163,52 @@ class SelectionError(LookupError):
         self.n = n
 
 
+class _Cells(Mapping):
+    """Read-only view of one kind of cell of a build, the valid values or the
+    failure notes, over the build's levels: ``levels[q]`` maps ``n`` to the
+    cell at key ``(scale * q, n)``.  It iterates level by level, each level
+    in ``n`` order, and reads as the dict of those items would: a missing or
+    malformed key raises ``KeyError``, and it equals a dict of the same items."""
+
+    __slots__ = ("_levels", "_scale")
+
+    def __init__(self, levels: list[dict], scale: int):
+        self._levels = levels
+        self._scale = scale
+
+    def __getitem__(self, key):
+        try:
+            k, n = key
+            q, r = divmod(k, self._scale)
+            if r or q < 0:
+                raise KeyError
+            return self._levels[q][n]
+        except (LookupError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        scale = self._scale
+        for q, cells in enumerate(self._levels):
+            k = scale * q
+            for n in cells:
+                yield k, n
+
+    def __len__(self) -> int:
+        return sum(map(len, self._levels))
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def valid(self, notes: _Cells) -> dict:
+        """``{key: key in self}`` over the cells of this view and ``notes``, a
+        view over the same build, level by level, each in ``n`` order: a
+        level's cells are ``n = 0 .. width``, split between the two."""
+        scale = self._scale
+        return {(scale * q, n): n in row
+                for q, (row, failed) in enumerate(zip(self._levels, notes._levels))
+                for n in range(len(row) + len(failed))}
+
+
 class TransformTable(NamedTuple):
     """Triangular table as one build left it: its ``entries`` and ``notes``.
 
@@ -173,6 +221,10 @@ class TransformTable(NamedTuple):
     ``n + step*k + 1``.  A numeric term table holds only the selected
     cells: one per ``m``, at ``(k, n) = divmod(m, step)``.
 
+    A table that :class:`_Build` returns keeps each cell once, in its level,
+    and its ``entries`` and ``notes`` are read-only views over those levels;
+    a table made otherwise may hold plain dicts.
+
     ``step`` and ``scale`` are the table's selection geometry: a level
     consumes ``step`` inputs, and level ``k`` sits at key ``scale * k``.
     """
@@ -181,8 +233,8 @@ class TransformTable(NamedTuple):
     size: int
     step: int
     scale: int
-    entries: dict
-    notes: dict
+    entries: Mapping
+    notes: Mapping
 
     @property
     def last_index(self) -> int:
@@ -190,10 +242,14 @@ class TransformTable(NamedTuple):
 
     @property
     def valid(self) -> dict:
-        """``{key: key in entries}`` over every cell, in key order; rebuilt on each access.
+        """``{key: key in entries}`` over every cell, in key order; rebuilt on each
+        access, from the level dicts of a built table.
 
         The package reads ``entries`` and ``notes``; only the benchmark reads this."""
-        return {key: key in self.entries for key in sorted([*self.entries, *self.notes])}
+        entries, notes = self.entries, self.notes
+        if isinstance(entries, _Cells) and isinstance(notes, _Cells):
+            return entries.valid(notes)
+        return {key: key in entries for key in sorted([*entries, *notes])}
 
     def is_valid(self, k: int, n: int) -> bool:
         """``(k, n) in entries``; like :attr:`valid`, read only by the benchmark."""
@@ -222,12 +278,13 @@ class _Build:
     read, in the listed order, without running the step; when the first
     checked read is of a row with no valid cell, the whole level is written
     so at once.  A step that breaks down, or a cell (seeds included) that is
-    not finite, records why in ``failures``, the table's notes.  Each level,
-    the seeds included, also keeps its own ``row`` and ``notes`` by ``n``,
-    and a level written at once is filed in ``failures`` with one update.
-    Keys are ``(scale * level, n)``, the scale applied where a key or a note
-    is written, so a table that holds only the even columns keeps their
-    literal subscripts.  ``step`` is the number of inputs a level consumes.
+    not finite, records why in its level's notes.  Each cell lives once, in
+    its level: each level, the seeds included, keeps its own ``row`` of
+    valid cells and its own ``notes``, both by ``n``, and ``entries`` and
+    ``failures``, the table's entries and notes, are read-only views over
+    the levels filed so far.  Their keys are ``(scale * level, n)``, so a
+    table that holds only the even columns keeps their literal subscripts.
+    ``step`` is the number of inputs a level consumes.
     """
 
     def __init__(self, ops, levels: int, width: Width, deps: Callable[[int], list],
@@ -238,14 +295,15 @@ class _Build:
         self.width = width
         self.deps = deps
         self.scale = scale
-        self.entries: dict[tuple[int, int], object] = {}
-        self.failures: dict[tuple[int, int], str] = {}
-        self._seeds, self._seed_notes = row, notes = {}, {}  # level 0, keyed by ``n``
+        row, notes = {}, {}  # level 0, keyed by ``n``
         for n in range(width(0) + 1):
             if ops.finite(seed[n]):
-                self.entries[0, n] = row[n] = seed[n]
+                row[n] = seed[n]
             else:
-                self.failures[0, n] = notes[n] = "overflow"
+                notes[n] = "overflow"
+        self._rows, self._notes = [row], [notes]  # by level
+        self.entries = _Cells(self._rows, scale)
+        self.failures = _Cells(self._notes, scale)
 
     def table(self, name: str, scale: int | None = None) -> TransformTable:
         """The build as a table whose selected level ``k`` sits at key ``scale * k``
@@ -265,17 +323,17 @@ class _Build:
         ``key`` is the level's key, its cells are ``n = 0 .. width``, ``row``
         maps ``n`` to its valid cells and ``notes``, the level's own, maps
         ``n`` to the reason of each failed cell, both in ``n`` order.  The
-        level is already filed in the table when the sink gets it.  The sink
+        level is filed in the build, once, before the sink gets it.  The sink
         runs outside the carrier's arithmetic context, and an error it raises
         ends the build: no later level is computed."""
         ops, step, scale = self.ops, self.step, self.scale
-        entries, failures = self.entries, self.failures
+        rows, failed = self._rows, self._notes
         finite, const = ops.finite, ops.const
-        prev, cur = None, self._seeds
+        prev, cur = None, rows[0]
         width = self.width(0)
         full = {0} if len(cur) > width else set()  # the levels with every cell valid
         if sink is not None:
-            sink(0, width, cur, self._seed_notes)
+            sink(0, width, cur, failed[0])
         for k in range(self.levels):
             row, notes = {}, {}
             level = scale * (k + 1)
@@ -288,7 +346,6 @@ class _Build:
             if reads and not reads[0][0]:  # every cell fails on this read; the row stays empty
                 _, offset, prefix = reads[0]
                 notes = {n: f"{prefix}{n + offset})" for n in cells}
-                failures.update(zip(zip(repeat(level), notes), notes.values()))
                 cells = ()
             with ops.context():
                 for n in cells:
@@ -306,9 +363,11 @@ class _Build:
                         else:
                             note = None if finite(value) else "overflow"
                     if note is None:
-                        entries[level, n] = row[n] = value
+                        row[n] = value
                     else:
-                        failures[level, n] = notes[n] = note
+                        notes[n] = note
+            rows.append(row)
+            failed.append(notes)
             if len(row) > width:
                 full.add(k + 1)
             if sink is not None:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from contextlib import nullcontext
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
                      localcontext)
@@ -335,6 +336,10 @@ class Field(_Frozen):
     def is_finite(self, value: Scalar) -> bool:
         return True
 
+    #: Whether a value is finite, nonzero and not subnormal, so that it carries
+    #: the field's full precision (bigfloat asks the current context).
+    is_normal = staticmethod(bool)
+
 
 #: Largest decimal exponent a rational literal may carry: the digit limit
 #: that ``int()`` puts on the numerator and denominator of a ``p/q`` literal.
@@ -514,6 +519,7 @@ class BigFloatField(Field):
             return +value
 
     is_finite = staticmethod(Decimal.is_finite)
+    is_normal = staticmethod(Decimal.is_normal)
 
 
 class Float64Field(Field):
@@ -533,6 +539,10 @@ class Float64Field(Field):
         return float(value)
 
     is_finite = staticmethod(math.isfinite)
+
+    @staticmethod
+    def is_normal(value: float) -> bool:
+        return sys.float_info.min <= abs(value) <= sys.float_info.max
 
 
 _MODES = {

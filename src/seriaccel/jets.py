@@ -186,23 +186,24 @@ class PowerSeries(_Frozen):
         in bigfloat) and each sum is rounded back once, so rational sums are
         exact.  A zero coefficient adds nothing, also where ``z**n`` has
         overflowed and the product would be NaN.  Past that overflow, or once
-        ``z**n`` has underflowed to zero while ``z`` is not zero, a nonzero
+        ``z**n`` has underflowed to a subnormal power or zero while ``z`` is
+        not zero (:meth:`~seriaccel.field.Field.is_normal`), a nonzero
         coefficient is multiplied by ``z`` one factor at a time, so a tiny
-        coefficient keeps a finite term and a huge one a nonzero term, as in
-        Horner's rule.
+        coefficient keeps a finite term and a huge one a nonzero term with
+        all its digits, as in Horner's rule.
         """
         fld = self.field
         z = fld.ensure(z)
         coeffs, stored = self.coeffs, self.known_order
         sums = []
         work = fld.guarded()
-        finite = work.is_finite
+        normal = work.is_normal
         with work.arithmetic():
             acc, power = work.zero, work.one
             for i in range(count):
                 c = coeffs[i] if i <= stored else self.coefficient(i)
                 if c:
-                    if finite(power) and (power or not z):
+                    if normal(power) or not z:
                         acc = acc + c * power
                     else:
                         for _ in range(i):

@@ -366,7 +366,9 @@ def theta_table(seq: ScalarSequence, modified: bool = False, *, sink=None) -> Tr
             return _epsilon_deps(j)[:2] if modified else _epsilon_deps(j)
         return [(j - 1, 1), (j - 1, 2), (j, 0), (j, 1), (j, 2)]
 
-    return _table("theta", FAMILIES["theta-iterated"], seq, 2 * (m // 3) + 1,
+    # Column j has cells while 3j // 2 <= m: columns 1 .. 2 * (m // 3), and
+    # the odd column after them where m % 3 > 0.
+    return _table("theta", FAMILIES["theta-iterated"], seq, 2 * (m // 3) + (m % 3 > 0),
                   lambda j: m - 3 * j // 2, deps, step, sink=sink)
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Context, Decimal
 from fractions import Fraction as F
 
@@ -458,6 +459,19 @@ def test_f64_partial_sums_keep_a_huge_coefficient_past_an_underflowed_power():
         horner = _horner(series, 2, z)
         assert horner != 0.0
         assert abs(F(value) - F(horner)) <= F(1, 10 ** 15) * abs(F(horner)), (value, horner)
+
+
+def test_f64_partial_sums_keep_every_digit_past_a_subnormal_power():
+    # z**2 = 1e-320 is subnormal at z = 1e-160, and carries only 3 digits,
+    # while the term 1e300 * z**2 and Horner's sum are 1e-20.
+    fld = Float64Field()
+    series = PowerSeries(fld, (0.0, 0.0, 1e300))
+    z = 1e-160
+    assert 0.0 < z * z < sys.float_info.min
+    sums = series.partial_sums(z, 3)
+    assert sums[:2] == (0.0, 0.0)
+    horner = _horner(series, 2, z)
+    assert abs(F(sums[2]) - F(horner)) <= F(1, 10 ** 15) * abs(F(horner)), (sums[2], horner)
 
 
 def test_accelerate_reads_each_coefficient_once_for_its_partial_sums(monkeypatch, capsys):

@@ -149,11 +149,13 @@ def test_family_reads_expand_to_the_per_cell_reads(name):
 
 class _PerCellBuild(_Build):
     """The builder loop with a fresh dependency list for every cell and each
-    inherited-failure note formatted from a ``(key, n)`` tuple."""
+    inherited-failure note formatted from a ``(key, n)`` tuple, filing every
+    cell in flat dicts of its own, keyed ``(key, n)``, from the seeds on."""
 
     def run(self, recursion, coeff=None):
         ops, step, scale = self.ops, self.step, self.scale
-        entries, failures = self.entries, self.failures
+        entries = self.entries = dict(self.entries)
+        failures = self.failures = dict(self.failures)
         prev, cur = None, {n: value for (_, n), value in entries.items()}
         with ops.context():
             for k in range(self.levels):
@@ -377,6 +379,64 @@ def test_a_full_row_drops_only_its_own_reads():
 
 
 # ---------------------------------------------------------------------------
+# the store: each cell lives once, in its level, and a table reads through views
+
+
+def _dead_heavy_table():
+    """The f64 epsilon table of the ``log1p-over-z`` partial sums at z = -9/10
+    over 120 terms, whose columns past 12 have no valid cell from n = 92 on.
+    (Over 60 terms every cell is valid.)"""
+    series = builtin_series("log1p-over-z", (), 120, F64).series
+    sums = series.partial_sums(F64.from_fraction(F(-9, 10)), 120)
+    return partial(epsilon_table, ScalarSequence(F64, sums))
+
+
+def test_a_built_table_reads_its_levels_through_read_only_views():
+    build = _dead_heavy_table()
+    table = _same_as_per_cell(build)
+    with mock.patch.object(transforms, "_Build", _PerCellBuild), \
+            mock.patch.object(rec, "_Build", _PerCellBuild):
+        flat = build()
+    assert type(flat.entries) is dict and type(flat.notes) is dict
+    assert _levels_after_an_empty_level(table) > 10
+    for view, want in ((table.entries, flat.entries), (table.notes, flat.notes)):
+        key = next(iter(want))
+        with pytest.raises(TypeError):
+            view[key] = want[key]
+        assert list(view.items()) == list(want.items())
+        assert list(view) == list(want) and len(view) == len(want)
+        assert view == want and want == view and repr(view) == repr(want)
+        assert all(view[key] == value and view.get(key) == value and key in view
+                   for key, value in want.items())
+
+
+def test_a_view_rejects_a_missing_or_malformed_key():
+    table = theta_table(ScalarSequence(RAT, tuple(F(1, i + 1) for i in range(9))))
+    entries = table.entries
+    assert (2, 0) in entries and entries.get((2, 0)) is not None
+    for key in [(-2, 0), (0, -1), (0, 9), (12, 0), (2,), (2, 0, 0), "k", 2, None, (2, [0]),
+                (0.5, 0)]:
+        assert key not in entries and entries.get(key, "absent") == "absent", key
+        with pytest.raises(KeyError) as caught:
+            entries[key]
+        assert caught.value.args == (key,), key
+    assert entries != {} and {**entries} == dict(entries.items())
+
+
+@pytest.mark.parametrize("mode", sorted(POOLS))
+def test_valid_of_a_built_table_is_the_flat_merge_of_its_cells(mode):
+    field, pool = POOLS[mode]
+    built = [_dead_heavy_table()] if field is F64 else []
+    for values in _level_inputs(field, pool):
+        built += _textbook_builds(field, values) + _term_builds(field, values, pool[4])
+    for build in built:
+        table = build()
+        entries, notes = table.entries, table.notes
+        assert table.valid == {key: key in entries for key in sorted([*entries, *notes])}
+        assert list(table.valid) == sorted([*entries, *notes])
+
+
+# ---------------------------------------------------------------------------
 # the level contract: each level the sink receives owns its row and notes
 
 # The five table builders, each given a sink.
@@ -417,9 +477,9 @@ def _assert_levels_are_the_table(table, levels):
         assert list(row) == sorted(row) and list(level_notes) == sorted(level_notes), key
         entries.update(((key, n), value) for n, value in row.items())
         notes.update(((key, n), note) for n, note in level_notes.items())
-    # The theta table over 3j + 1 inputs ends on a column with no cell (width -1).
-    assert [key for key, width, *_ in levels if width >= 0] == sorted(
-        {k for k, _ in [*table.entries, *table.notes]})
+    # No level is empty: the theta table over 3j + 1 inputs ends on column 2j.
+    assert all(width >= 0 for _, width, *_ in levels)
+    assert [key for key, *_ in levels] == sorted({k for k, _ in [*table.entries, *table.notes]})
     assert repr(entries) == repr(table.entries)
     assert list(notes.items()) == list(table.notes.items())
 
@@ -430,11 +490,12 @@ def test_each_level_the_sink_receives_is_the_tables_level(name, mode):
     field, pool = POOLS[mode]
     failed = empty = 0
     for values in _level_inputs(field, pool):
-        seq = ScalarSequence(field, tuple(values))
-        table, levels = _levels_handed_over(partial(TABLE_BUILDERS[name], seq))
-        _assert_levels_are_the_table(table, levels)
-        failed += any(notes and row for _, _, row, notes in levels)
-        empty += any(notes and not row for _, _, row, notes in levels)
+        for size in (11, 12, 13):  # m % 3 == 1, 2 and 0
+            seq = ScalarSequence(field, tuple(values[:size]))
+            table, levels = _levels_handed_over(partial(TABLE_BUILDERS[name], seq))
+            _assert_levels_are_the_table(table, levels)
+            failed += any(notes and row for _, _, row, notes in levels)
+            empty += any(notes and not row for _, _, row, notes in levels)
     assert failed and empty
 
 
@@ -459,7 +520,7 @@ def test_a_sink_that_raises_leaves_the_levels_up_to_its_own_stored(name):
     field, pool = POOLS["f64"]
     seq = ScalarSequence(field, tuple(_level_inputs(field, pool)[1]))
     levels = _levels_handed_over(partial(TABLE_BUILDERS[name], seq))[1]
-    keys = [key for key, width, *_ in levels if width >= 0]
+    keys = [key for key, *_ in levels]
     assert len(keys) >= 3
     for stop, *_ in levels:
         def sink(key, width, row, notes):
