@@ -180,11 +180,11 @@ class _Cells(Mapping):
         try:
             k, n = key
             q, r = divmod(k, self._scale)
-            if r or q < 0:
-                raise KeyError
-            return self._levels[q][n]
+            if not r and q >= 0:
+                return self._levels[q][n]
         except (LookupError, TypeError, ValueError):
-            raise KeyError(key) from None
+            pass
+        raise KeyError(key)
 
     def __iter__(self):
         scale = self._scale
