@@ -56,9 +56,10 @@ elsewhere), ``notes`` its failed ones.  Each cell lives once, in its level:
 a level keeps its own row of valid cells and its own notes, both keyed by
 ``n``, and a built table's ``entries`` and ``notes`` are read-only views
 over those levels, keyed by ``(k, n)``.  As soon as a level is finished, a
-build files it and hands it with that row and notes to an optional *sink*:
-``accelerate`` writes the level's lines there, so a value it cannot print
-stops the build at its level.  The table still keeps every cell.
+build files it and hands it with that row and notes, which the sink must
+not change, to an optional *sink*: ``accelerate`` writes the level's lines
+there, so a value it cannot print stops the build at its level.  The table
+still keeps every cell.
 """
 
 from __future__ import annotations
@@ -167,8 +168,9 @@ class _Cells(Mapping):
     """Read-only view of one kind of cell of a build, the valid values or the
     failure notes, over the build's levels: ``levels[q]`` maps ``n`` to the
     cell at key ``(scale * q, n)``.  It iterates level by level, each level
-    in ``n`` order, and reads as the dict of those items would: a missing or
-    malformed key raises ``KeyError``, and it equals a dict of the same items."""
+    in ``n`` order.  For keys ``(k, n)`` of two ints it reads as the dict of
+    those items would; any other key raises ``KeyError``, and it equals a dict
+    of the same items."""
 
     __slots__ = ("_levels", "_scale")
 
@@ -198,15 +200,6 @@ class _Cells(Mapping):
 
     def __repr__(self) -> str:
         return repr(dict(self))
-
-    def valid(self, notes: _Cells) -> dict:
-        """``{key: key in self}`` over the cells of this view and ``notes``, a
-        view over the same build, level by level, each in ``n`` order: a
-        level's cells are ``n = 0 .. width``, split between the two."""
-        scale = self._scale
-        return {(scale * q, n): n in row
-                for q, (row, failed) in enumerate(zip(self._levels, notes._levels))
-                for n in range(len(row) + len(failed))}
 
 
 class TransformTable(NamedTuple):
@@ -242,13 +235,10 @@ class TransformTable(NamedTuple):
 
     @property
     def valid(self) -> dict:
-        """``{key: key in entries}`` over every cell, in key order; rebuilt on each
-        access, from the level dicts of a built table.
+        """``{key: key in entries}`` over every cell, in key order; rebuilt on each access.
 
         The package reads ``entries`` and ``notes``; only the benchmark reads this."""
         entries, notes = self.entries, self.notes
-        if isinstance(entries, _Cells) and isinstance(notes, _Cells):
-            return entries.valid(notes)
         return {key: key in entries for key in sorted([*entries, *notes])}
 
     def is_valid(self, k: int, n: int) -> bool:
@@ -323,7 +313,9 @@ class _Build:
         ``key`` is the level's key, its cells are ``n = 0 .. width``, ``row``
         maps ``n`` to its valid cells and ``notes``, the level's own, maps
         ``n`` to the reason of each failed cell, both in ``n`` order.  The
-        level is filed in the build, once, before the sink gets it.  The sink
+        level is filed in the build, once, before the sink gets it: ``row``
+        and ``notes`` are the table's own store, and the sink must not change
+        them.  The sink
         runs outside the carrier's arithmetic context, and an error it raises
         ends the build: no later level is computed."""
         ops, step, scale = self.ops, self.step, self.scale

@@ -1,5 +1,4 @@
 import math
-import sys
 from decimal import Context, Decimal
 from fractions import Fraction as F
 
@@ -461,17 +460,24 @@ def test_f64_partial_sums_keep_a_huge_coefficient_past_an_underflowed_power():
         assert abs(F(value) - F(horner)) <= F(1, 10 ** 15) * abs(F(horner)), (value, horner)
 
 
-def test_f64_partial_sums_keep_every_digit_past_a_subnormal_power():
-    # z**2 = 1e-320 is subnormal at z = 1e-160, and carries only 3 digits,
-    # while the term 1e300 * z**2 and Horner's sum are 1e-20.
-    fld = Float64Field()
-    series = PowerSeries(fld, (0.0, 0.0, 1e300))
-    z = 1e-160
-    assert 0.0 < z * z < sys.float_info.min
+@pytest.mark.parametrize("fld, c, z, bound", [
+    (Float64Field(), 1e300, 1e-160, F(1, 10 ** 15)),
+    (BigFloatField(50), Decimal("1e999990"),
+     Decimal("1.2345678901234567890123456789012345678901234567891e-500025"), F(1, 10 ** 45)),
+], ids=["f64", "bigfloat"])
+def test_partial_sums_keep_every_digit_past_a_subnormal_power(fld, c, z, bound):
+    # z**2 is subnormal: 1e-320 carries 3 digits in f64, and 1.52415788E-1000050
+    # 9 digits in the guarded bigfloat context, while the term c * z**2 and
+    # Horner's sum are normal numbers.
+    series = PowerSeries(fld, (fld.zero, fld.zero, c))
+    work = fld.guarded()
+    with work.arithmetic():
+        power = z * z
+    assert power and not work.is_normal(power)
     sums = series.partial_sums(z, 3)
-    assert sums[:2] == (0.0, 0.0)
+    assert sums[:2] == (fld.zero, fld.zero)
     horner = _horner(series, 2, z)
-    assert abs(F(sums[2]) - F(horner)) <= F(1, 10 ** 15) * abs(F(horner)), (sums[2], horner)
+    assert abs(F(sums[2]) - F(horner)) <= bound * abs(F(horner)), (sums[2], horner)
 
 
 def test_accelerate_reads_each_coefficient_once_for_its_partial_sums(monkeypatch, capsys):
