@@ -34,13 +34,17 @@ multiplication by the series variable: :class:`JetOps` over truncated power
 series (Taylor expansions), :class:`NumericOps` over plain scalars at a
 fixed point, whose product with z is the point's own multiplication, bound
 once, and :class:`UnitOps` at z = 1, which never multiplies.  Every carrier
-also keeps one per-row memo (:meth:`_Carrier.recips`) for the epsilon cross
-rule, where neighbouring cells read the same reciprocal difference
-``1/d(j)`` (Wynn, Numer. Math. 8, 1966): cell ``n`` stores its ``1/d1`` at
-``n + 1``, and cell ``n + 1`` reads it as its ``1/d0``.  The memo is keyed
-on the identity of the row and never holds a breakdown, so a cell whose
-reciprocal failed leaves the next cell to divide again and fail alike; it
-stays correct when one carrier runs several builds.
+also keeps one per-row memo (:meth:`_Carrier.memo`) of the shifted
+differences that neighbouring cells share: cell ``n`` stores under ``n + 1``
+what cell ``n + 1`` would form again (Aitken's ``hi``; epsilon's ``z*x2``,
+``d1`` and the reciprocal difference ``1/d1`` of Wynn, Numer. Math. 8, 1966;
+theta's ``u1``, ``u2`` and ``v1``).  With coefficients injected, ``g[1]`` of
+cell ``n`` is ``g[0]`` of cell ``n + 1``, so a stored value is the one the
+next cell's own expression gives, bit for bit, on every carrier.  The memo
+is keyed on the identity of the row and holds only what a cell finished
+forming, never a breakdown: after a cell that failed or did not run, the
+next cell forms its differences again, and fails alike.  It stays correct
+when one carrier runs several builds.
 
 Every step, in these recursions and the textbook tables of
 :mod:`seriaccel.transforms` alike, has the signature
@@ -88,17 +92,18 @@ def _last_index(series: PowerSeries, last_index: int | None) -> int:
 
 
 class _Carrier:
-    """What every carrier shares: the per-row memo of reciprocal differences."""
+    """What every carrier shares: the per-row memo of shifted differences."""
 
     _row = None
 
-    def recips(self, row: dict) -> dict:
-        """The memo of the row ``row``, ``j -> 1 / d(j)``; a fresh one for a row
-        other than the last one asked for.  The memo holds the row itself, so
-        its identity cannot pass to a later row."""
+    def memo(self, row: dict) -> dict:
+        """The memo of the row ``row``, ``n ->`` what cell ``n - 1`` formed for
+        cell ``n``; a fresh one for a row other than the last one asked for.
+        The memo holds the row itself, so its identity cannot pass to a later
+        row.  A step pops its own entry as it reads it."""
         if row is not self._row:
-            self._row, self._recips = row, {}
-        return self._recips
+            self._row, self._memo = row, {}
+        return self._memo
 
 
 class JetOps(_Carrier):
@@ -424,38 +429,50 @@ def theta_deps(k):
 
 
 def aitken_step(ops, g, k, n, cur, prev):
-    """Delta-squared; a level consumes two coefficients."""
+    """Delta-squared; a level consumes two coefficients.  The ``hi`` of cell
+    ``n`` is the ``lo`` of cell ``n + 1``; the row's memo carries it over."""
     zmul = ops.zmul
     x1, x2 = cur[n + 1], cur[n + 2]
-    lo = zmul(x1) - cur[n]
+    memo = ops.memo(cur)
+    lo = memo.pop(n, None)
+    if lo is None:
+        lo = zmul(x1) - cur[n]
+        if g is not None:
+            lo = g[0] + lo
     hi = zmul(x2) - x1
     if g is not None:
-        lo = g[0] + lo
         hi = g[1] + hi
+    memo[n + 1] = hi
     return x2 - ops.div(hi * hi, zmul(hi) - lo)
 
 
 def epsilon_step(ops, g, k, n, cur, prev):
     """Five-point cross rule; the first term level keeps its closed form.
 
-    The reciprocal ``1/d1`` of cell ``n`` is the ``1/d0`` of cell ``n + 1``;
-    the row's memo carries it over, and holds no breakdown."""
+    The ``z*x2``, ``d1`` and ``1/d1`` of cell ``n`` are the ``z*x1``, ``d0``
+    and ``1/d0`` of cell ``n + 1``; the row's memo carries them over once
+    ``1/d1`` is formed."""
     zmul, div, one = ops.zmul, ops.div, ops.one
     if k == 0 and g is not None:
         lo, hi = g
         return div(hi * hi, lo - zmul(hi))
     x1, x2 = cur[n + 1], cur[n + 2]
-    zx1 = zmul(x1)
-    d0 = zx1 - cur[n]
-    d1 = zmul(x2) - x1
-    if g is not None:
-        d0 = g[0] + d0
-        d1 = g[1] + d1
-    recips = ops.recips(cur)
-    r0 = recips.get(n)
-    if r0 is None:
+    memo = ops.memo(cur)
+    shared = memo.pop(n, None)
+    if shared is None:
+        zx1 = zmul(x1)
+        d0 = zx1 - cur[n]
+        if g is not None:
+            d0 = g[0] + d0
         r0 = div(one, d0)
-    r1 = recips[n + 1] = div(one, d1)
+    else:
+        zx1, d0, r0 = shared
+    zx2 = zmul(x2)
+    d1 = zx2 - x1
+    if g is not None:
+        d1 = g[1] + d1
+    r1 = div(one, d1)
+    memo[n + 1] = zx2, d1, r1
     if k == 0:
         num = div(d1, d0)
         den = r1 - zmul(r0)
@@ -468,18 +485,27 @@ def epsilon_step(ops, g, k, n, cur, prev):
 
 
 def theta_step(ops, g, k, n, cur, prev):
-    """Iterated theta; a level consumes three coefficients."""
+    """Iterated theta; a level consumes three coefficients.  The ``u1``, ``u2``
+    and ``v1`` of cell ``n`` are the ``u0``, ``u1`` and ``v0`` of cell ``n + 1``."""
     zmul = ops.zmul
-    x1, x2, x3 = cur[n + 1], cur[n + 2], cur[n + 3]
-    u0 = zmul(x1) - cur[n]
-    u1 = zmul(x2) - x1
+    x2, x3 = cur[n + 2], cur[n + 3]
+    memo = ops.memo(cur)
+    shared = memo.pop(n, None)
+    if shared is None:
+        x1 = cur[n + 1]
+        u0 = zmul(x1) - cur[n]
+        u1 = zmul(x2) - x1
+        if g is not None:
+            u0 = g[0] + u0
+            u1 = g[1] + u1
+        v0 = zmul(u1) - u0
+    else:
+        u0, u1, v0 = shared
     u2 = zmul(x3) - x2
     if g is not None:
-        u0 = g[0] + u0
-        u1 = g[1] + u1
         u2 = g[2] + u2
-    v0 = zmul(u1) - u0
     v1 = zmul(u2) - u1
+    memo[n + 1] = u1, u2, v1
     u2v0 = u2 * v0
     num = u2 * (u2v0 + u1 * u1 - u0 * u2)
     den = zmul(u2v0) - u0 * v1

@@ -112,10 +112,12 @@ def leading_remainders(
 def remainder_value(series: PowerSeries, n: int, z: Scalar) -> Scalar:
     """Scaled truncation error ``(f_n(z) - f(z)) / z**(n+1)`` by tail summation.
 
-    Sums ``-(gamma(n+1) + gamma(n+2) z + ...)`` numerically until the terms
-    fall below the working precision, so it needs a float mode and
-    ``|z| < 1``.  :func:`evaluate_error_terms` calls it once per table, at the
-    deepest index, and reaches the shallower ones by backward recurrence.
+    Sums ``-(gamma(n+1) + gamma(n+2) z + ...)`` numerically until three terms
+    in a row fall below the working precision, so it needs a float mode and
+    ``|z| < 1``.  A zero term counts only once ``|z**v|`` has fallen too: a
+    zero coefficient says nothing of the coefficients after it.
+    :func:`evaluate_error_terms` calls it once per table, at the deepest
+    index, and reaches the shallower ones by backward recurrence.
     """
     fld = series.field
     if isinstance(fld, RationalField):
@@ -136,9 +138,8 @@ def remainder_value(series: PowerSeries, n: int, z: Scalar) -> Scalar:
             term = series.coefficient(n + v + 1) * zpow
             acc = acc - term
             scale = abs(acc)
-            if scale < one:
-                scale = one
-            if abs(term) <= tol * scale:
+            if (abs(term) <= (tol if scale < one else tol * scale)
+                    and (term or abs(zpow) <= tol)):
                 quiet += 1
                 if quiet >= 3:
                     return acc
@@ -173,12 +174,12 @@ def series_value(series: PowerSeries, z: Scalar) -> Scalar:
         return series.coefficient(0) - z * remainder_value(series, 0, z)
 
 
-def _selected(table: TransformTable, ops: NumericOps) -> TransformTable:
+def _selected(table: TransformTable, fld, powers: list) -> TransformTable:
     """``table`` cut to one cell per ``m``, at ``(k, n) = divmod(m, step)``:
-    ``z**(m+1)`` times the entry, ``overflow`` where that product leaves the
-    field's range, or the build's note.  Level 0 is zero by convention: not
-    enough inputs for a genuine transform yet."""
-    fld, z = ops.field, ops.z
+    ``powers[m]``, which is ``z**(m+1)``, times the entry, ``overflow`` where
+    that product leaves the field's range or the power is ``None``, or the
+    build's note.  Level 0 is zero by convention: not enough inputs for a
+    genuine transform yet."""
     entries, notes = {}, {}
     with fld.arithmetic():
         for m in range(table.size):
@@ -188,10 +189,8 @@ def _selected(table: TransformTable, ops: NumericOps) -> TransformTable:
             elif key not in table.entries:
                 notes[key] = table.notes[key]
             else:
-                try:
-                    value = z ** (m + 1) * table.entries[key]
-                except OverflowError:  # a float power raises where a product gives inf
-                    value = None
+                power = powers[m]
+                value = None if power is None else power * table.entries[key]
                 if value is not None and fld.is_finite(value):
                     entries[key] = value
                 else:
@@ -199,10 +198,27 @@ def _selected(table: TransformTable, ops: NumericOps) -> TransformTable:
     return table._replace(entries=entries, notes=notes)
 
 
+def _powers(fld, z: Scalar, count: int) -> list:
+    """``z**(m+1)`` for ``m < count``, in the field's arithmetic; ``None`` where
+    an f64 power raises ``OverflowError`` (a product would give inf there)."""
+    powers = []
+    with fld.arithmetic():
+        for m in range(count):
+            try:
+                powers.append(z ** (m + 1))
+            except OverflowError:
+                powers.append(None)
+    return powers
+
+
 def _evaluate(series, z, m_max, seed, coeff=None) -> dict[str, TransformTable]:
-    """Selected cells per family of the rearranged recursion at ``z``."""
-    ops = NumericOps(series.field, z)
-    return {fam.name: _selected(run_recursion(fam, ops, m_max // fam.step, m_max, seed, coeff), ops)
+    """Selected cells per family of the rearranged recursion at ``z``; the
+    powers of ``z`` are formed once for the three families."""
+    fld = series.field
+    ops = NumericOps(fld, z)
+    powers = _powers(fld, ops.z, m_max + 1)
+    return {fam.name: _selected(run_recursion(fam, ops, m_max // fam.step, m_max, seed, coeff),
+                                fld, powers)
             for fam in FAMILIES.values()}
 
 

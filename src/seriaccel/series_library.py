@@ -20,6 +20,7 @@ comments; the caller's field reads the literals.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -53,19 +54,29 @@ class ResolvedInput(NamedTuple):
         return self.series
 
 
-def _log_coefficient(field: Field, i: int) -> Scalar:
-    return field.quotient(-1 if i & 1 else 1, i + 1)
+def _log_rule(field: Field):
+    """``i -> (-1)**i / (i + 1)``, correctly rounded in ``field``; like
+    :func:`_zeta_rule`, resolved once per series, with the mode's branch
+    taken before the first coefficient is asked for."""
+    if isinstance(field, BigFloatField):
+        divide = field._context.divide  # its own operations round; no context is entered
+        return lambda i: divide(Decimal(-1 if i & 1 else 1), Decimal(i + 1))
+    quotient = field.quotient
+    return lambda i: quotient(-1 if i & 1 else 1, i + 1)
 
 
-def _zeta_coefficient(field: Field, s: Scalar, i: int) -> Scalar:
-    base = i + 1
+def _zeta_rule(field: Field, s: Scalar):
+    """``i -> (i + 1)**(-s)`` in ``field``, with ``-s`` formed once."""
     if isinstance(field, RationalField):
         # Exactness needs an integer exponent; rejected otherwise at build time.
-        return Fraction(1, base ** int(s))
+        exponent = int(s)
+        return lambda i: Fraction(1, (i + 1) ** exponent)
     if isinstance(field, BigFloatField):
         ctx = field._context  # its own operations round; no context is entered
-        return ctx.power(field.from_int(base), ctx.minus(s))
-    return float(base) ** (-s)
+        power, minus_s = ctx.power, ctx.minus(s)
+        return lambda i: power(Decimal(i + 1), minus_s)
+    minus_s = -s
+    return lambda i: float(i + 1) ** minus_s
 
 
 def builtin_series(name: str, params: tuple, count: int, field: Field) -> ResolvedInput:
@@ -77,7 +88,7 @@ def builtin_series(name: str, params: tuple, count: int, field: Field) -> Resolv
     if name == "log1p-over-z":
         if params:
             raise ValueError("log1p-over-z takes no parameters")
-        tail = lambda i: _log_coefficient(field, i)
+        tail = _log_rule(field)
     elif name == "zeta":
         if len(params) != 1:
             raise ValueError("zeta needs exactly one parameter: the exponent")
@@ -86,12 +97,13 @@ def builtin_series(name: str, params: tuple, count: int, field: Field) -> Resolv
             raise ValueError("zeta requires an exponent > 1")
         if isinstance(field, RationalField) and s.denominator != 1:
             raise ValueError("zeta in rational mode needs an integer exponent")
-        tail = lambda i: _zeta_coefficient(field, s, i)
+        tail = _zeta_rule(field, s)
         default_z = field.one
     elif name == "geometric":
         if len(params) > 1:
             raise ValueError("geometric takes at most one parameter: the evaluation point")
-        tail = lambda i: field.one
+        one = field.one
+        tail = lambda i: one
         default_z = field.ensure(params[0]) if params else None
     elif name == "model":
         if len(params) != 3:

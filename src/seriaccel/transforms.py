@@ -237,11 +237,11 @@ def _epsilon_cross_plain(ops, g, k, n, cur, prev):
     forms each reciprocal difference of a row once, in the row's memo."""
     div, one = ops.div, ops.one
     x1 = cur[n + 1]
-    recips = ops.recips(cur)
-    r0 = recips.get(n)
+    memo = ops.memo(cur)
+    r0 = memo.pop(n, None)
     if r0 is None:
         r0 = div(one, x1 - cur[n])
-    r1 = recips[n + 1] = div(one, cur[n + 2] - x1)
+    r1 = memo[n + 1] = div(one, cur[n + 2] - x1)
     denom = r1 - r0
     if k >= 1:
         denom = denom + div(one, x1 - prev[n + 2])

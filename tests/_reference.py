@@ -1,12 +1,16 @@
 """Reference values that only the tests need: Pade values and expansions,
 partial-sum jets, computed from the public pieces of the library, the
-epsilon steps as written per cell, each reciprocal formed in the cell that
-reads it, the pivoting ``Fraction`` solve of a Pade system, and the
-``accelerate`` command that builds its whole table before it writes a line."""
+family steps and the plain epsilon cross rule as written per cell, each
+shifted difference and reciprocal formed in the cell that reads it, the
+builtin tail rules as written per coefficient, the pivoting ``Fraction``
+solve of a Pade system, and the ``accelerate`` command that builds its
+whole table before it writes a line."""
 
 import sys
+from fractions import Fraction
 
 from seriaccel import cli
+from seriaccel.field import BigFloatField, RationalField
 from seriaccel.jets import Jet
 
 
@@ -35,6 +39,37 @@ def partial_sum_jet(series, n, order):
     """Jet of the degree-``n`` partial sum of ``series``, padded or cut to ``order``."""
     coeffs = [series.coefficient(i) for i in range(min(n, order) + 1)]
     return Jet.from_coeffs(series.field, coeffs, order=order)
+
+
+def aitken_step(ops, g, k, n, cur, prev):
+    """The Aitken family step with both shifted differences formed per cell."""
+    zmul = ops.zmul
+    x1, x2 = cur[n + 1], cur[n + 2]
+    lo = zmul(x1) - cur[n]
+    hi = zmul(x2) - x1
+    if g is not None:
+        lo = g[0] + lo
+        hi = g[1] + hi
+    return x2 - ops.div(hi * hi, zmul(hi) - lo)
+
+
+def theta_step(ops, g, k, n, cur, prev):
+    """The theta family step with all five shifted differences formed per cell."""
+    zmul = ops.zmul
+    x1, x2, x3 = cur[n + 1], cur[n + 2], cur[n + 3]
+    u0 = zmul(x1) - cur[n]
+    u1 = zmul(x2) - x1
+    u2 = zmul(x3) - x2
+    if g is not None:
+        u0 = g[0] + u0
+        u1 = g[1] + u1
+        u2 = g[2] + u2
+    v0 = zmul(u1) - u0
+    v1 = zmul(u2) - u1
+    u2v0 = u2 * v0
+    num = u2 * (u2v0 + u1 * u1 - u0 * u2)
+    den = zmul(u2v0) - u0 * v1
+    return x3 - ops.div(num, den)
 
 
 def epsilon_step(ops, g, k, n, cur, prev):
@@ -67,6 +102,22 @@ def epsilon_cross_plain(ops, g, k, n, cur, prev):
         gap = cur[n + 1] - prev[n + 2]
         denom = denom + ops.div(ops.one, gap)
     return cur[n + 1] + ops.div(ops.one, denom)
+
+
+def log_coefficient(field, i):
+    """Coefficient ``i`` of ``log1p-over-z``, with the field's own quotient."""
+    return field.quotient(-1 if i & 1 else 1, i + 1)
+
+
+def zeta_coefficient(field, s, i):
+    """Coefficient ``i`` of ``zeta(s)``, the mode picked and ``-s`` formed per call."""
+    base = i + 1
+    if isinstance(field, RationalField):
+        return Fraction(1, base ** int(s))
+    if isinstance(field, BigFloatField):
+        ctx = field._context
+        return ctx.power(field.from_int(base), ctx.minus(s))
+    return float(base) ** (-s)
 
 
 def solve_linear(fld, matrix, rhs):

@@ -536,33 +536,33 @@ def test_jet_constants_of_the_carrier_are_jet_constants():
 
 
 # ---------------------------------------------------------------------------
-# the carriers: shared epsilon reciprocals and the product with z
+# the carriers: shifted differences shared across a row, and the product with z
 
 EPSILON = FAMILIES["epsilon"]
 POINTS = ("1/2", "-9/10", "5")
 
-# Each step that shares its reciprocals across a row, with the reference step
-# of ``tests/_reference.py`` that forms every reciprocal in the cell reading it.
-SHARED_STEPS = [(rec.epsilon_step, _reference.epsilon_step),
-                (transforms._epsilon_cross_plain, _reference.epsilon_cross_plain)]
+# Each step that shares what neighbouring cells form across a row, with its
+# family and the reference step of ``tests/_reference.py`` that forms every
+# shifted difference and reciprocal in the cell reading it.
+SHARED_STEPS = [(FAMILIES["aitken"], rec.aitken_step, _reference.aitken_step),
+                (EPSILON, rec.epsilon_step, _reference.epsilon_step),
+                (FAMILIES["theta-iterated"], rec.theta_step, _reference.theta_step),
+                (EPSILON, transforms._epsilon_cross_plain, _reference.epsilon_cross_plain)]
 
 
-def _epsilon_builds(field, values):
-    """``(carrier, seed, coeff)`` for every epsilon build over ``values``: term
-    builds (zero seeds, ``values`` injected) and seeded builds on
-    :class:`NumericOps` at each of ``POINTS`` and on :class:`UnitOps`, and in
-    rational mode on jets, seeded with windows of ``values``.  Carriers are
-    made on each call."""
+def _shared_builds(field, values):
+    """``(carrier, seed, coeff)`` for every build over ``values``: term builds
+    (zero seeds, ``values`` injected) and seeded builds on :class:`NumericOps`
+    at each of ``POINTS``, on :class:`UnitOps` and on jets, whose seeds are
+    windows of ``values``.  Carriers are made on each call."""
     top = len(values) - 1
     coeff = values.__getitem__
     carriers = [NumericOps(field, field.parse(t)) for t in POINTS] + [UnitOps(field)]
     builds = [(ops, seed, c) for ops in carriers
               for seed, c in (([field.zero] * (top + 1), coeff), (values, None))]
-    if field.mode == "rational":
-        jets = JetOps(field, 2)
-        windows = [Jet.from_coeffs(field, values[n:n + 3], 2) for n in range(top + 1)]
-        builds += [(jets, [jets.zero] * (top + 1), coeff), (jets, windows, None)]
-    return builds
+    jets = JetOps(field, 2)
+    windows = [Jet.from_coeffs(field, values[n:n + 3], 2) for n in range(top + 1)]
+    return builds + [(jets, [jets.zero] * (top + 1), coeff), (jets, windows, None)]
 
 
 def _same_table(got, want):
@@ -576,42 +576,42 @@ def _same_table(got, want):
 @example((BF, [Decimal(t) for t in ("1", "1e999990", "0", "2", "2", "Infinity", "0.5", "1", "-1")],
           Decimal(1)))
 @example((F64, [1.0, 1e308, -1e308, 0.0, 0.0, 2.0, float("inf"), 0.5, 1.0, 2.0], 1.0))
-def test_shared_reciprocals_match_the_per_cell_steps(draw):
+def test_shared_differences_match_the_per_cell_steps(draw):
     field, values, _ = draw
     top = len(values) - 1
-    for step, reference in SHARED_STEPS:
-        pairs = zip(_epsilon_builds(field, values), _epsilon_builds(field, values))
+    for family, step, reference in SHARED_STEPS:
+        levels = top // family.step
+        pairs = zip(_shared_builds(field, values), _shared_builds(field, values))
         for (ops, seed, coeff), (fresh, _, _) in pairs:
-            got = run_recursion(EPSILON, ops, top // 2, top, seed, coeff, recursion=step)
-            want = run_recursion(EPSILON, fresh, top // 2, top, seed, coeff, recursion=reference)
+            got = run_recursion(family, ops, levels, top, seed, coeff, recursion=step)
+            want = run_recursion(family, fresh, levels, top, seed, coeff, recursion=reference)
             _same_table(got, want)
 
 
 @pytest.mark.parametrize("mode", sorted(POOLS))
 def test_a_reused_carrier_builds_what_fresh_carriers_build(mode):
     # As in ``remainders._evaluate``, one carrier runs the three families, and
-    # then the same builds again.  A memo entry is read stale only where the
-    # cell before failed to write it, so the seeds repeat values (zero
-    # differences at z = 1), consecutive epsilon builds break down at other
-    # cells, and the one-level builds end on a row as long as the next one
-    # starts on.
+    # then the same builds again; fresh carriers run the per-cell twins.  A
+    # memo entry is read stale only where the cell before failed to write it,
+    # so the seeds repeat values (zero differences at z = 1), consecutive
+    # epsilon builds break down at other cells, and the one-level builds end
+    # on a row as long as the next one starts on.
     field, pool = POOLS[mode]
     values = [pool[i] for i in (1, 1, 3, 4, 4, 2, 3, 1, 1, 0, 4, 3, 2)]
     top = len(values) - 1
     zeros = [field.zero] * (top + 1)
-    builds = [(family, levels, seed, coeff, recursion)
-              for family in FAMILIES.values()
+    builds = [(family, levels, seed, coeff, step, reference)
+              for family, step, reference in SHARED_STEPS
               for levels in (1, top // family.step)
               for seed, coeff in ((values, None), (zeros, values.__getitem__),
-                                  (values[3:] + values[:3], None))
-              for recursion in (family.recursion, transforms._epsilon_cross_plain)
-              if family is EPSILON or recursion is family.recursion]
+                                  (values[3:] + values[:3], None))]
     for make in (lambda: NumericOps(field, field.parse("-9/10")), lambda: UnitOps(field)):
         shared = make()
         for _ in range(2):
-            for family, levels, seed, coeff, recursion in builds:
-                _same_table(run_recursion(family, shared, levels, top, seed, coeff, recursion=recursion),
-                            run_recursion(family, make(), levels, top, seed, coeff, recursion=recursion))
+            for family, levels, seed, coeff, step, reference in builds:
+                got = run_recursion(family, shared, levels, top, seed, coeff, recursion=step)
+                want = run_recursion(family, make(), levels, top, seed, coeff, recursion=reference)
+                _same_table(got, want)
 
 
 def _log_partial_sums(count):
@@ -654,10 +654,49 @@ def test_a_row_forms_each_reciprocal_difference_once(case, shared, per_cell):
         seed, ops = _remainder_bases(series, z, 20), partial(NumericOps, BF, z)
     else:
         seed, ops = _log_partial_sums(21), partial(UnitOps, BF)
-    step, reference = SHARED_STEPS[case == "plain"]
+    _, step, reference = SHARED_STEPS[3 if case == "plain" else 1]
     assert _division_count(ops, seed, step) == shared
     assert _division_count(ops, seed, reference) == per_cell
     assert shared < per_cell
+
+
+def _zmul_count(family, seed, z, recursion):
+    """Products by z in one remainder build over ``seed`` on :class:`NumericOps`
+    at ``z``, which must not break down."""
+    ops = NumericOps(BF, z)
+    count = 0
+    real = ops.zmul
+
+    def counting(x):
+        nonlocal count
+        count += 1
+        return real(x)
+
+    ops.zmul = counting
+    top = len(seed) - 1
+    table = run_recursion(family, ops, top // family.step, top, seed, recursion=recursion)
+    assert not table.notes
+    return count
+
+
+@pytest.mark.parametrize("steps, shared, per_cell", [
+    # log1p-over-z at z = -1/2, m_max = 20.  Aitken: 100 cells in 10 rows, at
+    # 2 products per cell plus the first cell's z*x1 per row; per cell, 3.
+    (SHARED_STEPS[0], 100 * 2 + 10, 100 * 3),
+    # Epsilon: 19 first-level cells at 2 and 81 deeper cells at 3, plus one
+    # per row; per cell, 3 and 5.
+    (SHARED_STEPS[1], 19 * 2 + 81 * 3 + 10, 19 * 3 + 81 * 5),
+    # Theta: 63 cells in 6 rows at 3, plus the first cell's z*x1, z*x2 and
+    # z*u1 per row; per cell, 6.
+    (SHARED_STEPS[2], 63 * 3 + 6 * 3, 63 * 6),
+], ids=["aitken", "epsilon", "theta"])
+def test_a_row_forms_each_shifted_difference_once(steps, shared, per_cell):
+    series = builtin_series("log1p-over-z", (), 21, BF).series
+    z = Decimal("-0.5")
+    seed = _remainder_bases(series, z, 20)
+    family, step, reference = steps
+    assert _zmul_count(family, seed, z, step) == shared
+    assert _zmul_count(family, seed, z, reference) == per_cell
 
 
 def test_the_unit_carrier_never_multiplies():

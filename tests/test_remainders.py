@@ -190,6 +190,25 @@ def test_series_value_is_the_logarithm_quotient():
     assert abs(series_value(series, z) - expected) < Decimal("1e-45")
 
 
+@pytest.mark.parametrize("fld, rel", [(BF, Decimal("1e-48")), (F64, 1e-14)],
+                         ids=["bigfloat", "f64"])
+def test_zero_coefficients_do_not_settle_a_tail_sum(fld, rel):
+    # Three zero coefficients in a row once ended the sum: 1 + z**4 + z**8 + ...
+    # at z = 1/2 gave 1 instead of 16/15, and its degree-0 remainder 0.  The
+    # all-zero tail of 1 + z still settles.
+    every_fourth = PowerSeries(fld, (fld.one,), tail=lambda i: fld.one if i % 4 == 0 else fld.zero)
+    line = PowerSeries(fld, (fld.one, fld.one), tail=lambda i: fld.zero)
+    cases = [(every_fourth, "1/2", F(16, 15), F(-2, 15)),
+             (line, "1/2", F(3, 2), F(-1)),
+             (line, "-19/20", F(1, 20), F(-1))]
+    for series, z_text, value, remainder in cases:
+        z = fld.parse(z_text)
+        got = [series_value(series, z), remainder_value(series, 0, z)]
+        with fld.arithmetic():
+            for x, want in zip(got, map(fld.from_fraction, (value, remainder))):
+                assert abs(x - want) <= rel * abs(want), (z_text, x, want)
+
+
 def test_error_term_table_zero_pattern_and_spot_cells():
     series = log_series_bigfloat()
     tables = evaluate_error_terms(series, BF.parse("0.95"), 12)

@@ -1,6 +1,8 @@
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction as F
+from functools import partial
 
+import _reference
 import pytest
 
 from seriaccel.field import BigFloatField, Float64Field, ParseError, RationalField
@@ -59,6 +61,24 @@ def test_bigfloat_zeta_coefficients_are_those_of_a_local_context(digits):
         with localcontext(Context(prec=digits, rounding=ROUND_HALF_EVEN)) as ctx:
             want = [ctx.power(Decimal(i + 1), -s) for i in range(count)]
         assert list(map(str, got)) == list(map(str, want)), text
+
+
+@pytest.mark.parametrize("field", [RAT, Float64Field(), BigFloatField(50), BigFloatField(60),
+                                   BigFloatField(120)], ids=repr)
+def test_each_builtin_tail_rule_is_the_per_coefficient_rule(field):
+    # Each tail rule is resolved once per series; it gives what the rule that
+    # picks the mode and forms ``-s`` on every call gives, value and repr.
+    rules = [("log1p-over-z", (), partial(_reference.log_coefficient, field)),
+             ("geometric", (), lambda i: field.one)]
+    exponents = ["2"] if field.mode == "rational" else ["2", "3/2"]
+    for text in exponents:
+        s = field.parse(text)
+        rules.append(("zeta", (s,), partial(_reference.zeta_coefficient, field, s)))
+    for name, params, reference in rules:
+        tail = builtin_series(name, params, 1, field).series.tail
+        for i in [*range(300), 10 ** 6 + 1, 10 ** 12 + 7]:
+            got, want = tail(i), reference(i)
+            assert type(got) is type(want) and got == want and repr(got) == repr(want), (name, i)
 
 
 def test_geometric_builtin():
