@@ -59,11 +59,13 @@ the package: ``entries`` holds its valid cells (jets in term tables, scalars
 elsewhere), ``notes`` its failed ones.  Each cell lives once, in its level:
 a level keeps its own row of valid cells and its own notes, both keyed by
 ``n``, and a built table's ``entries`` and ``notes`` are read-only views
-over those levels, keyed by ``(k, n)``.  As soon as a level is finished, a
-build files it and hands it with that row and notes, which the sink must
-not change, to an optional *sink*: ``accelerate`` writes the level's lines
-there, so a value it cannot print stops the build at its level.  The table
-still keeps every cell.
+over those levels, keyed by ``(k, n)``.  A *dead* level, where every cell
+inherits the failure of one read, keeps its notes as one record
+(:class:`_DeadLevel`) that forms a note only when it is read.  As soon as a
+level is finished, a build files it and hands it with that row and notes,
+which the sink must not change, to an optional *sink*: ``accelerate`` writes
+the level's lines there, so a value it cannot print stops the build at its
+level.  The table still keeps every cell.
 """
 
 from __future__ import annotations
@@ -207,6 +209,36 @@ class _Cells(Mapping):
         return repr(dict(self))
 
 
+class _DeadLevel(Mapping):
+    """The notes of a *dead* level, one where every cell ``n = 0 .. width``
+    inherits the failure of its first checked read, ``(key, n + offset)``:
+    it holds ``prefix``, ``"depends on invalid entry (key, "``, ``offset`` and
+    the range of its cells, and forms the note of ``n``,
+    ``f"{prefix}{n + offset})"``, only when it is read.  It reads, in ``n``
+    order, as the dict of those notes would, and equals it."""
+
+    __slots__ = ("prefix", "offset", "_cells")
+
+    def __init__(self, prefix: str, offset: int, width: int):
+        self.prefix = prefix
+        self.offset = offset
+        self._cells = range(width + 1)
+
+    def __getitem__(self, n):
+        if n in self._cells:
+            return f"{self.prefix}{int(n) + self.offset})"  # ``int``: a key equal to ``n``, as in a dict
+        raise KeyError(n)
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 class TransformTable(NamedTuple):
     """Triangular table as one build left it: its ``entries`` and ``notes``.
 
@@ -251,11 +283,17 @@ class TransformTable(NamedTuple):
         return (k, n) in self.entries
 
     def entry(self, k: int, n: int):
-        if (k, n) in self.entries:
+        """The valid cell ``(k, n)``, read once; :class:`SelectionError` with
+        its note when it failed, ``KeyError`` when the table has no such cell."""
+        try:
             return self.entries[(k, n)]
-        if (k, n) in self.notes:
-            raise SelectionError(f"entry ({k}, {n}) is invalid: {self.notes[(k, n)]}", k=k, n=n)
-        raise KeyError(f"table has no entry ({k}, {n})")
+        except KeyError:
+            pass
+        try:
+            note = self.notes[(k, n)]
+        except KeyError:
+            raise KeyError(f"table has no entry ({k}, {n})") from None
+        raise SelectionError(f"entry ({k}, {n}) is invalid: {note}", k=k, n=n)
 
 
 class _Build:
@@ -271,8 +309,9 @@ class _Build:
     checked, and none where every row read is full.  A cell whose dependency
     failed records ``depends on invalid entry (key, n)`` for the first failed
     read, in the listed order, without running the step; when the first
-    checked read is of a row with no valid cell, the whole level is written
-    so at once.  A step that breaks down, or a cell (seeds included) that is
+    checked read is of a row with no valid cell, the level is dead, and its
+    notes are one :class:`_DeadLevel` record, filed in O(1) with no note
+    formed.  A step that breaks down, or a cell (seeds included) that is
     not finite, records why in its level's notes.  Each cell lives once, in
     its level: each level, the seeds included, keeps its own ``row`` of
     valid cells and its own ``notes``, both by ``n``, and ``entries`` and
@@ -317,12 +356,12 @@ class _Build:
         level 0 (the seeds) first: ``sink(key, width, row, notes)``, where
         ``key`` is the level's key, its cells are ``n = 0 .. width``, ``row``
         maps ``n`` to its valid cells and ``notes``, the level's own, maps
-        ``n`` to the reason of each failed cell, both in ``n`` order.  The
-        level is filed in the build, once, before the sink gets it: ``row``
-        and ``notes`` are the table's own store, and the sink must not change
-        them.  The sink
-        runs outside the carrier's arithmetic context, and an error it raises
-        ends the build: no later level is computed."""
+        ``n`` to the reason of each failed cell, both in ``n`` order; the
+        notes of a dead level are its :class:`_DeadLevel` record.  The level
+        is filed in the build, once, before the sink gets it: ``row`` and
+        ``notes`` are the table's own store, and the sink must not change
+        them.  The sink runs outside the carrier's arithmetic context, and an
+        error it raises ends the build: no later level is computed."""
         ops, step, scale = self.ops, self.step, self.scale
         rows, failed = self._rows, self._notes
         finite, const = ops.finite, ops.const
@@ -342,7 +381,7 @@ class _Build:
                      for dep_k, offset in self.deps(k) if dep_k not in full]
             if reads and not reads[0][0]:  # every cell fails on this read; the row stays empty
                 _, offset, prefix = reads[0]
-                notes = {n: f"{prefix}{n + offset})" for n in cells}
+                notes = _DeadLevel(prefix, offset, width)
                 cells = ()
             with ops.context():
                 for n in cells:

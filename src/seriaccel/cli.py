@@ -21,6 +21,7 @@ import os
 import sys
 
 from . import golden
+from ._recursions import _DeadLevel
 from .field import (
     BreakdownError,
     Field,
@@ -166,14 +167,16 @@ def _write_accelerate(header, seq, build, field, digits) -> None:
     its own row and notes keyed by ``n``, to the sink, which makes the
     level's lines, the ``header`` line first, then its cells in ``n`` order,
     and writes the lines gathered once a level ends with
-    :data:`_BLOCK_LINES` or more; a level with no valid cell is written from
-    its notes alone.  The selected approximants follow
+    :data:`_BLOCK_LINES` or more.  A dead level is written straight from its
+    record's prefix and offset, with no note formed, and the text of each
+    index is formed once per table.  The selected approximants follow
     once the build returns.  The renderer of the values is picked once per table.
     When a line cannot be made, a value that cannot be rendered included, the
     build stops at that level, and the lines before it are written before the
     error propagates."""
     write = sys.stdout.write
     render = _renderer(field, digits)
+    index = [str(n) for n in range(len(seq.entries))]  # each ``n`` and ``n + offset`` is an input
     lines = []
     add = lines.append
 
@@ -183,13 +186,16 @@ def _write_accelerate(header, seq, build, field, digits) -> None:
         prefix = f"{key} "
         # One expression per level; a generator where values render, so the
         # lines before a value that cannot be rendered are kept.
-        if not row:  # every cell failed, in ``n`` order
-            lines.extend([f"{prefix}{n} invalid ({note})\n" for n, note in notes.items()])
+        if type(notes) is _DeadLevel:  # cell ``n`` inherits the failure of ``n + offset``
+            dead = f" invalid ({notes.prefix}"
+            lines.extend([f"{prefix}{n}{dead}{read}))\n"
+                          for n, read in zip(index[:width + 1], index[notes.offset:])])
         elif len(row) > width:  # every cell valid, in ``n`` order
-            lines.extend(f"{prefix}{n} {render(value)}\n" for n, value in row.items())
+            lines.extend(f"{prefix}{n} {render(value)}\n" for n, value in zip(index, row.values()))
         else:
-            lines.extend(f"{prefix}{n} {render(row[n])}\n" if n in row
-                         else f"{prefix}{n} invalid ({notes[n]})\n" for n in range(width + 1))
+            lines.extend(f"{prefix}{index[n]} {render(row[n])}\n" if n in row
+                         else f"{prefix}{index[n]} invalid ({notes[n]})\n"
+                         for n in range(width + 1))
         if len(lines) >= _BLOCK_LINES:
             text = "".join(lines)
             lines.clear()

@@ -595,29 +595,38 @@ def decimal_string(value: Scalar, digits: int) -> str:
 
 
 class _Exponents(dict):
-    """Exponent text of a float's ``e`` format with its ``e`` (``e+05``),
-    mapped to the exponent of the mantissa in [0.1, 1), one more (``e6``).
-    Filled as exponents are rendered: a float has about 630 of them."""
+    """Exponent text of an ``e`` format with its ``e`` (``e+05`` of a float,
+    ``e+5`` of a ``Decimal``), mapped to the exponent of the mantissa in
+    [0.1, 1), one more (``e6``).  Filled as exponents are rendered, with only
+    the exponents a float can have, -324 to 308; any other is formed on each
+    call, so the exponents of a ``Decimal``, which reach past 10**6, leave it
+    no larger than the float range."""
 
     def __missing__(self, text: str) -> str:
-        shifted = self[text] = f"e{int(text[1:]) + 1}"
+        exponent = int(text[1:])
+        shifted = f"e{exponent + 1}"
+        if -324 <= exponent <= 308:
+            self[text] = shifted
         return shifted
 
 
 _EXPONENTS = _Exponents()
 
-#: ``digits -> (spec, context, cut)``, filled by :func:`_scientific_form`.
+#: ``digits -> (spec, decimal_spec, context, cut)``, filled by :func:`_scientific_form`.
 _SCIENTIFIC: dict[int, tuple] = {}
 
 
 def _scientific_form(digits: int) -> tuple:
-    """``(spec, context, cut)`` for ``digits`` significant digits: the ``%``
-    format of the ``e`` conversion with a space for the sign of a positive
-    value (faster than ``format`` with the same spec), a half-even context
-    of ``digits`` digits with the widest exponent range, and the index of
-    the ``e`` in a float formatted by ``spec``."""
+    """``(spec, decimal_spec, context, cut)`` for ``digits`` significant digits:
+    the ``%`` format of the ``e`` conversion with a space for the sign of a
+    positive value (faster than ``format`` with the same spec), the same spec
+    for ``format``, which renders a ``Decimal`` exactly (``%`` would convert it
+    to a float), a half-even context of ``digits`` digits with the widest
+    exponent range, and the index of the ``e`` in a value formatted by either
+    spec."""
     form = _SCIENTIFIC[digits] = (
         f"% .{digits - 1}e",
+        f" .{digits - 1}e",
         Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX),
         digits + 2 if digits > 1 else 2)
     return form
@@ -634,22 +643,21 @@ def scientific_string(value: Scalar, digits: int) -> str:
     if kind is float and value - value == 0:  # finite
         if not value:
             return "0"
-        spec, _, cut = _SCIENTIFIC.get(digits) or _scientific_form(digits)
-        text = spec % value  # [ -]d.ddde+XX -> [-]0.dddde(XX+1)
-        if value < 0:
-            return f"-0.{text[1]}{text[3:cut]}{_EXPONENTS[text[cut:]]}"
-        return f"0.{text[1]}{text[3:cut]}{_EXPONENTS[text[cut:]]}"
-    if kind is Decimal and value.is_finite():
+        spec, _, _, cut = _SCIENTIFIC.get(digits) or _scientific_form(digits)
+        text = spec % value  # [ -]d.ddde+XX
+    elif kind is Decimal and value.is_finite():
         if not value:
             return "0"
-        _, context, _ = _SCIENTIFIC.get(digits) or _scientific_form(digits)
-        rounded = context.plus(value)
-        exponent = rounded.adjusted()
-        mantissa = int(context.scaleb(rounded, digits - 1 - exponent))  # ``digits`` digits
-        if mantissa < 0:
-            return f"-0.{-mantissa}e{exponent + 1}"
-        return f"0.{mantissa}e{exponent + 1}"
-    return _scientific_reference(value, digits)
+        _, spec, context, cut = _SCIENTIFIC.get(digits) or _scientific_form(digits)
+        # Rounded to ``digits`` digits first, the value formats exactly, so
+        # ``format`` reads nothing of the ambient context.
+        text = format(context.plus(value), spec)  # [ -]d.ddde+X
+    else:
+        return _scientific_reference(value, digits)
+    # [ -]d.ddde+X -> [-]0.dddde(X+1)
+    if value < 0:
+        return f"-0.{text[1]}{text[3:cut]}{_EXPONENTS[text[cut:]]}"
+    return f"0.{text[1]}{text[3:cut]}{_EXPONENTS[text[cut:]]}"
 
 
 def _scientific_reference(value: Scalar, digits: int) -> str:

@@ -1,5 +1,5 @@
 from contextlib import contextmanager
-from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -16,6 +16,7 @@ from seriaccel.field import (
     decimal_string,
     field_for_mode,
     scientific_string,
+    _EXPONENTS,
     _scientific_reference,
     to_fraction_string,
 )
@@ -100,6 +101,13 @@ def test_scientific_rendering_past_28_digits():
     assert scientific_string(Decimal("1" * 40), 35) == "0." + "1" * 35 + "e40"
 
 
+def _hostile_context():
+    """An ambient context that a render reading it would show: every trap on,
+    2 digits, a narrow clamped exponent range and ``ROUND_CEILING``."""
+    return localcontext(Context(prec=2, rounding=ROUND_CEILING, Emin=-5, Emax=5, clamp=1,
+                                traps=list(Context().traps)))
+
+
 finite_decimals = st.builds(
     lambda sign, coefficient, exponent: Decimal((sign, tuple(map(int, str(coefficient))), exponent)),
     st.integers(0, 1), st.integers(0, 10 ** 60), st.integers(-400, 400))
@@ -137,6 +145,10 @@ def test_fast_rendering_equals_the_exact_route(value, digits):
         ctx.prec, ctx.rounding = 3, ROUND_HALF_UP
         assert scientific_string(value, digits) == text
         assert scientific_string(Fraction(value), digits) == text
+    # The fast path reads nothing of the ambient context; the exact route
+    # rounds in a copy of it, whose traps would fire.
+    with _hostile_context():
+        assert scientific_string(value, digits) == text
 
 
 @pytest.mark.parametrize("value, text", [
@@ -150,6 +162,19 @@ def test_fast_rendering_equals_the_exact_route(value, digits):
 def test_rendering_at_ten_digits(value, text):
     assert scientific_string(value, 10) == text
     assert _scientific_reference(value, 10) == text
+    with _hostile_context():
+        assert scientific_string(value, 10) == text
+
+
+def test_decimal_exponents_leave_the_exponent_cache_within_the_float_range():
+    for exponent in range(-5000, 5000):
+        assert scientific_string(Decimal(f"-1.5E{exponent}"), 3) == f"-0.150e{exponent + 1}"
+    # The exponent texts of a float (``e+05``) and of a Decimal (``e+5``) over
+    # the exponents a float can have.
+    float_range = ({f"e{exponent:+03d}" for exponent in range(-324, 309)}
+                   | {f"e{exponent:+d}" for exponent in range(-324, 309)})
+    assert len(float_range) == 633 + 19
+    assert set(_EXPONENTS) <= float_range
 
 
 def test_rendering_at_one_digit_count_does_not_leak_into_another():

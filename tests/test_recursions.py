@@ -3,6 +3,8 @@ agreement with a per-cell reference copy of the builder loop, and the
 carriers: the epsilon steps' shared reciprocals against the per-cell formula,
 and the product with z."""
 
+import tracemalloc
+from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction as F
 from functools import partial
@@ -13,11 +15,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seriaccel import _recursions as rec, transforms
-from seriaccel._recursions import JetOps, NumericOps, UnitOps, _Build, run_recursion
+from seriaccel._recursions import (
+    JetOps,
+    NumericOps,
+    SelectionError,
+    TransformTable,
+    UnitOps,
+    _Build,
+    _DeadLevel,
+    run_recursion,
+)
 from seriaccel.field import BigFloatField, BreakdownError, Field, Float64Field, RationalField
 from seriaccel.jets import Jet
 from seriaccel.remainders import _remainder_bases
-from seriaccel.series_library import builtin_series
+from seriaccel.series_library import builtin_series, resolve_series_spec
 from seriaccel.transforms import (
     FAMILIES,
     ScalarSequence,
@@ -424,6 +435,101 @@ def test_a_view_rejects_a_missing_or_malformed_key():
             entries[key]
         assert caught.value.args == (key,), key
     assert entries != {} and {**entries} == dict(entries.items())
+
+
+class _CountedCells(Mapping):
+    """A dict of cells that counts its lookups; ``in`` is one too."""
+
+    def __init__(self, cells):
+        self.cells, self.reads = cells, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.cells[key]
+
+    def __iter__(self):
+        return iter(self.cells)
+
+    def __len__(self):
+        return len(self.cells)
+
+
+def test_an_entry_reads_its_cell_once():
+    entries, notes = _CountedCells({(2, 0): 1.5}), _CountedCells({(2, 1): "overflow"})
+    table = TransformTable("t", 5, 2, 2, entries, notes)
+    assert table.entry(2, 0) == 1.5
+    assert (entries.reads, notes.reads) == (1, 0)
+    with pytest.raises(SelectionError) as caught:
+        table.entry(2, 1)
+    assert str(caught.value) == "entry (2, 1) is invalid: overflow"
+    assert (caught.value.k, caught.value.n) == (2, 1)
+    assert (entries.reads, notes.reads) == (2, 1)
+    with pytest.raises(KeyError) as missing:
+        table.entry(2, 2)
+    assert missing.value.args == ("table has no entry (2, 2)",)
+    assert not isinstance(missing.value, SelectionError)
+
+
+# ---------------------------------------------------------------------------
+# dead levels: the notes of a level whose every cell inherits one read's
+# failure are one record, which reads as the dict of those notes
+
+
+def _dead_level_builds():
+    """A table build with dead levels in each mode: the f64 epsilon table of
+    :func:`_dead_heavy_table`, the bigfloat iterated theta table of the same
+    partial sums over 80 terms, and the rational classic Aitken table of
+    ``model(1,1,1/2)`` over 8 terms, whose level 2 breaks down everywhere."""
+    series = builtin_series("log1p-over-z", (), 80, BF).series
+    sums = series.partial_sums(BF.from_fraction(F(-9, 10)), 80)
+    model = resolve_series_spec("builtin:model(1,1,1/2)", RAT, count=8).sequence
+    return {"f64": _dead_heavy_table(),
+            "bigfloat": partial(iterated_theta_table, ScalarSequence(BF, sums)),
+            "rational": partial(aitken_table, model)}
+
+
+@pytest.mark.parametrize("mode", ["f64", "bigfloat", "rational"])
+def test_a_dead_level_reads_as_the_per_cell_notes(mode):
+    build = _dead_level_builds()[mode]
+    levels = []
+    table = build(sink=lambda key, width, row, notes: levels.append((key, width, notes)))
+    with mock.patch.object(transforms, "_Build", _PerCellBuild), \
+            mock.patch.object(rec, "_Build", _PerCellBuild):
+        flat = build()
+    dead = [(key, width, notes) for key, width, notes in levels if type(notes) is _DeadLevel]
+    assert dead
+    for key, width, record in dead:
+        want = {n: note for (k, n), note in flat.notes.items() if k == key}
+        assert all(note.startswith("depends on invalid entry (") for note in want.values())
+        assert len(record) == len(want) == width + 1
+        assert list(record) == list(want) and list(record.items()) == list(want.items())
+        assert all(n in record and record.get(n) == note and record[n] == note
+                   for n, note in want.items())
+        assert repr(record) == repr(want)
+        assert record == want and want == record
+        for n in (-1, width + 1):
+            assert n not in record and record.get(n) is None
+            with pytest.raises(KeyError):
+                record[n]
+    # The table reads the records through its views as the reference reads its dict.
+    assert list(table.notes.items()) == list(flat.notes.items())
+
+
+def test_a_wide_dead_level_is_filed_in_constant_memory():
+    width = 100_000
+    build = _Build(UnitOps(F64), 3, lambda k: width - 2 * k, rec.aitken_deps,
+                   [float("inf")] * (width + 1), 2)
+    tracemalloc.start()
+    try:
+        build.run(rec.aitken_step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [type(notes) for notes in build._notes[1:]] == [_DeadLevel] * 3
+    assert len(build.failures) == sum(width - 2 * k + 1 for k in range(4))
+    assert build.failures[(3, width - 6)] == f"depends on invalid entry (2, {width - 6})"
+    # The dict of one level's notes would take megabytes.
+    assert peak < 16_384, peak
 
 
 # ---------------------------------------------------------------------------
