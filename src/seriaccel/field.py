@@ -25,8 +25,16 @@ with the working precision instead of strangling deep high-precision tables.
 It stops overflow cascades without flagging legitimately small values.  The
 guard compares ``|numerator|`` with the mode's own one (``Decimal(1)``,
 ``1.0``), never with the int ``1``, which a ``Decimal`` comparison would
-first convert.  In the float modes :meth:`Field.is_finite` is the C-level
-test of the value type (``Decimal.is_finite``, ``math.isfinite``) itself.
+first convert.  In bigfloat most calls never run it: when the adjusted
+exponent of a nonzero ``d`` exceeds ``10 - digits + max(0, b + 1)``, ``b``
+that of a finite numerator, ``|d|`` is certainly above the bound, and the
+quotient is returned at once; the rest run the guard in the field's context.
+:meth:`BigFloatField.arithmetic` makes the field's own context object current
+(not a copy), so there the quotient is a plain ``/``; under any other ambient
+context it is the field context's ``divide``, and no decision or digit of
+:meth:`Field.div` reads the ambient context.  In the float modes
+:meth:`Field.is_finite` is the C-level test of the value type
+(``Decimal.is_finite``, ``math.isfinite``) itself.
 The one step that divides without it, the rational classic Aitken cell of
 :mod:`seriaccel.transforms` (one integer quotient), raises that same error
 on a zero denominator.
@@ -46,10 +54,12 @@ its operands leave a common factor possible, never one per coefficient.
 reads its per-digits form from a plain dict.  A finite ``float`` is
 formatted once by the ``e`` conversion, which rounds it exactly, half to
 even, and the point is moved by fixed slices of that text.  A finite
-``Decimal`` is rounded once in the form's context and written from its
-integer mantissa.  Fractions, non-finite values and subclasses take the slower
-exact ``Decimal`` route, which is the reference the fast paths are tested
-against; no route depends on the ambient decimal context.
+``Decimal`` is rounded once in the form's context, and that value, which
+then has at most ``digits`` digits, is formatted once, exactly, by the same
+``e`` conversion and cut by the same slices.  Fractions, non-finite values
+and subclasses take the slower exact ``Decimal`` route, which is the
+reference the fast paths are tested against; no route depends on the ambient
+decimal context.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ import operator
 import sys
 from contextlib import nullcontext
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
-                     localcontext)
+                     getcontext, localcontext, setcontext)
 from fractions import Fraction
 from typing import Union
 
@@ -231,13 +241,12 @@ class Field(_Frozen):
         return tuple(values)
 
     # The zero bound and the quotient, set once per mode: ``near_zero`` is
-    # ``None`` where zero is exact (rational mode), else the bound ``eps``,
-    # which :meth:`div` widens by ``_times(eps, |numerator|)`` for
-    # |numerator| > ``_unit``, the mode's own one; ``_divide`` is the
-    # rounded quotient.
+    # ``None`` where zero is exact (rational mode), else the bound ``eps``;
+    # ``_divide`` is the rounded quotient.  ``_reach`` is ``None`` outside
+    # bigfloat, where it is the ``(floor, ceiling)`` of the exponent decision
+    # of :meth:`div`.
     near_zero = None
-    _unit = 1
-    _times = operator.mul
+    _reach = None
     _divide = operator.truediv
 
     def is_zero(self, value: Scalar) -> bool:
@@ -249,13 +258,42 @@ class Field(_Frozen):
         """Checked division, the relative guard: raises :class:`BreakdownError`
         when ``|denominator| <= eps * max(1, |numerator|)``.  This runs once per
         division of every nonlinear recursion.  In rational mode it is the
-        bare zero test and reads nothing of the numerator."""
+        bare zero test and reads nothing of the numerator.
+
+        In bigfloat, adjusted exponents decide most calls without the guard.
+        Let ``b`` be the adjusted exponent of a finite numerator and ``a``
+        that of a nonzero denominator.  However it rounds, the bound is at
+        most ``10**(floor + max(0, b + 1))``, with ``floor = 10 - digits``
+        (or the context's ``Emin``, if that is higher), while ``|d| >=
+        10**a``.  So when ``floor + max(0, b + 1) < a < ceiling`` the call
+        divides at once: with ``/`` under :meth:`arithmetic`, where the
+        field's own context is current, and with that context's ``divide``
+        under any other.  ``ceiling`` keeps
+        ``|n|``, ``|d|`` and the bound clear of overflow.  Every other call,
+        at a zero, non-finite or boundary operand, runs the guard inside
+        :meth:`arithmetic`, so no decision and no digit reads the ambient
+        context."""
         bound = self.near_zero
-        if bound is None:
+        reach = self._reach
+        if reach is not None:
+            if denominator and numerator.is_finite():
+                # A non-finite denominator reads as exponent 0, so it comes
+                # through only where the bound is below 1; the guard passes it
+                # there too (|Infinity| exceeds the bound, NaN compares false).
+                floor, ceiling = reach
+                b = numerator.adjusted()
+                if (floor if b < 0 else floor + 1 + b) < denominator.adjusted() < ceiling:
+                    if getcontext() is self._context:
+                        return numerator / denominator
+                    return self._divide(numerator, denominator)
+            with self.arithmetic():
+                mag = abs(numerator)
+                zero = abs(denominator) <= (bound * mag if mag > _DECIMAL_ONE else bound)
+        elif bound is None:
             zero = denominator == 0
         else:
             mag = abs(numerator)
-            zero = abs(denominator) <= (self._times(bound, mag) if mag > self._unit else bound)
+            zero = abs(denominator) <= (bound * mag if mag > 1.0 else bound)
         if zero:
             raise self.breakdown()
         return self._divide(numerator, denominator)
@@ -470,17 +508,39 @@ def _reduced(den: int, nums, g: int | None = None) -> tuple:
     return den // g, tuple([x // g for x in nums])
 
 
+#: The bigfloat one that :meth:`Field.div` compares ``|numerator|`` with.
+_DECIMAL_ONE = Decimal(1)
+
+
+class _Current:
+    """Context manager that makes ``context`` itself the current decimal
+    context (:func:`~decimal.localcontext` would enter a copy), yields it, and
+    restores the previous one on exit."""
+
+    __slots__ = ("context", "saved")
+
+    def __init__(self, context: Context):
+        self.context = context
+
+    def __enter__(self) -> Context:
+        self.saved = getcontext()
+        setcontext(self.context)
+        return self.context
+
+    def __exit__(self, *exc_info):
+        setcontext(self.saved)
+
+
 class BigFloatField(Field):
     """Decimal floats with ``digits`` significant digits (>= 50), half-even."""
 
-    # ``_context``, ``near_zero`` and the context's ``multiply`` and ``divide``
-    # (the ``_times`` and ``_divide`` of :meth:`Field.div`) derive from
-    # ``digits`` once; they are kept out of equality, hashing and repr.
-    __slots__ = ("digits", "_context", "near_zero", "_times", "_divide")
+    # ``_context``, ``near_zero``, the context's ``divide`` (the ``_divide``
+    # of :meth:`Field.div`) and the exponent ``_reach`` of its decision derive
+    # from ``digits`` once; they are kept out of equality, hashing and repr.
+    __slots__ = ("digits", "_context", "near_zero", "_divide", "_reach")
     mode = "bigfloat"
     kind = Decimal
     noun = "a bigfloat scalar"
-    _unit = Decimal(1)
 
     def __init__(self, digits: int = 50):
         if digits < 50:
@@ -492,8 +552,11 @@ class BigFloatField(Field):
         object.__setattr__(self, "_context", context)
         # 10 guard digits of slack below the working precision.
         object.__setattr__(self, "near_zero", Decimal(1).scaleb(10 - digits))
-        object.__setattr__(self, "_times", context.multiply)
         object.__setattr__(self, "_divide", context.divide)
+        # Denominators above ``floor`` are normal; below ``ceiling`` neither
+        # they nor a numerator that the decision passes can overflow.
+        object.__setattr__(self, "_reach", (max(10 - digits, context.Emin),
+                                            context.Emax - digits + 1))
 
     def _key(self) -> tuple:
         return (self.digits,)
@@ -502,8 +565,12 @@ class BigFloatField(Field):
         return f"{type(self).__name__}(digits={self.digits})"
 
     def arithmetic(self):
-        """Context manager that enters (and yields) a copy of the field's context."""
-        return localcontext(self._context)
+        """Context manager that makes the field's own context current, and
+        yields it: operators then round as the field does, and :meth:`div`
+        divides with ``/``.  It restores the previous context on exit, and
+        nests.  Code under it that changes a context opens a
+        :func:`~decimal.localcontext`, a copy, and leaves the field's intact."""
+        return _Current(self._context)
 
     def guarded(self) -> "BigFloatField":
         return BigFloatField(self.digits + 10)
@@ -530,7 +597,6 @@ class Float64Field(Field):
     kind = float
     noun = "an f64 scalar"
     near_zero = NEAR_ZERO
-    _unit = 1.0
 
     def quotient(self, p: int, q: int) -> float:
         return p / q  # int / int rounds once

@@ -1,5 +1,6 @@
 from contextlib import contextmanager
-from decimal import ROUND_CEILING, ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal, localcontext
+from decimal import (ROUND_CEILING, ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal, DivisionByZero,
+                     Inexact, getcontext, localcontext)
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,151 @@ def test_bigfloat_cached_context_changes_no_digit(digits, a, b):
             fld.div(a, b)
     else:
         assert str(fld.div(a, b)) == str(quotient)
+
+
+def _reference_division(digits, a, b):
+    """``str`` of the quotient ``a / b``, or ``None`` where the guard breaks
+    down, by the reference steps in a copy of the field's context."""
+    with localcontext(Context(prec=digits, rounding=ROUND_HALF_EVEN, traps=[DivisionByZero])):
+        return None if _reference_is_zero(digits, b, a) else str(a / b)
+
+
+def _divisions_three_ways(fld, a, b):
+    """``fld.div(a, b)`` as :func:`_reference_division` gives it, under the
+    field's own context (the ``/`` path), under an equal field's context, a
+    distinct object (the context's ``divide``), and under the hostile ambient
+    context."""
+    outcomes = []
+    for entered in (fld.arithmetic, BigFloatField(fld.digits).arithmetic, _hostile_context):
+        with entered():
+            try:
+                outcomes.append(str(fld.div(a, b)))
+            except BreakdownError:
+                outcomes.append(None)
+    return outcomes
+
+
+def _bound_pairs(digits):
+    """Numerators below, at and above 1 (one of them longer than ``digits``),
+    each with denominators at the bound ``eps * max(1, |n|)`` as the field
+    rounds it and one unit in the last place either side, of either sign."""
+    ctx = Context(prec=digits)
+    eps = Decimal(1).scaleb(10 - digits)
+    for n in (Decimal("0.3"), Decimal(1), Decimal("-123.456"), Decimal("9" * 70)):
+        bound = ctx.multiply(eps, abs(n)) if abs(n) > 1 else eps
+        for d in (ctx.next_minus(bound), bound, ctx.next_plus(bound)):
+            yield digits, n, d
+            yield digits, n, -d
+
+
+_NINES = "9." + "9" * 60
+_SPECIAL_PAIRS = [
+    (Decimal(1), Decimal("0E-100")),
+    (Decimal("-2.5"), Decimal("-0E+7")),
+    (Decimal("0E-100"), Decimal("-0E+7")),
+    (Decimal(0), Decimal("3.7")),
+    (Decimal("Infinity"), Decimal(3)),
+    (Decimal("-Infinity"), Decimal("1E-30")),
+    (Decimal("Infinity"), Decimal("-Infinity")),
+    (Decimal(3), Decimal("Infinity")),
+    (Decimal("-2.5E+30"), Decimal("-Infinity")),
+    (Decimal("1E+60"), Decimal("Infinity")),
+    (Decimal("NaN"), Decimal(3)),
+    (Decimal("-NaN"), Decimal("1E-45")),
+    (Decimal(3), Decimal("NaN")),
+    (Decimal("1E+60"), Decimal("NaN")),
+    (Decimal("Infinity"), Decimal("NaN")),
+    # quotients past the context's exponent range
+    (Decimal("1E+999990"), Decimal("1E-20")),
+    (Decimal("5E-20"), Decimal("1E+999990")),
+    # operands at the edge of the exponent range, where |n|, |d| or the
+    # bound overflows as the field rounds it
+    (Decimal("5E+1000007"), Decimal(_NINES + "E+999999")),
+    (Decimal(_NINES + "E+999999"), Decimal("2E+999990")),
+    (Decimal("3E+999900"), Decimal(_NINES + "E+999999")),
+    (Decimal("1.5"), Decimal("1E+999960")),
+    (Decimal("-1.5"), Decimal("1E-999999")),
+]
+
+
+def _division_examples(test):
+    """``test`` with an ``@example`` at 50 and at 64 digits for each pair of
+    :func:`_bound_pairs` and ``_SPECIAL_PAIRS``."""
+    for digits in (50, 64):
+        cases = [*_bound_pairs(digits), *((digits, a, b) for a, b in _SPECIAL_PAIRS)]
+        for digits, a, b in cases:
+            test = example(digits=digits, a=a, b=b)(test)
+    return test
+
+
+division_operands = st.one_of(
+    long_decimals, finite_decimals,
+    st.sampled_from([Decimal(text) for text in ("Infinity", "-Infinity", "NaN", "0E-100", "-0E+7")]))
+
+
+@given(digits=st.sampled_from([50, 64]), a=division_operands, b=division_operands)
+@_division_examples
+def test_bigfloat_division_decides_and_rounds_as_the_reference(digits, a, b):
+    fld = BigFloatField(digits)
+    assert _divisions_three_ways(fld, a, b) == [_reference_division(digits, a, b)] * 3
+
+
+@given(digits=st.sampled_from([50, 64]), a=long_decimals, shift=st.integers(-1, 3),
+       ulps=st.integers(-2, 2), negate=st.booleans())
+def test_bigfloat_division_near_the_bound(digits, a, shift, ulps, negate):
+    # Denominators from below the bound to past the first exponent that the
+    # exponent decision lets through, a few units in the last place apart.
+    ctx = Context(prec=digits)
+    bound = Decimal(1).scaleb(10 - digits + shift)
+    if abs(a) > 1:
+        bound = ctx.multiply(bound, abs(a))
+    b = bound
+    for _ in range(abs(ulps)):
+        b = ctx.next_plus(b) if ulps > 0 else ctx.next_minus(b)
+    b = -b if negate else b
+    fld = BigFloatField(digits)
+    assert _divisions_three_ways(fld, a, b) == [_reference_division(digits, a, b)] * 3
+
+
+def test_bigfloat_arithmetic_enters_the_fields_own_context_and_restores_the_last():
+    fld, other = BigFloatField(50), BigFloatField(64)
+    outer = getcontext()
+    with fld.arithmetic() as ctx:
+        assert getcontext() is ctx
+        with other.arithmetic() as inner:
+            assert getcontext() is inner and inner is not ctx
+            with fld.arithmetic() as again:
+                assert again is ctx and getcontext() is ctx
+            assert getcontext() is inner
+        assert getcontext() is ctx
+    assert getcontext() is outer
+    # An exception, the field's own trap among them, leaves by the same way.
+    with pytest.raises(KeyError):
+        with fld.arithmetic():
+            with other.arithmetic():
+                raise KeyError("x")
+    assert getcontext() is outer
+    with pytest.raises(DivisionByZero):
+        with fld.arithmetic():
+            Decimal(1) / Decimal(0)
+    assert getcontext() is outer
+    # So do the guard's own entries, from any ambient context.
+    with _hostile_context() as hostile:
+        with pytest.raises(BreakdownError):
+            fld.div(Decimal(1), Decimal(0))
+        assert getcontext() is hostile
+    # A local context opened inside is a copy: the field's stays as it was.
+    with fld.arithmetic() as ctx:
+        traps = dict(ctx.traps)
+        with localcontext() as local:
+            local.prec, local.rounding = 3, ROUND_CEILING
+            local.traps[Inexact] = True
+            assert local is not ctx and Decimal(1) / Decimal(4) == Decimal("0.25")
+        assert getcontext() is ctx
+        assert (ctx.prec, ctx.rounding, dict(ctx.traps)) == (50, ROUND_HALF_EVEN, traps)
+        assert traps[DivisionByZero] and not any(
+            on for signal, on in traps.items() if signal is not DivisionByZero)
+    assert str(fld.div(Decimal(1), Decimal(3))) == "0." + "3" * 50
 
 
 @pytest.mark.parametrize("digits", [50, 64])
