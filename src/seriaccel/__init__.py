@@ -26,6 +26,7 @@ from .field import (
 )
 from .jets import Jet, JetBreakdownError, PowerSeries
 from .prediction import (
+    HeightBudgetError,
     PredictionBreakdownError,
     leading_predictions,
     predict_coefficients,

@@ -427,6 +427,11 @@ class RationalField(Field):
     def series_invertible(self, a):
         return a[1][0] != 0
 
+    def series_height(self, a) -> int:
+        """Bits of the tallest integer of ``a``: its denominator or a numerator."""
+        den, nums = a
+        return max(den.bit_length(), *[x.bit_length() for x in nums])
+
     def series_sum(self, a, b, n, negate):
         # Over lcm(da, db) = da * (db / g), g = gcd(da, db), a prime of da / g
         # or of db / g leaves a numerator it does not divide, so only a

@@ -30,9 +30,21 @@ The family names are ``"aitken"`` (iterated delta-squared), ``"epsilon"``
 entry at ``(k, n)`` is the term jet or its leading part; the first
 coefficient it predicts has order ``n + step*k + 1``.  Their bounds are
 checked by :func:`~seriaccel._recursions.run_recursion`, like every table's.
+
+In rational mode the term is exact, and the tallest integer of a level
+(common denominator or numerator) roughly triples per level, while Python
+refuses to write an int of more than ``sys.get_int_max_str_digits()`` digits
+as text.  So the jet route of :func:`predict_coefficients` keeps a *height
+budget*: after each finished level ``k >= 2`` it forecasts the next level's
+height as ``h_k**2 / h_(k-1)`` bits and raises :class:`HeightBudgetError`
+before building a level forecast past :data:`HEIGHT_MARGIN` times that
+limit, instead of spending most of its time on coefficients it cannot print.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 from ._recursions import JetOps, NumericOps, TransformTable, _last_index, run_recursion
 from .field import BreakdownError, Scalar
@@ -40,6 +52,8 @@ from .jets import PowerSeries
 from .transforms import DegeneratePadeError, get_family
 
 __all__ = [
+    "HEIGHT_MARGIN",
+    "HeightBudgetError",
     "PredictionBreakdownError",
     "transformation_terms",
     "leading_predictions",
@@ -56,12 +70,60 @@ class PredictionBreakdownError(BreakdownError):
         self.n = n
 
 
+#: How far a level's forecast height may pass the bits of the int-to-text
+#: limit before rational :func:`predict_coefficients` refuses to build it.
+#: The forecast ``h_k**2 / h_(k-1)`` ran up to 1.11 times the real height on
+#: levels above 9,000 bits (``log1p-over-z`` and ``zeta(2, 3, 4)``, counts
+#: 1-8), and the tallest printable prediction of that sweep was forecast at
+#: 1.038 times the limit, so 1.15 refuses no prediction that prints.
+HEIGHT_MARGIN = 1.15
+
+
+class HeightBudgetError(ValueError):
+    """A rational prediction refused before a level whose forecast height
+    passes the budget: its coefficients could not be written as text."""
+
+    def __init__(self, family: str, level: int, forecast: int, budget: int, limit: int):
+        super().__init__(
+            f"{family} prediction refused before level {level}: its forecast height of "
+            f"{forecast} bits passes the budget of {budget} bits ({HEIGHT_MARGIN} times the "
+            f"{limit}-digit limit of integer text); --mode bigfloat is the bounded route")
+        self.family = family
+        self.level = level
+        self.forecast = forecast
+        self.budget = budget
+
+
+def _height_budget(series: PowerSeries, family: str, levels: int):
+    """The sink that keeps the height budget of a rational jet build of
+    ``levels`` levels, or ``None`` outside rational mode or when the
+    interpreter has no int-to-text limit (read now, 0 meaning none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
+    fld = series.field
+    if fld.mode != "rational" or not limit:
+        return None
+    budget = int(limit * math.log2(10) * HEIGHT_MARGIN)
+    height = fld.series_height
+    heights = []
+
+    def sink(level, width, row, notes):
+        heights.append(max([height(jet.packed) for jet in row.values()], default=0))
+        if 2 <= level < levels and heights[-2]:
+            forecast = heights[-1] ** 2 // heights[-2]
+            if forecast > budget:
+                raise HeightBudgetError(family, level + 1, forecast, budget, limit)
+
+    return sink
+
+
 def transformation_terms(
     series: PowerSeries,
     family: str,
     max_level: int,
     order: int,
     last_index: int | None = None,
+    *,
+    sink=None,
 ) -> TransformTable:
     """Expand the transformation terms of ``family`` as jets of ``order``.
 
@@ -69,12 +131,14 @@ def transformation_terms(
     ``n + step*k <= last_index`` (default: all stored coefficients).  A
     position whose recursion hits a (near-)zero denominator is marked
     invalid, with the reason in ``notes``, instead of aborting the rest of
-    the table.
+    the table.  ``sink`` receives each finished level, as in
+    :func:`~seriaccel._recursions.run_recursion`; an error it raises ends
+    the build.
     """
     m = _last_index(series, last_index)
     ops = JetOps(series.field, order)
     return run_recursion(get_family(family), ops, max_level, m, [ops.zero] * (m + 1),
-                         series.coefficient)
+                         series.coefficient, sink=sink)
 
 
 def leading_predictions(
@@ -111,7 +175,9 @@ def predict_coefficients(
     The first prediction equals the corresponding :func:`leading_predictions`
     entry exactly where that entry is valid.  A prediction that is not finite
     raises :class:`PredictionBreakdownError` with the note ``overflow``, by
-    either route.
+    either route.  In rational mode the jet route keeps the height budget of
+    the module docstring and raises :class:`HeightBudgetError` before a
+    level forecast past it; ``sys.set_int_max_str_digits(0)`` lifts it.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -120,7 +186,8 @@ def predict_coefficients(
     order = count - 1
     if fam.prediction_term is None:
         table = transformation_terms(series, family, max_level=k, order=order,
-                                     last_index=last_index)
+                                     last_index=last_index,
+                                     sink=_height_budget(series, fam.name, k))
         if (k, n) not in table.entries:
             raise PredictionBreakdownError(fam.name, k, n, table.notes[(k, n)])
         term = table.entries[(k, n)]

@@ -52,6 +52,12 @@ def commands(tiny: str) -> list[Command]:
         Command(("predict", "--series", "builtin:zeta(2)", "--family", "aitken", "--use", "12",
                  "--count", "6"),
                 "exact prediction on one of the benchmark's slowest shapes"),
+        Command(("predict", "--series", LOG, "--family", "aitken", "--use", "24"),
+                "the height budget refuses a prediction whose coefficients could not be "
+                "printed before it builds the level that would hold them, with stdout "
+                "empty (the build of every level took more than 9 minutes)",
+                code=1, limit=10,
+                check=lambda out, err: out == "" and "--mode bigfloat" in err),
         Command(("accelerate", "--help"), "the subcommand prints its usage"),
         Command(("accelerate", "--series", LOG, "--family", "theta-iterated", "--scheme",
                  "rearranged", "--z", "1/2", "--terms", "9"),

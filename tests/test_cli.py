@@ -571,3 +571,72 @@ def test_a_reused_parser_reads_the_precision_of_each_call(capsys, monkeypatch):
     for digits in ("50", "70", "fifty", "50"):
         monkeypatch.setenv("SERIACCEL_PRECISION", digits)
         assert run(capsys, *argv) == expected[digits]
+
+
+@pytest.mark.parametrize("series, family, use, count, forecast", [
+    ("builtin:zeta(2)", "aitken", "14", "4", 23001),
+    ("builtin:log1p-over-z", "theta-iterated", "21", "5", 18016),
+])
+def test_rational_predict_refuses_past_its_height_budget_with_stdout_empty(
+        capsys, series, family, use, count, forecast):
+    code, out, err = run(capsys, "predict", "--series", series, "--family", family,
+                         "--use", use, "--count", count)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {family} prediction refused before level 7: its forecast height "
+                   f"of {forecast} bits passes the budget of 16426 bits (1.15 times the "
+                   "4300-digit limit of integer text); --mode bigfloat is the bounded route\n")
+
+
+def test_f64_theta_predict_breakdown_exits_one_with_the_cell_and_its_reason(capsys):
+    # ROADMAP item 4's second f64 case: a level-4 reciprocal meets a zero
+    # constant term that rational mode does not have.
+    code, out, err = run(capsys, "predict", "--series", "builtin:log1p-over-z", "--mode", "f64",
+                         "--family", "theta-iterated", "--use", "12")
+    assert (code, out) == (1, "")
+    assert err == ("error: theta-iterated prediction breakdown at (k=4, n=0): "
+                   "jet breakdown: reciprocal of a jet with zero constant term\n")
+
+
+def _accelerate_cells(capsys, path, mode, *argv):
+    code, out, err = run(capsys, "accelerate", "--series", f"file:{path}", "--mode", mode, *argv)
+    assert (code, err) == (0, "")
+    return {tuple(map(int, line.split()[:2])): line.split(None, 2)[2]
+            for line in out.splitlines()[2:] if line[:1].isdigit()}
+
+
+def test_bigfloat_prints_the_pole_where_the_exact_epsilon_table_divides_by_zero(
+        capsys, monkeypatch, tmp_path):
+    # Open defect, pinned as it is: the [12/1] Pade approximant has its pole
+    # exactly at z = -1/3, because gamma_12 z**12 = gamma_13 z**13, so
+    # eps_1^(11) = eps_1^(12) exactly.  At 50 digits the two differ by 7.1e-39,
+    # which passes the absolute near-zero bound 1e-40, and bigfloat prints
+    # (2, 11) and the auxiliary (3, 10) and (5, 8).  (4, 9) and (6, 7) are
+    # the exact [11/2] and [10/3] Pade values.  The change that mends this
+    # changes this expectation.
+    monkeypatch.delenv("SERIACCEL_PRECISION", raising=False)
+    path = tmp_path / "pole.txt"
+    path.write_text("5/3\n-2\n1\n-3/2\n1\n5/3\n-1/2\n0\n8\n7/5\n6/5\n9/5\n-2\n6\n")
+    argv = ("--family", "epsilon", "--z=-1/3", "--terms", "14")
+    for mode in ("rational", "f64"):
+        cells = _accelerate_cells(capsys, path, mode, *argv)
+        assert cells[2, 11] == f"invalid ({mode}: division by (near-)zero denominator)"
+        assert [cells[k, 13 - k] for k in (4, 6)] == [
+            "invalid (depends on invalid entry (3, 10))", "invalid (depends on invalid entry (5, 8))"]
+    cells = _accelerate_cells(capsys, path, "bigfloat", *argv)
+    assert [cells[k, 13 - k] for k in range(2, 7)] == [
+        "0.1416282146e39", "-0.2657205000e6", "0.2505936955e1", "-0.2372618246e6",
+        "0.2505940167e1"]
+
+
+def test_bigfloat_prints_rounding_residue_where_the_exact_aitken_cell_is_zero(
+        capsys, monkeypatch, tmp_path):
+    # Open defect, pinned as it is: cell (1, 5) is exactly 0, and bigfloat
+    # prints the rounding residue of its 50 digits as a value, none of whose
+    # ten printed digits is right.  The change that mends this changes this
+    # expectation.
+    monkeypatch.delenv("SERIACCEL_PRECISION", raising=False)
+    path = tmp_path / "residue.txt"
+    path.write_text("1/2\n4\n-1/2\n-5\n5/3\n-1\n-2/3\n-2\n5/4\n-4\n2\n2\n0\n-4/3\n")
+    argv = ("--family", "aitken", "--z=1", "--terms", "14")
+    assert [_accelerate_cells(capsys, path, mode, *argv)[1, 5]
+            for mode in ("rational", "f64", "bigfloat")] == ["0", "0", "0.5000000000e-49"]

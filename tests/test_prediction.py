@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,16 +13,24 @@ from _laurent import (
     partial_sum_laurents,
 )
 from _reference import pade_taylor_jet, partial_sum_jet
-from seriaccel.field import BigFloatField, Float64Field, RationalField, decimal_string
+from seriaccel.field import (
+    BigFloatField,
+    Float64Field,
+    RationalField,
+    decimal_string,
+    to_fraction_string,
+)
 from seriaccel.jets import Jet, PowerSeries
 from seriaccel.prediction import (
+    HEIGHT_MARGIN,
+    HeightBudgetError,
     PredictionBreakdownError,
     leading_predictions,
     predict_coefficients,
     transformation_terms,
 )
 from seriaccel.remainders import leading_remainders
-from seriaccel.series_library import builtin_series
+from seriaccel.series_library import builtin_series, resolve_series_spec
 from seriaccel.transforms import SelectionError, get_family, pade_linear_system, select_approximant
 
 RAT = RationalField()
@@ -426,3 +436,75 @@ def test_rational_predictions_multiply_and_invert_through_the_jet_methods(monkey
         monkeypatch.setattr(Jet, name, counted(name))
     assert len(predict_coefficients(builtin("zeta", RAT, 10), family, 9, 4)) == 4
     assert calls["__mul__"] > 0 and calls["reciprocal"] > 0, calls
+
+
+# The last use of each (series, family) whose rational prediction of ``count``
+# coefficients, count = 1..8 in order, still prints: a sweep of every use up
+# to the first one with a numerator or denominator past the 4,300-digit
+# int-to-text limit found that use + 1 cannot be printed.
+LAST_PRINTABLE_USE = {
+    ("log1p-over-z", "aitken"): (19, 17, 17, 17, 15, 15, 15, 15),
+    ("log1p-over-z", "theta-iterated"): (23, 23, 23, 21, 20, 20, 20, 20),
+    ("zeta(2)", "aitken"): (15, 15, 13, 13, 13, 13, 13, 13),
+    ("zeta(2)", "theta-iterated"): (20, 17, 17, 17, 17, 14, 14, 14),
+    ("zeta(3)", "aitken"): (14, 13, 13, 13, 11, 11, 11, 11),
+    ("zeta(3)", "theta-iterated"): (17, 17, 14, 14, 14, 14, 14, 14),
+    ("zeta(4)", "aitken"): (13, 13, 12, 11, 11, 11, 11, 11),
+    ("zeta(4)", "theta-iterated"): (17, 14, 14, 14, 14, 14, 14, 13),
+}
+
+
+def _printed(predictions):
+    return [to_fraction_string(value) for _, value in predictions]
+
+
+@pytest.mark.parametrize("spec, family, count", [
+    (spec, family, count) for (spec, family), uses in LAST_PRINTABLE_USE.items()
+    for count in range(1, len(uses) + 1)])
+def test_the_height_budget_refuses_no_prediction_that_prints(spec, family, count):
+    use = LAST_PRINTABLE_USE[spec, family][count - 1]
+    series = resolve_series_spec(f"builtin:{spec}", RAT, use + 2).require_series()
+    assert len(_printed(predict_coefficients(series, family, use, count))) == count
+    try:
+        predictions = predict_coefficients(series, family, use + 1, count)
+    except HeightBudgetError:
+        return
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        _printed(predictions)
+
+
+@pytest.mark.parametrize("spec, family, use, count, level", [
+    ("zeta(2)", "aitken", 14, 4, 7),
+    ("log1p-over-z", "theta-iterated", 21, 5, 7),
+])
+def test_the_height_budget_refuses_before_the_last_level(spec, family, use, count, level):
+    series = resolve_series_spec(f"builtin:{spec}", RAT, use + 1).require_series()
+    with pytest.raises(HeightBudgetError) as err:
+        predict_coefficients(series, family, use, count)
+    assert (err.value.family, err.value.level) == (family, level)
+    assert err.value.forecast > err.value.budget == int(4300 * math.log2(10) * HEIGHT_MARGIN)
+    # Built in full, the selected term has a coefficient that cannot be printed.
+    k, n = divmod(use, get_family(family).step)
+    assert k == level
+    term = transformation_terms(series, family, k, count - 1).entries[(k, n)]
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        _printed(enumerate(term.coeffs))
+
+
+def test_the_height_budget_reads_the_limit_at_call_time():
+    series = builtin_series("zeta", (F(2),), 15, RAT).require_series()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        predictions = predict_coefficients(series, "aitken", 14, 4)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(value.denominator.bit_length() for _, value in predictions) > 4300 * math.log2(10)
+    with pytest.raises(HeightBudgetError):
+        predict_coefficients(series, "aitken", 14, 4)
+
+
+@pytest.mark.parametrize("fld", [BigFloatField(50), Float64Field()], ids=lambda f: f.mode)
+def test_the_float_modes_keep_no_height_budget(fld):
+    series = builtin_series("zeta", (fld.ensure(2),), 15, fld).require_series()
+    assert len(predict_coefficients(series, "aitken", 14, 4)) == 4
