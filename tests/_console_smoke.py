@@ -55,7 +55,7 @@ def commands(tiny: str) -> list[Command]:
         Command(("predict", "--series", LOG, "--family", "aitken", "--use", "24"),
                 "the height budget refuses a prediction whose coefficients could not be "
                 "printed before it builds the level that would hold them, with stdout "
-                "empty (the build of every level took more than 9 minutes)",
+                "empty (building every level took about a minute)",
                 code=1, limit=10,
                 check=lambda out, err: out == "" and "--mode bigfloat" in err),
         Command(("accelerate", "--help"), "the subcommand prints its usage"),
