@@ -64,8 +64,8 @@ inherits the failure of one read, keeps its notes as one record
 (:class:`_DeadLevel`) that forms a note only when it is read.  As soon as a
 level is finished, a build files it and hands it with that row and notes,
 which the sink must not change, to an optional *sink*: ``accelerate`` writes
-the level's lines there, so a value it cannot print stops the build at its
-level.  The table still keeps every cell.
+the level's lines there, a dead level as one line, so a value it cannot
+print stops the build at its level.  The table still keeps every cell.
 """
 
 from __future__ import annotations

@@ -167,16 +167,16 @@ def _write_accelerate(header, seq, build, field, digits) -> None:
     its own row and notes keyed by ``n``, to the sink, which makes the
     level's lines, the ``header`` line first, then its cells in ``n`` order,
     and writes the lines gathered once a level ends with
-    :data:`_BLOCK_LINES` or more.  A dead level is written straight from its
-    record's prefix and offset, with no note formed, and the text of each
-    index is formed once per table.  The selected approximants follow
-    once the build returns.  The renderer of the values is picked once per table.
-    When a line cannot be made, a value that cannot be rendered included, the
-    build stops at that level, and the lines before it are written before the
-    error propagates."""
+    :data:`_BLOCK_LINES` or more.  A dead level, whose notes are one
+    :class:`_DeadLevel` record, is one line, ``k 0..w invalid (depends on
+    invalid entries (K, o..o+w))``: cell ``n`` depends on ``(K, n + o)``.
+    The selected approximants follow once the build returns.  The renderer
+    of the values is picked once per table.  When a line cannot be made, a
+    value that cannot be rendered included, the build stops at that level,
+    and the lines before it are written before the error propagates."""
     write = sys.stdout.write
     render = _renderer(field, digits)
-    index = [str(n) for n in range(len(seq.entries))]  # each ``n`` and ``n + offset`` is an input
+    index = [str(n) for n in range(len(seq.entries))]  # the text of each ``n``, formed once
     lines = []
     add = lines.append
 
@@ -187,9 +187,8 @@ def _write_accelerate(header, seq, build, field, digits) -> None:
         # One expression per level; a generator where values render, so the
         # lines before a value that cannot be rendered are kept.
         if type(notes) is _DeadLevel:  # cell ``n`` inherits the failure of ``n + offset``
-            dead = f" invalid ({notes.prefix}"
-            lines.extend([f"{prefix}{n}{dead}{read}))\n"
-                          for n, read in zip(index[:width + 1], index[notes.offset:])])
+            add(f"{prefix}0..{width} invalid ({notes.prefix.replace('entry', 'entries')}"
+                f"{notes.offset}..{notes.offset + width}))\n")
         elif len(row) > width:  # every cell valid, in ``n`` order
             lines.extend(f"{prefix}{n} {render(value)}\n" for n, value in zip(index, row.values()))
         else:

@@ -3,9 +3,12 @@ partial-sum jets, computed from the public pieces of the library, the
 family steps and the plain epsilon cross rule as written per cell, each
 shifted difference and reciprocal formed in the cell that reads it, the
 builtin tail rules as written per coefficient, the pivoting ``Fraction``
-solve of a Pade system, and the ``accelerate`` command that builds its
-whole table before it writes a line."""
+solve of a Pade system, the ``accelerate`` command that builds its whole
+table before it writes a line, and the per-cell lines that one dead-level
+line of ``accelerate`` stands for."""
 
+import itertools
+import re
 import sys
 from fractions import Fraction
 
@@ -152,38 +155,49 @@ def solve_linear(fld, matrix, rhs):
     return solution
 
 
-def accelerate(args) -> int:
+def accelerate(args, collapse=True) -> int:
     """``accelerate`` with its table built in full before the first line is
-    made; it takes only the flags the table accepts."""
+    made; it takes only the flags the table accepts, and ``collapse`` as
+    :func:`write_accelerate` does."""
     field = cli._field(args.mode)
     resolved = cli.resolve_series_spec(args.series, field, count=args.terms)
     seq = cli._sequence_from_input(resolved, args, field)
     table = cli._TABLE_BUILDERS[args.family](seq, args.scheme, args.modified, None)
-    write_accelerate(resolved, seq, table, field, args.digits)
+    write_accelerate(resolved, seq, table, field, args.digits, collapse)
     return 0
 
 
-def write_accelerate(resolved, seq, table, field, digits) -> None:
-    """The lines of ``accelerate`` from a stored table: every key sorted, the
-    table in blocks of ``cli._BLOCK_LINES`` lines, then the selected
-    approximants; the lines made before an error are written."""
+def write_accelerate(resolved, seq, table, field, digits, collapse=True) -> None:
+    """The lines of ``accelerate`` from a stored table: its levels in key
+    order, each cell in ``n`` order, written in blocks of at least
+    ``cli._BLOCK_LINES`` lines, then the selected approximants; the lines
+    made before an error are written.  With ``collapse``, a level is one
+    range line when its content says it is dead (:func:`dead_line`);
+    without it, every cell is its own line."""
     write = sys.stdout.write
     render = cli._renderer(field, digits)
     entries, notes = table.entries, table.notes
-    keys = sorted([*entries, *notes])
+    widths, live = {}, {k for k, _ in entries}
+    for k, n in itertools.chain(entries, notes):
+        widths[k] = max(widths.get(k, 0), n)
     lines = [f"# {resolved.label} -> family={table.family} entries={table.size}\n", "k n value\n"]
     add = lines.append
     try:
-        for start in range(0, len(keys), cli._BLOCK_LINES):
-            for key in keys[start:start + cli._BLOCK_LINES]:
-                k, n = key
-                if key in entries:
-                    add(f"{k} {n} {render(entries[key])}\n")
-                else:
-                    add(f"{k} {n} invalid ({notes[key]})\n")
-            text = "".join(lines)
-            lines.clear()
-            write(text)
+        for k in sorted(widths):
+            level = [notes.get((k, n)) for n in range(widths[k] + 1)]
+            dead = dead_line(k, level, live) if collapse else None
+            if dead is not None:
+                add(dead)
+            else:
+                for n, note in enumerate(level):
+                    if note is None:
+                        add(f"{k} {n} {render(entries[k, n])}\n")
+                    else:
+                        add(f"{k} {n} invalid ({note})\n")
+            if len(lines) >= cli._BLOCK_LINES:
+                text = "".join(lines)
+                lines.clear()
+                write(text)
         add("selected approximant per m:\n")
         for m in range(table.size):
             try:
@@ -198,3 +212,44 @@ def write_accelerate(resolved, seq, table, field, digits) -> None:
     finally:
         if lines:
             write("".join(lines))
+
+
+_INHERITED = re.compile(r"depends on invalid entry \((-?\d+), (-?\d+)\)")
+
+
+def dead_line(k, level_notes, live):
+    """The one line of level ``k``, whose cell ``n`` has the note
+    ``level_notes[n]`` (None where it is valid), when every cell ``n`` is
+    noted ``depends on invalid entry (K, n + o)`` for one ``K`` and one
+    ``o`` and level ``K`` is not in ``live``, the levels with a valid cell;
+    else None."""
+    reads = set()
+    for n, note in enumerate(level_notes):
+        match = note is not None and _INHERITED.fullmatch(note)
+        if not match:
+            return None
+        reads.add((int(match[1]), int(match[2]) - n))
+    if len(reads) != 1:
+        return None
+    (dep, offset), = reads
+    if dep in live:
+        return None
+    width = len(level_notes) - 1
+    return (f"{k} 0..{width} invalid (depends on invalid entries ({dep}, "
+            f"{offset}..{offset + width}))\n")
+
+
+_DEAD_LEVEL = re.compile(r"(\d+) 0\.\.(\d+) invalid "
+                         r"\(depends on invalid entries \((\d+), (\d+)\.\.(\d+)\)\)")
+
+
+def per_cell_lines(line):
+    """The per-cell lines, with no newline, that the dead-level line ``line``
+    of ``accelerate`` stands for, or ``[line]`` for any other line."""
+    match = _DEAD_LEVEL.fullmatch(line)
+    if match is None:
+        return [line]
+    k, width, dep, first, last = map(int, match.groups())
+    assert last - first == width, line
+    return [f"{k} {n} invalid (depends on invalid entry ({dep}, {first + n}))"
+            for n in range(width + 1)]

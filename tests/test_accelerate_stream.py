@@ -7,7 +7,9 @@ equal for every table, form and mode, on the builtins and on generated
 coefficient files, and also when the renderer fails at the first value of
 a level.  A value that cannot be rendered stops the build at its level, so
 the tables whose deep levels pass the 4,300-digit limit of ``str(int)``
-exit 1 within seconds.
+exit 1 within seconds.  A dead level is one line, and expanded into
+per-cell lines it is what the stored-table writer prints with one line per
+cell.
 """
 
 import contextlib
@@ -194,7 +196,7 @@ def test_table_blocks_end_at_level_boundaries(family):
     out = _Writes()
     with contextlib.redirect_stdout(out):
         assert main(["accelerate", "--series", "builtin:log1p-over-z", "--family", family,
-                     "--z=1/2", "--mode", "f64", "--terms", "221"]) == 0
+                     "--z=-9/10", "--mode", "f64", "--terms", "221"]) == 0
     *blocks, last = out.writes
     assert len(blocks) > 10
     for block, after in zip(blocks, out.writes[1:]):
@@ -265,3 +267,39 @@ def test_the_build_stops_at_the_level_that_cannot_be_rendered(monkeypatch):
                            "--terms", "20"])
     assert (code, levels) == (1, list(range(9)))
     assert out.splitlines()[-1].startswith("7 ")
+
+
+# ---------------------------------------------------------------------------
+# a dead level's one line is lossless
+
+
+class _Digest:
+    """A stdout that keeps only the line count and the sha256 of what is written."""
+
+    def __init__(self):
+        self.lines, self.sha = 0, hashlib.sha256()
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        self.sha.update(text.encode())
+        return len(text)
+
+
+@pytest.mark.parametrize("argv, lines, cells", [
+    (("--series", "builtin:model(1,1,1/2)", "--family", "aitken", "--terms", "8"), 31, 32),
+    (("--series", LOG, "--family", "epsilon", "--mode", "f64", "--z=-9/10", "--terms", "120"),
+     6158, 7383),
+    (("--series", LOG, "--family", "aitken", "--mode", "f64", "--z=1/2", "--terms", "2000"),
+     16954, 1003003),
+])
+def test_dead_level_lines_expand_to_the_per_cell_lines(argv, lines, cells):
+    code, out, err = _run(["accelerate", *argv])
+    assert (code, err, len(out.splitlines())) == (0, "", lines)
+    expanded = _Digest()
+    for line in out.splitlines():
+        expanded.write("".join(f"{cell}\n" for cell in _reference.per_cell_lines(line)))
+    per_cell = _Digest()
+    with contextlib.redirect_stdout(per_cell):
+        assert _reference.accelerate(build_parser().parse_args(["accelerate", *argv]),
+                                     collapse=False) == 0
+    assert (expanded.lines, expanded.sha.digest()) == (cells, per_cell.sha.digest())

@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 import pytest
 
+import _reference
 import seriaccel
 from seriaccel import cli, golden
 from seriaccel.cli import build_parser, main
@@ -598,10 +599,13 @@ def test_f64_theta_predict_breakdown_exits_one_with_the_cell_and_its_reason(caps
 
 
 def _accelerate_cells(capsys, path, mode, *argv):
+    """``{(k, n): value field}`` of the table lines of ``accelerate``, each
+    dead-level line read back as its per-cell lines."""
     code, out, err = run(capsys, "accelerate", "--series", f"file:{path}", "--mode", mode, *argv)
     assert (code, err) == (0, "")
-    return {tuple(map(int, line.split()[:2])): line.split(None, 2)[2]
-            for line in out.splitlines()[2:] if line[:1].isdigit()}
+    lines = [cell for line in out.splitlines()[2:] if line[:1].isdigit()
+             for cell in _reference.per_cell_lines(line)]
+    return {tuple(map(int, line.split()[:2])): line.split(None, 2)[2] for line in lines}
 
 
 def test_bigfloat_prints_the_pole_where_the_exact_epsilon_table_divides_by_zero(

@@ -68,4 +68,4 @@ def test_the_console_smoke_passes_through_the_module_entry_point():
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
                           timeout=900)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
-    assert proc.stdout.splitlines()[-1] == "0 of 24 commands failed"
+    assert proc.stdout.splitlines()[-1] == "0 of 25 commands failed"
